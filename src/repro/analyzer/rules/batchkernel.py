@@ -18,10 +18,10 @@ is a bare function parameter (or a trivial wrapper around one):
 * ``range(len(param))`` — the classic index-loop disguise.
 
 Iterating anything else — ``range(width)``, attribute chains such as
-``ctable.levels`` (compile-time structure, bounded by the table, not by
-the batch), or locals derived inside the function — is fine; the rule
-deliberately stays narrow so the pure-Python *fallback* kernels, which
-are per-element by design, simply stay undecorated.
+``mtrie.level_shifts`` (compile-time structure, bounded by the layout,
+not by the batch), or locals derived inside the function — is fine;
+the rule deliberately stays narrow so the pure-Python *fallback*
+kernels, which are per-element by design, simply stay undecorated.
 """
 
 from __future__ import annotations

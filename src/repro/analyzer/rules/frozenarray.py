@@ -39,7 +39,8 @@ FROZEN_FIELDS: Dict[str, FrozenSet[str]] = {
     ),
     "repro.fastpath.compile.CompiledClueTable": frozenset(
         {
-            "levels",
+            "probe_keys",
+            "probe_recs",
             "probe_index",
             "rec_fd",
             "rec_cont_node",

@@ -11,12 +11,14 @@ root = 0), ``child[2 * node + bit]`` holding the child id or -1, and
 (-1 otherwise).  Descending one bit is a single gather instead of two
 dict probes.
 
-``CompiledClueTable`` — per-clue-length sorted key arrays probed with a
-binary search (numpy ``searchsorted`` over the whole batch at once),
-parallel record arrays for the FD code, the Ptr continuation vertex and
-its depth, and per-record rows into a packed Claim-1 stop bitmask
-(Advance's "can any longer match exist below?" Booleans, one bit per
-trie vertex).
+``CompiledClueTable`` — one sorted key array over every clue length,
+keyed ``(clue_len << (width + 1)) | bits`` so keys of different lengths
+never collide, and its parallel record-id array: a whole batch resolves
+its clue probes with one binary search (numpy ``searchsorted``),
+whatever mix of clue lengths it carries.  Parallel record arrays hold
+the FD code, the Ptr continuation vertex and its depth, and per-record
+rows into a packed Claim-1 stop bitmask (Advance's "can any longer
+match exist below?" Booleans, one bit per trie vertex).
 
 Results are interned in a shared ``ResultPool`` so a lane's outcome is
 one int32 code; the pool decodes it back to ``(prefix, next_hop)`` and
@@ -184,7 +186,8 @@ class CompiledClueTable:
         "width",
         "backend",
         "records",
-        "levels",
+        "probe_keys",
+        "probe_recs",
         "probe_index",
         "rec_fd",
         "rec_cont_node",
@@ -201,7 +204,8 @@ class CompiledClueTable:
         self.width = trie.width
         self.backend = trie.backend
         pool = trie.pool
-        by_length: Dict[int, List[Tuple[int, int]]] = {}
+        key_shift = trie.width + 1
+        keys: List[int] = []
         probe_index: Dict[Tuple[int, int], int] = {}
         rec_fd: List[int] = []
         rec_cont_node: List[int] = []
@@ -219,7 +223,7 @@ class CompiledClueTable:
                     % (clue.width, trie.width)
                 )
             record = len(rec_fd)
-            by_length.setdefault(clue.length, []).append((clue.bits, record))
+            keys.append((clue.length << key_shift) | clue.bits)
             probe_index[(clue.length, clue.bits)] = record
             if entry.fd_prefix is not None:
                 rec_fd.append(pool.intern(entry.fd_prefix, entry.fd_next_hop))
@@ -271,13 +275,11 @@ class CompiledClueTable:
             mask_rows.append(row_bits)
         np = get_numpy()
         if self.backend == "numpy":
-            levels = []
-            for length in sorted(by_length):
-                pairs = sorted(by_length[length])
-                keys = np.asarray([bits for bits, _ in pairs], dtype=np.int64)
-                recs = np.asarray([rec for _, rec in pairs], dtype=np.int64)
-                levels.append((length, keys, recs))
-            self.levels = tuple(levels)
+            # Record ids are allocation order, so the sort permutation of
+            # the keys *is* the parallel record array.
+            unsorted = np.asarray(keys, dtype=np.int64)
+            self.probe_recs = np.argsort(unsorted, kind="stable")
+            self.probe_keys = unsorted[self.probe_recs]
             self.rec_fd = np.asarray(rec_fd, dtype=np.int64)
             self.rec_cont_node = np.asarray(rec_cont_node, dtype=np.int64)
             self.rec_cont_depth = np.asarray(rec_cont_depth, dtype=np.int64)
@@ -286,14 +288,8 @@ class CompiledClueTable:
                 bytes(b"".join(mask_rows)), dtype=np.uint8
             ).reshape(len(mask_rows), mask_bytes)
         else:
-            self.levels = tuple(
-                (
-                    length,
-                    [bits for bits, _ in sorted(by_length[length])],
-                    [rec for _, rec in sorted(by_length[length])],
-                )
-                for length in sorted(by_length)
-            )
+            self.probe_recs = sorted(range(len(keys)), key=keys.__getitem__)
+            self.probe_keys = [keys[rec] for rec in self.probe_recs]
             self.rec_fd = rec_fd
             self.rec_cont_node = rec_cont_node
             self.rec_cont_depth = rec_cont_depth
@@ -303,17 +299,16 @@ class CompiledClueTable:
     def nbytes(self) -> int:
         """Data-plane footprint of the probe and record arrays, in bytes.
 
-        Per-length sorted keys and record ids, the four parallel record
-        columns (int64 lanes; the python backend is accounted the same
-        way for comparability) plus the packed stop bitmask rows.  The
-        ``probe_index`` dict is the python backend's probe structure but
-        mirrors the levels arrays entry for entry, so the flat-array
+        The merged sorted keys and their record ids, the four parallel
+        record columns (int64 lanes; the python backend is accounted the
+        same way for comparability) plus the packed stop bitmask rows.
+        The ``probe_index`` dict is the python backend's probe structure
+        but mirrors the probe arrays entry for entry, so the flat-array
         accounting covers it.  Excludes the trie layout — report that
         separately via the layout's own ``nbytes()``.
         """
-        total = 4 * self.records * 8
-        for _length, keys, recs in self.levels:
-            total += (len(keys) + len(recs)) * 8
+        total = (len(self.probe_keys) + len(self.probe_recs)) * 8
+        total += 4 * self.records * 8
         for row in self.stop_masks:
             total += len(row)
         return total

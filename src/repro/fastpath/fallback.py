@@ -8,7 +8,10 @@ so they are deliberately *not* marked ``@hot_path`` — the per-element
 loops that RC111 bans from vectorized kernels are the whole method here
 — and *are* marked ``@cold_path``, so the closure rule (RC113) treats
 the kernel dispatch into them as a sanctioned boundary: their per-batch
-result lists are amortized across every lane of the batch.
+result lists are amortized across every lane of the batch.  The numpy
+kernel also calls `resume_walks` itself for a batch that resumes only a
+few lanes, where walking them one by one is cheaper than its per-level
+array operations.
 
 Cost-model parity with the object graph (and with the numpy kernels):
 
@@ -100,6 +103,31 @@ def _descend(ctrie, dst, node, depth, row, masks):
         if masks is not None and (masks[row][branch >> 3] >> (branch & 7)) & 1:
             break
     return best, refs
+
+
+@cold_path
+def resume_walks(
+    ctrie,
+    dsts: Sequence[int],
+    nodes: Sequence[int],
+    depths: Sequence[int],
+    rows: Sequence[int],
+    masks,
+    fds: Sequence[int],
+) -> Tuple[List[int], List[int]]:
+    """Resumed walks lane by lane: (codes, refs), one per lane.
+
+    The numpy kernel hands over resumed sets too small to pay for its
+    per-operation cost (``kernels.SCALAR_RESUME_LANES``).  A lane keeps
+    its FD code from ``fds`` when its walk enters no marked vertex.
+    """
+    codes: List[int] = []
+    refs: List[int] = []
+    for dst, node, depth, row, fd in zip(dsts, nodes, depths, rows, fds):
+        best, steps = _descend(ctrie, dst, node, depth, row, masks)
+        codes.append(best if best >= 0 else fd)
+        refs.append(steps)
+    return codes, refs
 
 
 @cold_path

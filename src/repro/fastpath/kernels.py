@@ -1,10 +1,21 @@
 """Vectorized batch lookup kernels over the compiled flat arrays.
 
-One numpy gather per trie level replaces two dict probes per packet:
-all lanes of a batch descend in lockstep, with boolean masks retiring
-lanes whose walk ended (no child, or an Advance Claim-1 stop bit).  The
-dense kernels reproduce the object-graph memory-reference accounting
-*bit for bit* — `repro.fastpath.certify` enforces that — so the paper's
+The clue probe of a whole batch is one ``searchsorted`` over the
+table's merged key array (`repro.fastpath.compile`): each lane's key is
+its clue length and leading bits packed into one int64, so lanes of
+every clue length resolve in the same call, and a batch of FD hits —
+the paper's one-reference case — costs a fixed handful of array
+operations however many lengths it mixes.  Walks below the probe
+(resumed Ptr continuations, full lookups) take one numpy gather per
+trie level instead of two dict probes per packet: each round moves
+every lane one level down from wherever it stands, so a batch pays for
+its longest walk rather than for the spread of its start depths, and
+boolean masks retire lanes whose walk ended (no child, or an Advance
+Claim-1 stop bit).  A batch that resumes only a few lanes walks them
+one by one in the pure-Python twin instead, since numpy's cost per
+array operation does not shrink with the lane count.  The dense
+kernels reproduce the object-graph memory-reference accounting *bit
+for bit* — `repro.fastpath.certify` enforces that — so the paper's
 counters stay exact while the wall-clock cost collapses.
 
 The stride kernels (`repro.fastpath.layouts.CompiledMultibitTrie`)
@@ -38,6 +49,14 @@ from repro.fastpath.layouts import CompiledMultibitTrie
 from repro.lookup.hotpath import hot_path
 
 
+#: Resumed sets up to this size walk lane by lane in the pure-Python
+#: twin (`fallback.resume_walks`).  The vectorized walk costs ~25 numpy
+#: operations per trie level, about a microsecond each however few lanes
+#: they carry; one lane's scalar walk costs a few microseconds.  Serving
+#: batches resume one to three lanes; a whole-workload replay, hundreds.
+SCALAR_RESUME_LANES = 16
+
+
 def as_destination_array(values, width: int = 32):
     """Pack destination address values for the kernels.
 
@@ -46,6 +65,9 @@ def as_destination_array(values, width: int = 32):
     already-packed int64 ndarray passes through untouched — the serve
     loadgen materializes flat arrays up front, and re-boxing every
     element through a Python list each batch was pure hot-path overhead.
+    A list of plain ints converts in one ``np.array`` call; only a list
+    holding ``Address`` objects (alone or mixed with ints) is unwrapped
+    element by element.
     """
     np = get_numpy()
     if np is not None and width <= 32:
@@ -53,10 +75,13 @@ def as_destination_array(values, width: int = 32):
             if values.dtype == np.int64:
                 return values
             return values.astype(np.int64)
-        return np.asarray(
-            [int(getattr(value, "value", value)) for value in values],
-            dtype=np.int64,
-        )
+        try:
+            return np.array(values, dtype=np.int64)
+        except TypeError:  # Address objects, or a mix: unwrap each one
+            return np.array(
+                [int(getattr(value, "value", value)) for value in values],
+                dtype=np.int64,
+            )
     return [int(getattr(value, "value", value)) for value in values]
 
 
@@ -64,7 +89,7 @@ def as_length_array(lengths, width: int = 32):
     """Pack clue lengths (−1 = clueless) to match the destination array.
 
     Like :func:`as_destination_array`, an int64 ndarray is returned
-    as-is instead of being re-boxed element by element.
+    as-is and a list converts in one ``np.array`` call.
     """
     np = get_numpy()
     if np is not None and width <= 32:
@@ -72,47 +97,49 @@ def as_length_array(lengths, width: int = 32):
             if lengths.dtype == np.int64:
                 return lengths
             return lengths.astype(np.int64)
-        return np.asarray([int(length) for length in lengths], dtype=np.int64)
+        return np.array(lengths, dtype=np.int64)
     return [int(length) for length in lengths]
 
 
 @hot_path
-def _descend_numpy(np, ctrie, dsts, cur, depths, stop_masks, rows):
-    """Lockstep restricted descent for every lane: (best codes, refs).
+def _descend_numpy(np, ctrie, dsts, cur, depths, stop_masks, rows, best):
+    """Restricted descent for every lane: (best codes, refs).
 
-    Lanes join the walk once the level reaches their start depth; a lane
+    Every lane steps down from its own start depth, one level per
+    round, so a batch costs as many rounds as its longest walk, not the
+    span from its shallowest start to its deepest stop (resumed lanes
+    start at their records' continuation depths, far apart).  A lane
     retires when its next child is absent or (with ``stop_masks``) when
     the vertex it just entered carries its record's Claim-1 stop bit.
     Per the scalar semantics the start vertex itself is never charged
     nor matched; every *entered* vertex costs one reference, may update
     the best marked code, and only then is its stop bit consulted.
+    ``best`` holds each lane's answer for a walk that enters no marked
+    vertex (the caller's fallback code).
     """
     width = ctrie.width
     child = ctrie.child
     node_result = ctrie.node_result
     lanes = dsts.shape[0]
-    best = np.full(lanes, -1, dtype=np.int64)
     refs = np.zeros(lanes, dtype=np.int64)
     alive = np.ones(lanes, dtype=bool)
-    start = int(depths.min()) if lanes else width
-    for depth in range(start, width):
+    # Each lane's next address bit; past the last one the clamp reads
+    # bit 0, and a full-length vertex has no child, so the lane retires.
+    shift = np.subtract(width - 1, depths)
+    for _ in range(width + 1):
         if not alive.any():
             break
-        moving = alive & (depths <= depth)
-        if not moving.any():
-            continue
-        bits = (dsts >> (width - 1 - depth)) & 1
+        bits = np.right_shift(dsts, np.maximum(shift, 0)) & 1
         branch = child[2 * cur + bits]
-        entered = moving & (branch >= 0)
-        alive = alive & (~moving | entered)
-        cur = np.where(entered, branch, cur)
-        refs = refs + entered
+        alive &= branch >= 0
+        cur = np.where(alive, branch, cur)
+        refs += alive
         codes = node_result[cur]
-        best = np.where(entered & (codes >= 0), codes, best)
+        best = np.where(alive & (codes >= 0), codes, best)
         if stop_masks is not None:
-            stop_bytes = stop_masks[rows, cur >> 3].astype(np.int64)
-            stopped = entered & ((stop_bytes >> (cur & 7)) & 1 > 0)
-            alive = alive & ~stopped
+            stop_bytes = stop_masks[rows, cur >> 3]
+            alive &= (stop_bytes >> (cur & 7)) & 1 == 0
+        shift -= 1
     return best, refs
 
 
@@ -122,8 +149,8 @@ def _full_lookup_numpy(np, ctrie, dsts):
     lanes = dsts.shape[0]
     cur = np.zeros(lanes, dtype=np.int64)
     depths = np.zeros(lanes, dtype=np.int64)
-    best, refs = _descend_numpy(np, ctrie, dsts, cur, depths, None, None)
-    best = np.where(best >= 0, best, np.int64(ctrie.root_result))
+    root = np.full(lanes, ctrie.root_result, dtype=np.int64)
+    best, refs = _descend_numpy(np, ctrie, dsts, cur, depths, None, None, root)
     return best, refs + 1  # the root itself is always touched
 
 
@@ -172,69 +199,89 @@ def _full_dispatch_numpy(np, layout, dsts):
 
 
 @hot_path
+def _probe_numpy(np, ctable, dsts, clue_lens, carrying):
+    """One merged-key clue probe for every lane: (hit mask, record ids).
+
+    A lane's key is ``(clue_len << (width + 1)) | leading bits`` — the
+    keying ``probe_keys`` is sorted by — so one ``searchsorted``
+    resolves every clue length in the batch.  Lanes without a usable
+    clue get an in-range shift and are masked out by ``carrying``; the
+    record id of a lane that did not hit is in range but meaningless.
+    Lane-sized temporaries are reused in place, so a large replay batch
+    costs three scratch arrays, not one per step.
+    """
+    width = ctable.width
+    keys = ctable.probe_keys
+    wanted = np.maximum(clue_lens, 0, dtype=np.int64)
+    np.minimum(wanted, width, out=wanted)
+    shift = np.subtract(width, wanted)
+    np.left_shift(wanted, width + 1, out=wanted)
+    np.right_shift(dsts, shift, out=shift)
+    np.bitwise_or(wanted, shift, out=wanted)
+    position = keys.searchsorted(wanted)
+    found = keys.take(position, mode="clip", out=shift)
+    hit = np.equal(found, wanted)
+    hit &= carrying
+    record = ctable.probe_recs.take(position, mode="clip", out=wanted)
+    return hit, record
+
+
+@hot_path
 def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
     """Clue-assisted lookup, batched: (methods, codes, new_clues, memrefs)."""
     ctrie = ctable.trie
     width = ctable.width
     lanes = dsts.shape[0]
-    methods = np.full(lanes, np.int64(CODE_FULL), dtype=np.int64)
-    codes = np.full(lanes, -1, dtype=np.int64)
-    memrefs = np.zeros(lanes, dtype=np.int64)
-    record = np.full(lanes, -1, dtype=np.int64)
     carrying = (clue_lens >= 0) & (clue_lens <= width)
-    memrefs = memrefs + carrying  # every probe costs one reference
-    for length, keys, recs in ctable.levels:
-        level = carrying & (clue_lens == length)
-        if not level.any():
-            continue
-        if length:
-            wanted = dsts[level] >> (width - length)
-        else:
-            wanted = dsts[level] & 0
-        if keys.shape[0]:
-            position = np.minimum(
-                np.searchsorted(keys, wanted), keys.shape[0] - 1
-            )
-            record[level] = np.where(
-                keys[position] == wanted, recs[position], np.int64(-1)
-            )
-    hit = record >= 0
-    miss = carrying & ~hit
-    methods = np.where(miss, np.int64(CODE_CLUE_MISS), methods)
-    full_path = ~hit
+    methods = np.where(
+        carrying, np.int64(CODE_CLUE_MISS), np.int64(CODE_FULL)
+    )
+    codes = np.full(lanes, -1, dtype=np.int64)
+    memrefs = carrying.astype(np.int64)  # every probe costs one reference
+    if ctable.records:
+        hit, record = _probe_numpy(np, ctable, dsts, clue_lens, carrying)
+        fd = ctable.rec_fd[record]
+        cont = ctable.rec_cont_node[record]
+        resumed = cont >= 0
+        resumed &= hit
+        np.copyto(methods, np.int64(CODE_FD_IMMEDIATE), where=hit)
+        np.copyto(codes, fd, where=hit)
+        if resumed.any():
+            methods[resumed] = CODE_RESUMED
+            recs = record[resumed]
+            masks = ctable.stop_masks if ctable.has_stops else None
+            if recs.shape[0] > SCALAR_RESUME_LANES:
+                best, refs = _descend_numpy(
+                    np,
+                    ctrie,
+                    dsts[resumed],
+                    cont[resumed],
+                    ctable.rec_cont_depth[recs],
+                    masks,
+                    ctable.rec_stop_row[recs] if masks is not None else None,
+                    codes[resumed],  # the FD code, unless the walk matches
+                )
+            else:
+                best, refs = fallback.resume_walks(
+                    ctrie,
+                    dsts[resumed].tolist(),
+                    cont[resumed].tolist(),
+                    ctable.rec_cont_depth[recs].tolist(),
+                    ctable.rec_stop_row[recs].tolist(),
+                    masks,
+                    codes[resumed].tolist(),
+                )
+            codes[resumed] = best
+            memrefs[resumed] += refs
+        full_path = ~hit
+    else:
+        full_path = np.ones(lanes, dtype=bool)
     if full_path.any():
         full_codes, full_refs = _full_dispatch_numpy(
             np, ctable.layout, dsts[full_path]
         )
         codes[full_path] = full_codes
         memrefs[full_path] += full_refs
-    if ctable.records:
-        safe = np.maximum(record, 0)
-        fd = ctable.rec_fd[safe]
-        cont = ctable.rec_cont_node[safe]
-        immediate = hit & (cont < 0)
-        methods = np.where(immediate, np.int64(CODE_FD_IMMEDIATE), methods)
-        codes = np.where(immediate, fd, codes)
-        resumed = hit & (cont >= 0)
-        if resumed.any():
-            methods = np.where(resumed, np.int64(CODE_RESUMED), methods)
-            masks = ctable.stop_masks if ctable.has_stops else None
-            rows = (
-                ctable.rec_stop_row[safe][resumed]
-                if masks is not None
-                else None
-            )
-            best, refs = _descend_numpy(
-                np,
-                ctrie,
-                dsts[resumed],
-                cont[resumed],
-                ctable.rec_cont_depth[safe][resumed],
-                masks,
-                rows,
-            )
-            codes[resumed] = np.where(best >= 0, best, fd[resumed])
-            memrefs[resumed] += refs
     lengths = ctrie.pool.lengths_array()
     if len(lengths):
         new_clues = np.where(

@@ -43,6 +43,7 @@ latency and availability, never correctness.
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Dict, List, Optional
 
 from repro.addressing import Address
@@ -373,10 +374,10 @@ class ChaosEngine:
         else:
             builder = SimpleMethod(state, "regular")
         table = builder.build_table(list(self.sender_trie.prefixes()))
-        self.reference = ClueAssistedLookup(
-            RegularTrieLookup(self.receiver_entries, cfg.width), table
-        )
+        # One read-only trie is both the scalar pair's base and the LPM
+        # oracle: the audit's two checks differ in the path, not the table.
         self.oracle = RegularTrieLookup(self.receiver_entries, cfg.width)
+        self.reference = ClueAssistedLookup(self.oracle, table)
         self.loadgen = ZipfLoadGenerator(
             self.sender_entries,
             self.sender_trie,
@@ -883,7 +884,33 @@ class ChaosEngine:
             # plus certification — and the fresh table becomes a new
             # epoch so the audit decodes every answer against the exact
             # table that produced it.
-            shard = build_replica_shard(
+            shard = self._rebuild_shard(s, r)
+            state.tables.append(shard)
+            worker.shard = shard
+            worker.table_index = len(state.tables) - 1
+            worker.down = False
+            worker.rebuilding = False
+            worker.health.rebuilt(now)
+            state.restarts += 1
+            state.rebuilt_lanes += shard.certified_lanes
+            plan.count_event(KIND_SHARD_RESTART)
+
+    def _rebuild_shard(self, s, r):
+        """Rebuild replica ``r`` of slice ``s``, then settle the heap once.
+
+        A rebuild allocates a whole table graph in the middle of a run.
+        Left to its allocation counters, the cyclic collector's next
+        full pass over the heap (tenths of a second at these table
+        sizes) lands wherever the counters happen to cross: for some
+        seeds inside the tick loop, for others after it.  The build
+        runs with the collector paused and ends in one full collection,
+        so that pass belongs to the rebuild on every seed.
+        """
+        cfg = self.config
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build_replica_shard(
                 s,
                 r,
                 self.entry_slices[s],
@@ -895,15 +922,10 @@ class ChaosEngine:
                 force_python=cfg.force_python,
                 instruments=self.instruments,
             )
-            state.tables.append(shard)
-            worker.shard = shard
-            worker.table_index = len(state.tables) - 1
-            worker.down = False
-            worker.rebuilding = False
-            worker.health.rebuilt(now)
-            state.restarts += 1
-            state.rebuilt_lanes += shard.certified_lanes
-            plan.count_event(KIND_SHARD_RESTART)
+        finally:
+            if enabled:
+                gc.enable()
+                gc.collect()
 
     def _expire_deadlines(self, state, offsets, now, arrival_ticks):
         """Expire pending requests whose deadline budget ran out."""

@@ -49,7 +49,7 @@ from repro.lookup.regular import RegularTrieLookup
 from repro.serve.batcher import BatchPolicy, RequestBatcher
 from repro.serve.dispatch import ShardPlan, route_batch
 from repro.serve.loadgen import LoadProfile, Workload, ZipfLoadGenerator
-from repro.serve.report import ServeReport, latency_summary
+from repro.serve.report import ServeReport, latency_summary, tally_waits
 from repro.serve.shard import Shard, build_shards
 from repro.tablegen import NeighborProfile, derive_neighbor, generate_table
 from repro.trie.binary_trie import BinaryTrie
@@ -426,9 +426,7 @@ class ServeEngine:
         dsts = as_destination_array(vals, self.config.width)
         clue_lens = as_length_array(lens_, self.config.width)
         shard.process(dsts, clue_lens)
-        for arrived in ticks_:
-            waited = now - arrived
-            latency[waited] = latency.get(waited, 0) + 1
+        tally_waits(latency, ticks_, now)
         return len(vals)
 
     # ------------------------------------------------------------------
@@ -454,10 +452,10 @@ class ServeEngine:
         else:
             builder = SimpleMethod(state, "regular")
         table = builder.build_table(list(self.sender_trie.prefixes()))
-        reference = ClueAssistedLookup(
-            RegularTrieLookup(self.receiver_entries, cfg.width), table
-        )
+        # One read-only trie serves as the clue lookup's base and as the
+        # LPM oracle: the two checks differ in the path, not the table.
         oracle = RegularTrieLookup(self.receiver_entries, cfg.width)
+        reference = ClueAssistedLookup(oracle, table)
         values, lens = workload.values, workload.clue_lens
         per_vals: List[List[int]] = [[] for _ in range(self.plan.shards)]
         per_lens: List[List[int]] = [[] for _ in range(self.plan.shards)]

@@ -121,7 +121,7 @@ class Shard:
         dsts, lens = certification_batch(
             sender_trie, sweep, width=self.width, seed=seed
         )
-        base_lookup = RegularTrieLookup(self.entries, self.width)
+        base_lookup = self.scalar.base
         checked = certify_full(
             self.ctrie, base_lookup, dsts, force_python=self.force_python
         )

@@ -23,7 +23,7 @@ def clean_kernel(ctable, dsts, width):
     total = 0
     for depth in range(width):  # fine: bounded by the word, not the batch
         total += depth
-    for level in ctable.levels:  # fine: attribute iterable, not a batch
+    for level in ctable.layout.level_shifts:  # fine: attribute, not a batch
         del level
     derived = list(range(3))
     for item in derived:  # fine: a local, not a parameter

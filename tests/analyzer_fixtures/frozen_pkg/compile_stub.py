@@ -17,5 +17,7 @@ class CompiledTrie:
 class CompiledClueTable:
     def __init__(self, trie):
         self.trie = trie
+        self.probe_keys = []
+        self.probe_recs = []
         self.rec_fd = []
         self.stop_masks = []

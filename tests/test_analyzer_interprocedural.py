@@ -161,6 +161,32 @@ def test_frozen_rule_permits_rebind_scalar_compiler_and_waived_stores():
     assert result.unused_suppressions == []
 
 
+def probe_sources():
+    return (
+        load("frozen_pkg/compile_stub.py", path="src/repro/fastpath/compile.py"),
+        load("frozen_pkg/mutate_probe.py"),
+    )
+
+
+def test_frozen_rule_guards_the_merged_clue_probe():
+    result = run(FrozenArrayRule(), *probe_sources())
+    messages = [f.message for f in result.findings]
+    assert len(result.findings) == 2
+    assert any(
+        "splice_probe_key" in m and "subscript store" in m
+        and "CompiledClueTable.probe_keys" in m
+        for m in messages
+    )
+    assert any(
+        "retarget_probe" in m and "in-place store" in m
+        and "CompiledClueTable.probe_recs" in m
+        for m in messages
+    )
+    for finding in result.findings:
+        assert finding.path == "frozen_pkg/mutate_probe.py"
+        assert "legal_probe_rebind" not in finding.message
+
+
 def layout_sources():
     return (
         load("frozen_pkg/layouts_stub.py", path="src/repro/fastpath/layouts.py"),

@@ -177,4 +177,5 @@ def test_clue_width_mismatch_is_unsupported():
 def test_empty_table_compiles_to_zero_records():
     ctable = compile_clue_table(ClueTable(), BinaryTrie(32))
     assert ctable.records == 0
-    assert ctable.levels == ()
+    assert len(ctable.probe_keys) == 0
+    assert len(ctable.probe_recs) == 0

@@ -1,12 +1,13 @@
 """Hypothesis differential tests: batch kernels vs the scalar path.
 
 Random sender/receiver pairs — including empty receivers, default-route-
-only tables, and nested prefixes — are compiled and swept with random
-destinations under clueless (−1), clue=0, the sender's true BMP, and
-arbitrary prefix-of-destination clue lengths.  Every lane must agree
-with the object-graph lookup on (prefix, next hop, method, memrefs, new
-clue) — `certify_clue` raises on the first disagreement — and the numpy
-kernels must agree with the pure-Python fallback.
+only tables, and nested prefixes of any length up to the full width —
+are compiled and swept with random destinations under clueless (−1),
+clue=0, the sender's true BMP, arbitrary prefix-of-destination clue
+lengths, and the out-of-range lengths −2 and width + 1.  Every lane
+must agree with the object-graph lookup on (prefix, next hop, method,
+memrefs, new clue) — `certify_clue` raises on the first disagreement —
+and the numpy kernels must agree with the pure-Python fallback.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,7 @@ def random_pairs(draw):
     size = draw(st.integers(min_value=1, max_value=12))
     prefixes = set()
     for _ in range(size):
-        length = draw(st.integers(min_value=0, max_value=12))
+        length = draw(st.integers(min_value=0, max_value=WIDTH))
         bits = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
         prefixes.add(Prefix(bits, length, WIDTH))
     sender = [(prefix, "s%d" % i) for i, prefix in enumerate(sorted(prefixes))]
@@ -79,11 +80,14 @@ def build(sender, receiver, method):
 
 
 def sweep(sender_trie, values, extra_lens):
-    """Destinations × clue lengths: clueless, clue=0, true BMP, arbitrary."""
+    """Destinations × clue lengths: clueless, clue=0, true BMP, arbitrary,
+    and the out-of-range lengths −2 and width + 1 on either side of the
+    merged probe key's length field."""
     destinations, lens = [], []
     for i, value in enumerate(values):
         bmp = sender_trie.best_prefix(Address(value, WIDTH))
-        for length in (-1, 0, bmp.length if bmp else 0, extra_lens[i]):
+        bmp_length = bmp.length if bmp else 0
+        for length in (-1, 0, bmp_length, extra_lens[i], -2, WIDTH + 1):
             destinations.append(value)
             lens.append(length)
     return destinations, lens

@@ -7,6 +7,11 @@
 * `generate_table` used to truncate silently at large counts: a single
   saturated prefix length (only 48 /8 top blocks exist) burned the whole
   global attempt budget, so a 20 000-entry request returned 48 entries.
+* The batch packers convert plain-int lists in one call but must still
+  unwrap ``Address`` objects, and the merged clue-probe key must keep
+  records that share ``bits`` across clue lengths apart.
+* Resumed walks step from each lane's own continuation depth, and a
+  Claim-1 stop bit still ends a walk where the receiver trie goes on.
 """
 
 import random
@@ -127,3 +132,171 @@ def test_packed_arrays_pass_through_untouched():
     narrow = np.asarray([1, 2], dtype=np.int32)
     assert as_destination_array(narrow).dtype == np.int64
     assert list(as_destination_array([7, 8])) == [7, 8]
+
+
+def reference_pack(values):
+    """The element-by-element packer every list used to go through."""
+    from repro.fastpath import get_numpy
+
+    np = get_numpy()
+    return np.asarray(
+        [int(getattr(value, "value", value)) for value in values],
+        dtype=np.int64,
+    )
+
+
+def test_packers_unwrap_address_and_mixed_lists():
+    from repro.fastpath import HAVE_NUMPY, get_numpy
+    from repro.fastpath.kernels import as_destination_array, as_length_array
+
+    values = [0, 5, 0xFFFFFFFF, Address.parse("10.0.0.1").value]
+    addresses = [Address(value, 32) for value in values]
+    mixed = [addresses[0], values[1], addresses[2], values[3]]
+    if not HAVE_NUMPY:
+        for batch in (values, addresses, mixed):
+            assert as_destination_array(batch) == values
+        return
+    np = get_numpy()
+    for batch in (values, addresses, mixed, []):
+        packed = as_destination_array(batch)
+        expected = reference_pack(batch)
+        assert packed.dtype == np.int64
+        assert np.array_equal(packed, expected)
+    lens = as_length_array([-1, 0, 8, 32])
+    assert lens.dtype == np.int64
+    assert np.array_equal(lens, reference_pack([-1, 0, 8, 32]))
+
+
+# ----------------------------------------------------------------------
+# kernels: one merged probe keeps records of different lengths apart
+# ----------------------------------------------------------------------
+def test_merged_probe_hits_each_lanes_own_length():
+    """Records sharing ``bits`` across clue lengths — 0/0, 0/1 and 0/8
+    (bits 0), 10/8 and 5/9 (bits 10) — plus the top key 255.255.255.255/32
+    each answer the lane whose clue has their length."""
+    from repro.addressing import Prefix
+    from repro.core import (
+        AdvanceMethod,
+        ClueAssistedLookup,
+        ReceiverState,
+        SimpleMethod,
+    )
+    from repro.fastpath import (
+        CODE_FD_IMMEDIATE,
+        CODE_RESUMED,
+        HAVE_NUMPY,
+        as_destination_array,
+        as_length_array,
+        certify_clue,
+        compile_clue_table,
+        compile_trie,
+        lookup_batch,
+    )
+    from repro.lookup import RegularTrieLookup
+
+    clues = [
+        Prefix.parse(text)
+        for text in (
+            "0.0.0.0/0",
+            "0.0.0.0/1",
+            "0.0.0.0/8",
+            "10.0.0.0/8",
+            "5.0.0.0/9",
+            "255.255.255.255/32",
+        )
+    ]
+    assert {clue.bits for clue in clues[:3]} == {0}
+    assert clues[3].bits == clues[4].bits == 10
+    # One destination per clue whose longest match is that clue itself.
+    destinations = [
+        Address.parse(text).value
+        for text in (
+            "128.0.0.1",
+            "64.0.0.1",
+            "0.1.2.3",
+            "10.1.2.3",
+            "5.1.2.3",
+            "255.255.255.255",
+        )
+    ]
+    lengths = [clue.length for clue in clues]
+    entries = [(clue, "hop %s" % clue) for clue in clues]
+    sender_trie = BinaryTrie.from_prefixes(entries)
+    for method in ("simple", "advance"):
+        state = ReceiverState(entries, 32)
+        if method == "advance":
+            builder = AdvanceMethod(sender_trie, state, "regular")
+        else:
+            builder = SimpleMethod(state, "regular")
+        table = builder.build_table(list(sender_trie.prefixes()))
+        ctrie = compile_trie(state.trie)
+        ctable = compile_clue_table(table, ctrie)
+        scalar = ClueAssistedLookup(RegularTrieLookup(entries, 32), table)
+        assert certify_clue(ctable, scalar, destinations, lengths) == 6
+        dsts = as_destination_array(destinations)
+        lens = as_length_array(lengths)
+        fast = lookup_batch(ctable, dsts, lens)
+        methods, codes, new_clues, _memrefs = fast
+        for lane, clue in enumerate(clues):
+            assert int(methods[lane]) in (CODE_FD_IMMEDIATE, CODE_RESUMED)
+            code = int(codes[lane])
+            assert ctrie.pool.prefixes[code] == clue, (method, clue)
+            assert int(new_clues[lane]) == clue.length
+        if HAVE_NUMPY:
+            certify_clue(ctable, scalar, destinations, lengths, force_python=True)
+            slow = lookup_batch(ctable, dsts, lens, force_python=True)
+            for fast_column, slow_column in zip(fast, slow):
+                assert [int(v) for v in fast_column] == [int(v) for v in slow_column]
+
+
+
+def test_resumed_walks_start_at_their_own_depths():
+    """Advance lanes whose resumed walks start twelve levels apart share
+    one batch, and five of them end on a Claim-1 stop bit with the
+    receiver trie going on below: memrefs must match the object graph
+    lane for lane, on both backends, whether the batch resumes few
+    enough lanes to walk them one by one or enough to vectorize."""
+    from repro.core import AdvanceMethod, ClueAssistedLookup, ReceiverState
+    from repro.fastpath import (
+        CODE_RESUMED,
+        HAVE_NUMPY,
+        as_destination_array,
+        as_length_array,
+        certification_batch,
+        certify_clue,
+        compile_clue_table,
+        compile_trie,
+        lookup_batch,
+    )
+    from repro.fastpath.kernels import SCALAR_RESUME_LANES
+    from repro.lookup import RegularTrieLookup
+    from repro.tablegen import NeighborProfile, derive_neighbor
+
+    sender = generate_table(600, seed=42)
+    receiver = derive_neighbor(sender, NeighborProfile(), seed=43)
+    sender_trie = BinaryTrie.from_prefixes(sender)
+    state = ReceiverState(receiver, 32)
+    table = AdvanceMethod(sender_trie, state, "regular").build_table(
+        list(sender_trie.prefixes())
+    )
+    ctable = compile_clue_table(table, compile_trie(state.trie))
+    scalar = ClueAssistedLookup(RegularTrieLookup(receiver, 32), table)
+    destinations, lengths = certification_batch(
+        sender_trie, receiver + sender, seed=42
+    )
+    methods = lookup_batch(
+        ctable, as_destination_array(destinations), as_length_array(lengths)
+    )[0]
+    starts = []
+    for lane, method in enumerate(methods):
+        if method == CODE_RESUMED:
+            length = lengths[lane]
+            record = ctable.probe_index[(length, destinations[lane] >> (32 - length))]
+            starts.append(int(ctable.rec_cont_depth[record]))
+    assert max(starts) - min(starts) >= 12
+    assert len(starts) <= SCALAR_RESUME_LANES
+    for copies in (1, SCALAR_RESUME_LANES // len(starts) + 1):
+        batch, batch_lengths = destinations * copies, lengths * copies
+        assert certify_clue(ctable, scalar, batch, batch_lengths) == len(batch)
+        if HAVE_NUMPY:
+            certify_clue(ctable, scalar, batch, batch_lengths, force_python=True)

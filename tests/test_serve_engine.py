@@ -4,16 +4,20 @@ The engine's contract: seeded runs replay bit-identically (the whole
 ``BENCH_serve.json`` payload, not just totals), the conservation law
 ``completed + shed == offered`` holds under both backpressure policies,
 the differential audit finds zero disagreements between the sharded
-path and the full-table oracle, and the CLI exposes all of it with the
-wall clock injected only at the very top (RC103).
+path and the full-table oracle, the latency histogram tallied once per
+distinct arrival tick equals a per-request count, and the CLI exposes
+all of it with the wall clock injected only at the very top (RC103).
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.serve import ServeConfig, ServeEngine
+from repro.serve import engine as serve_engine
+from repro.serve.report import tally_waits
 
 
 def small_config(**overrides):
@@ -229,3 +233,48 @@ class TestServeCli:
     def test_cli_rejects_bad_partition(self):
         with pytest.raises(SystemExit):
             main(["serve", "--partition", "modulo"])
+
+
+def per_request_tally(counts, arrivals, now):
+    for arrived in arrivals:
+        waited = now - arrived
+        counts[waited] = counts.get(waited, 0) + 1
+
+
+class TestLatencyTally:
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=40), max_size=64),
+            max_size=6,
+        ),
+        st.integers(min_value=40, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_grouped_tally_equals_per_request_loop(self, batches, now):
+        grouped = {}
+        looped = {}
+        for offset, arrivals in enumerate(batches):
+            tally_waits(grouped, arrivals, now + offset)
+            per_request_tally(looped, arrivals, now + offset)
+        assert grouped == looped
+
+    def test_block_policy_multi_tick_batches_match_per_request(
+        self, monkeypatch
+    ):
+        config = small_config(
+            policy="block",
+            max_batch=16,
+            queue_capacity=32,
+            rate=2048.0,
+            audit_samples=0,
+        )
+        grouped = ServeEngine(config).run().as_dict()
+        spans = []
+
+        def looped(counts, arrivals, now):
+            spans.append(len(set(arrivals)))
+            per_request_tally(counts, arrivals, now)
+
+        monkeypatch.setattr(serve_engine, "tally_waits", looped)
+        assert ServeEngine(config).run().as_dict() == grouped
+        assert max(spans) > 1  # some batch really spans several ticks
