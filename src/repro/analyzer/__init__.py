@@ -1,21 +1,21 @@
 """repro.analyzer — AST static analysis enforcing the repo's invariants.
 
-``repro-clue lint`` runs this engine over ``src/repro``.  The per-file
-rules (codes ``RC101``–``RC112``, engine codes ``RC100``/``RC198``/
-``RC199``) encode the invariants PRs 1–3 maintained by hand: hot-path
-purity for the one-memory-reference claim, seeded-RNG discipline,
-wall-clock-free engines, the canonical telemetry catalogue, package
-``__all__`` consistency, bounded loops and retries, and library
-hygiene (no bare except, no mutable defaults, no asserts, no stray
-TO-DO markers).  The interprocedural rules (``RC113``–``RC116``) lift
-the hot-path, RNG, frozen-array, and bounded-loop contracts to the
-whole-program call graph (:mod:`repro.analyzer.graph`): violations are
-flagged wherever a privileged entry point can *reach* them, with the
-concrete entry→sink witness path in the message.
+``repro-clue lint`` runs this engine over ``src/repro``.  Each
+invariant is checked by exactly one rule: hot-path purity for the
+one-memory-reference claim (``RC101``), seeded-RNG discipline
+(``RC102``), wall-clock-free engines (``RC103``), the canonical
+telemetry catalogue (``RC104``), package ``__all__`` consistency
+(``RC105``), bounded loops and retries (``RC106``, ``RC112``), stray
+to-do markers (``RC110``), vectorized batch kernels (``RC111``), and
+frozen compiled arrays (``RC115``).  The engine itself owns
+``RC100`` (parse errors), ``RC198`` (unexplained suppression) and
+``RC199`` (unused suppression).  RC101, RC102 and RC115 walk the whole-program call graph
+(:mod:`repro.analyzer.graph`): a violation is flagged wherever a
+privileged entry point can *reach* it, with the concrete entry→sink
+witness path in the message.  Bare excepts, mutable defaults and
+library asserts are ruff's (``E722``, ``B006``, ``S101``).
 
-``analyze_paths_incremental`` is the warm-cache driver behind
-``repro-clue lint --incremental``; ``render_sarif`` the SARIF 2.1.0
-reporter behind ``--format sarif``.
+``render_sarif`` is the SARIF 2.1.0 reporter behind ``--format sarif``.
 
 Typical use::
 
@@ -49,14 +49,9 @@ from repro.analyzer.engine import (
     render_text,
     write_baseline,
 )
-from repro.analyzer.incremental import (
-    IncrementalResult,
-    analyze_paths_incremental,
-)
 from repro.analyzer.sarif import render_sarif
 
 __all__ = [
-    "IncrementalResult",
     "AnalysisResult",
     "Finding",
     "PARSE_ERROR_CODE",
@@ -66,7 +61,6 @@ __all__ = [
     "Suppression",
     "analyze",
     "analyze_paths",
-    "analyze_paths_incremental",
     "default_rules",
     "diff_baseline",
     "gating_findings",

@@ -58,6 +58,9 @@ _NOQA_RE = re.compile(
     r"(?:\s*--\s*(?P<reason>\S.*))?"
 )
 
+#: The line of a witness-path call-site tag, ``[path/to/file.py:12]``.
+_WITNESS_LINE_RE = re.compile(r"(\[[^\[\]\s]+):\d+\]")
+
 
 class Finding:
     """One rule violation at a source location."""
@@ -85,8 +88,12 @@ class Finding:
 
         Leaving the line out keeps baselines stable across unrelated
         edits above a legacy finding; duplicates are handled by count.
+        Witness paths name their call sites as ``[file:line]``; those
+        lines are dropped too, so moving a call site in another file
+        does not turn a baselined finding into a new one.
         """
-        return "%s|%s|%s" % (self.code, self.path, self.message)
+        message = _WITNESS_LINE_RE.sub(r"\1]", self.message)
+        return "%s|%s|%s" % (self.code, self.path, message)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
@@ -100,18 +107,6 @@ class Finding:
             "message": self.message,
             "rule": self.rule_name,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the incremental store)."""
-        return cls(
-            str(payload["code"]),
-            str(payload["path"]),
-            int(payload["line"]),  # type: ignore[arg-type]
-            int(payload["col"]),  # type: ignore[arg-type]
-            str(payload["message"]),
-            str(payload.get("rule", "")),
-        )
 
     def __repr__(self) -> str:
         return "Finding(%s %s:%d:%d %s)" % (
@@ -219,24 +214,17 @@ class SourceFile:
 
 
 class Project:
-    """Every file of one analysis run (the cross-file rules' view).
+    """Every parsed file of one analysis run (the cross-file rules' view).
 
     Cross-file rules see two representations: the parsed
     :class:`SourceFile` objects, and — for the whole-program layer —
     per-file :class:`~repro.analyzer.graph.summary.ModuleSummary`
-    digests plus the call graph resolved over them.  The incremental
-    driver constructs a Project holding only the *re-parsed* files and
-    attaches cached summaries for the rest, so summary-based rules run
-    identically on cold and warm paths.
+    digests plus the call graph resolved over them, each built once
+    per run on first use.
     """
 
-    def __init__(
-        self,
-        files: Sequence[SourceFile],
-        summaries: Optional[Dict[str, object]] = None,
-    ):
+    def __init__(self, files: Sequence[SourceFile]):
         self.files = list(files)
-        self._attached_summaries = dict(summaries) if summaries else {}
         self._summaries: Optional[Dict[str, object]] = None
         self._graph = None
 
@@ -245,11 +233,10 @@ class Project:
         if self._summaries is None:
             from repro.analyzer.graph.summary import summarize_source
 
-            merged = dict(self._attached_summaries)
-            for source in self.files:
-                if source.path not in merged and source.tree is not None:
-                    merged[source.path] = summarize_source(source)
-            self._summaries = merged
+            self._summaries = {
+                source.path: summarize_source(source)
+                for source in self.files
+            }
         return self._summaries
 
     def graph(self):
@@ -288,11 +275,6 @@ class Rule:
     name: str = "abstract"
     rationale: str = ""
     informational: bool = False
-    #: True for rules whose findings derive from the call graph
-    #: (RC113–RC116): their per-file findings are cached by the
-    #: incremental store under a *neighborhood* signature, and their
-    #: ``finish`` pass is skipped entirely on fully-warm runs.
-    graph_scoped: bool = False
 
     def check_file(self, source: SourceFile) -> Iterable[Finding]:
         """Per-file findings; ``source.tree`` is never None here."""
@@ -427,22 +409,10 @@ def analyze(
     for rule in active:
         raw.extend(rule.finish(project))
 
+    # Match findings against suppressions and report the leftovers.
     suppressions_by_path = {
         source.path: source.suppressions for source in files
     }
-    return reconcile(raw, suppressions_by_path, len(files))
-
-
-def reconcile(
-    raw: Sequence[Finding],
-    suppressions_by_path: Dict[str, List[Suppression]],
-    file_count: int,
-) -> AnalysisResult:
-    """Match findings against suppressions and report the leftovers.
-
-    Shared by :func:`analyze` (fresh suppression tables) and the
-    incremental driver (suppression tables rebuilt from the cache).
-    """
     for suppressions in suppressions_by_path.values():
         for suppression in suppressions:
             suppression.used = False
@@ -486,7 +456,7 @@ def reconcile(
                 )
     surviving.sort(key=Finding.sort_key)
     unused.sort(key=Finding.sort_key)
-    return AnalysisResult(surviving, file_count, unused)
+    return AnalysisResult(surviving, len(files), unused)
 
 
 def analyze_paths(

@@ -1,20 +1,19 @@
 """repro.analyzer.graph — whole-program call-graph construction.
 
-The per-file rules (RC101–RC112) see one AST at a time; the invariants
-they protect — hot-path purity, seeded-RNG discipline, frozen compiled
-arrays, bounded loops — are *whole-program* properties.  This
-subpackage supplies the missing layer:
+Hot-path purity (RC101), seeded-RNG discipline (RC102) and frozen
+compiled arrays (RC115) are *whole-program* properties: a violation
+three calls below a ``@hot_path`` entry or an engine's round loop
+breaks the contract as surely as one written inline.  This subpackage
+supplies the layer those rules walk:
 
-* :mod:`summary` — a JSON-serializable per-file digest (functions,
-  classes, imports, call sites, rule-local facts) built from one AST
-  walk; the incremental cache persists these so warm runs never
-  re-parse unchanged files;
+* :mod:`summary` — a per-file digest (functions, classes, imports,
+  call sites, rule-local facts) built from one AST walk;
 * :mod:`facts` — the rule-local fact extractors (purity violations,
-  RNG events, frozen-array stores, unbudgeted loops) embedded into
-  summaries at parse time;
+  seed forks, frozen-array stores) embedded into summaries at parse
+  time, and the RNG-call classifier RC102 shares with them;
 * :mod:`callgraph` — name resolution over a set of summaries into a
-  module-qualified call graph with reachability, call-path
-  reconstruction, and file-level dependency neighborhoods.
+  module-qualified call graph with reachability and call-path
+  reconstruction.
 
 See DESIGN.md §9 for the resolution rules and known imprecisions.
 """
@@ -30,7 +29,6 @@ from repro.analyzer.graph.summary import (
     ClassSummary,
     FunctionSummary,
     ModuleSummary,
-    SUMMARY_VERSION,
     module_name_for_path,
     summarize_source,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "FunctionNode",
     "FunctionSummary",
     "ModuleSummary",
-    "SUMMARY_VERSION",
     "build_call_graph",
     "module_name_for_path",
     "summarize_source",

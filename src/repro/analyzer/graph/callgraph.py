@@ -382,7 +382,7 @@ class CallGraph:
         Deterministic: entries are visited sorted, edges in file order,
         so the reported witness path is stable across runs.  A node for
         which ``barrier(node)`` is true is recorded (its path remains
-        printable) but never expanded — RC113 passes the ``@cold_path``
+        printable) but never expanded — RC101 passes the ``@cold_path``
         test here so sanctioned slow-path subtrees stay out of the
         closure.
         """
@@ -464,51 +464,6 @@ class CallGraph:
             for edge in callers:
                 stack.append(edge.caller)
         return sorted(roots)
-
-    # ------------------------------------------------------------------
-    # file-level dependency structure (incremental cache)
-    # ------------------------------------------------------------------
-    def file_edges(self) -> Dict[str, Set[str]]:
-        """caller-file → callee-files (cross-file edges only)."""
-        adjacency: Dict[str, Set[str]] = {}
-        for edges in self.out_edges.values():
-            for edge in edges:
-                callee_path = self.functions[edge.callee].path
-                if callee_path != edge.path:
-                    adjacency.setdefault(edge.path, set()).add(callee_path)
-        return adjacency
-
-    def caller_closure_files(self, path: str) -> Set[str]:
-        """``path`` plus every file that can (transitively) call into
-        it — the files whose edits can change ``path``'s
-        interprocedural findings, hence its cache signature."""
-        reverse: Dict[str, Set[str]] = {}
-        for caller_path, callee_paths in self.file_edges().items():
-            for callee_path in callee_paths:
-                reverse.setdefault(callee_path, set()).add(caller_path)
-        closure = {path}
-        stack = [path]
-        while stack:
-            current = stack.pop()
-            for caller_path in reverse.get(current, ()):
-                if caller_path not in closure:
-                    closure.add(caller_path)
-                    stack.append(caller_path)
-        return closure
-
-    def forward_closure_files(self, path: str) -> Set[str]:
-        """``path`` plus every file it (transitively) calls into — the
-        set a *touch* of ``path`` invalidates."""
-        adjacency = self.file_edges()
-        closure = {path}
-        stack = [path]
-        while stack:
-            current = stack.pop()
-            for callee_path in adjacency.get(current, ()):
-                if callee_path not in closure:
-                    closure.add(callee_path)
-                    stack.append(callee_path)
-        return closure
 
     def __repr__(self) -> str:
         edges = sum(len(e) for e in self.out_edges.values())

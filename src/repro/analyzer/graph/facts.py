@@ -1,39 +1,39 @@
 """Rule-local facts embedded into function summaries at parse time.
 
-The interprocedural rules (RC113–RC116) are pure graph computations:
-"is a *local* violation reachable from a privileged entry point?".
-The local half of each question — does this function allocate, touch
-global RNG state, store into a frozen array field, spin an unbudgeted
-loop — only needs the function's own AST, so it is extracted once
-while the file is being summarized and stored as plain-JSON ``facts``
-on the :class:`~repro.analyzer.graph.summary.FunctionSummary`.  Warm
-incremental runs then answer the interprocedural questions from cached
-summaries without re-parsing a single unchanged file.
+The call-graph halves of RC101, RC102 and RC115 ask one question: "is
+a *local* fact reachable from a privileged entry point?".  The local
+half — does this function allocate, fork a seeded RNG, store into a
+frozen array field — only needs the function's own AST, so it is
+extracted once while the file is being summarized and stored as plain
+``facts`` on the :class:`~repro.analyzer.graph.summary.FunctionSummary`.
 
 Fact families (one key per consuming rule):
 
-* ``purity``  → ``[[line, col, description], ...]`` — RC113, from the
-  shared RC101 walker in :mod:`repro.analyzer.purity`;
-* ``rng``     → RNG events (module-level ``random.*``, unseeded or
-  re-seeded ``Random``, seed arithmetic) with an ``in_loop`` bit — RC114;
-* ``stores``  → attribute/subscript stores ``base.field[...] = ...``
-  with the raw base chain for later type resolution — RC115;
-* ``loops``   → unbounded ``while True:`` and budget-less retry loops,
-  with a ``documented`` bit when an RC106/RC112 suppression already
-  states the bound — RC116.
+* ``purity``     → ``[[line, col, description], ...]`` — RC101, from
+  the walker in :mod:`repro.analyzer.purity`;
+* ``seed_forks`` → ``[[line, col], ...]`` of ``Random(<seed
+  arithmetic>)`` outside every loop of the function — RC102, which
+  flags the in-loop ones per file and these only when a looping call
+  site reaches them;
+* ``stores``     → attribute/subscript stores ``base.field[...] = ...``
+  with the raw base chain for later type resolution — RC115.
+
+:func:`iter_rng_calls` is the one RNG-call classifier: RC102's
+per-file walk and the ``seed_forks`` extractor both read it.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analyzer.purity import function_violations
 
-#: Loop statements for the ``in_loop`` bit on calls and RNG events.
+#: Loop statements for the ``in_loop`` bit on calls and RNG sites.
 LOOP_NODES = (ast.For, ast.AsyncFor, ast.While)
 
-FunctionDef = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: RNG classes whose construction RC102 inspects.
+_RNG_CLASSES = ("Random", "SystemRandom")
 
 
 def attribute_chain(node: ast.expr) -> Optional[Tuple[str, ...]]:
@@ -50,7 +50,7 @@ def attribute_chain(node: ast.expr) -> Optional[Tuple[str, ...]]:
 
 
 # ----------------------------------------------------------------------
-# purity (RC113)
+# purity (RC101)
 # ----------------------------------------------------------------------
 def purity_facts(func: ast.AST) -> List[List[Any]]:
     events: List[List[Any]] = []
@@ -66,113 +66,79 @@ def purity_facts(func: ast.AST) -> List[List[Any]]:
 
 
 # ----------------------------------------------------------------------
-# rng (RC114)
+# rng (RC102)
 # ----------------------------------------------------------------------
-def _mentions_seed_name(node: ast.expr) -> bool:
-    for leaf in ast.walk(node):
-        if isinstance(leaf, ast.Name) and "seed" in leaf.id.lower():
-            return True
-        if isinstance(leaf, ast.Attribute) and "seed" in leaf.attr.lower():
-            return True
+def _seed_arithmetic(node: ast.expr) -> bool:
+    """An expression deriving a new value from a name containing 'seed'."""
+    for child in ast.walk(node):
+        if not isinstance(child, ast.BinOp):
+            continue
+        for leaf in ast.walk(child):
+            if isinstance(leaf, ast.Name) and "seed" in leaf.id.lower():
+                return True
+            if isinstance(leaf, ast.Attribute) and "seed" in leaf.attr.lower():
+                return True
     return False
 
 
-def _seed_arithmetic(node: ast.expr) -> bool:
-    return any(
-        isinstance(child, ast.BinOp) and _mentions_seed_name(child)
-        for child in ast.walk(node)
-    )
+def rng_call_kind(node: ast.Call) -> Optional[Tuple[str, str]]:
+    """``(kind, name)`` for a call that draws from or builds an RNG.
 
-
-def rng_facts(func: ast.AST, documented_lines) -> List[Dict[str, Any]]:
-    """RNG events in ``func`` (nested defs fold into their parent —
-    graph nodes exist only for module-level functions and methods).
-    Events on a line whose existing RC102/RC114 suppression already
-    states why the draw is safe carry ``documented: True`` so the
-    closure rule does not re-flag a justified per-file decision."""
-    events: List[Dict[str, Any]] = []
-    _walk_rng(func, 0, events)
-    for event in events:
-        covered = documented_lines.get(event["line"], set())
-        event["documented"] = bool({"RC102", "RC114"} & covered)
-    return events
-
-
-def _walk_rng(
-    node: ast.AST, loop_depth: int, events: List[Dict[str, Any]]
-) -> None:
-    if isinstance(node, ast.Call):
-        event = _classify_rng_call(node, loop_depth)
-        if event is not None:
-            events.append(event)
-    depth = loop_depth + (1 if isinstance(node, LOOP_NODES) else 0)
-    for child in ast.iter_child_nodes(node):
-        _walk_rng(child, depth, events)
-
-
-def _classify_rng_call(
-    node: ast.Call, loop_depth: int
-) -> Optional[Dict[str, Any]]:
+    Kinds: ``module_random`` (``random.shuffle(...)``), ``reseed``
+    (``rng.seed(...)``), ``system_random``, ``unseeded`` (``Random()``)
+    and ``seed_arith`` (``Random(seed + k)``); None for any other call,
+    a plainly seeded ``Random(seed)`` included.
+    """
     callee = node.func
-    line = node.lineno
-    col = node.col_offset + 1
-    in_loop = loop_depth > 0
-    if (
-        isinstance(callee, ast.Attribute)
-        and isinstance(callee.value, ast.Name)
-        and callee.value.id == "random"
-        and callee.attr not in ("Random", "SystemRandom")
-    ):
-        return {
-            "kind": "module_random",
-            "detail": "random.%s" % callee.attr,
-            "line": line,
-            "col": col,
-            "in_loop": in_loop,
-        }
-    if isinstance(callee, ast.Attribute) and callee.attr == "seed":
-        chain = attribute_chain(callee)
-        return {
-            "kind": "reseed",
-            "detail": ".".join(chain) if chain else "<rng>.seed",
-            "line": line,
-            "col": col,
-            "in_loop": in_loop,
-        }
-    ctor = None
-    if isinstance(callee, ast.Name) and callee.id in ("Random", "SystemRandom"):
-        ctor = callee.id
-    elif isinstance(callee, ast.Attribute) and callee.attr in (
-        "Random",
-        "SystemRandom",
-    ):
+    if isinstance(callee, ast.Attribute):
+        if (
+            isinstance(callee.value, ast.Name)
+            and callee.value.id == "random"
+            and callee.attr not in _RNG_CLASSES
+        ):
+            return "module_random", "random.%s" % callee.attr
+        if callee.attr == "seed":
+            chain = attribute_chain(callee)
+            return "reseed", ".".join(chain) if chain else "<rng>.seed"
         ctor = callee.attr
+    elif isinstance(callee, ast.Name):
+        ctor = callee.id
+    else:
+        return None
     if ctor == "SystemRandom":
-        return {
-            "kind": "system_random",
-            "detail": "SystemRandom()",
-            "line": line,
-            "col": col,
-            "in_loop": in_loop,
-        }
-    if ctor == "Random":
-        if not node.args and not node.keywords:
-            return {
-                "kind": "unseeded",
-                "detail": "Random()",
-                "line": line,
-                "col": col,
-                "in_loop": in_loop,
-            }
-        if any(_seed_arithmetic(arg) for arg in node.args):
-            return {
-                "kind": "seed_arith",
-                "detail": "Random(<seed arithmetic>)",
-                "line": line,
-                "col": col,
-                "in_loop": in_loop,
-            }
+        return "system_random", ctor
+    if ctor != "Random":
+        return None
+    if not node.args and not node.keywords:
+        return "unseeded", ctor
+    if any(_seed_arithmetic(arg) for arg in node.args):
+        return "seed_arith", ctor
     return None
+
+
+def iter_rng_calls(
+    node: ast.AST, in_loop: bool = False
+) -> Iterator[Tuple[ast.Call, str, str, bool]]:
+    """``(call, kind, name, in_loop)`` for every RNG call under ``node``."""
+    if isinstance(node, ast.Call):
+        found = rng_call_kind(node)
+        if found is not None:
+            kind, name = found
+            yield node, kind, name, in_loop
+    in_loop = in_loop or isinstance(node, LOOP_NODES)
+    for child in ast.iter_child_nodes(node):
+        yield from iter_rng_calls(child, in_loop)
+
+
+def seed_fork_facts(func: ast.AST) -> List[List[int]]:
+    """``Random(<seed arithmetic>)`` sites outside every loop of
+    ``func`` (nested defs fold into their parent — graph nodes exist
+    only for module-level functions and methods)."""
+    return [
+        [call.lineno, call.col_offset + 1]
+        for call, kind, _, in_loop in iter_rng_calls(func)
+        if kind == "seed_arith" and not in_loop
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -224,93 +190,3 @@ def _classify_store(target: ast.expr, kind: str) -> Optional[Dict[str, Any]]:
                 "col": target.col_offset + 1,
             }
     return None
-
-
-# ----------------------------------------------------------------------
-# loops (RC116)
-# ----------------------------------------------------------------------
-_RETRY_MARKERS = ("retry", "retries", "attempt")
-
-
-def _is_constant_true(node: ast.expr) -> bool:
-    return isinstance(node, ast.Constant) and bool(node.value) is True
-
-
-def _retry_involved(node: ast.While) -> List[str]:
-    names = set()
-    for root in [node.test] + list(node.body):
-        for child in ast.walk(root):
-            if isinstance(child, ast.Name):
-                candidate = child.id
-            elif isinstance(child, ast.Attribute):
-                candidate = child.attr
-            else:
-                continue
-            lowered = candidate.lower()
-            if any(marker in lowered for marker in _RETRY_MARKERS):
-                names.add(candidate)
-    return sorted(names)
-
-
-def _retry_budgeted(node: ast.While) -> bool:
-    if any(isinstance(child, ast.Compare) for child in ast.walk(node.test)):
-        return True
-    tested = {
-        leaf.id for leaf in ast.walk(node.test) if isinstance(leaf, ast.Name)
-    }
-    decremented = set()
-    for statement in node.body:
-        for child in ast.walk(statement):
-            if (
-                isinstance(child, ast.AugAssign)
-                and isinstance(child.op, ast.Sub)
-                and isinstance(child.target, ast.Name)
-            ):
-                decremented.add(child.target.id)
-            elif (
-                isinstance(child, ast.Assign)
-                and len(child.targets) == 1
-                and isinstance(child.targets[0], ast.Name)
-                and isinstance(child.value, ast.BinOp)
-                and isinstance(child.value.op, ast.Sub)
-                and isinstance(child.value.left, ast.Name)
-                and child.value.left.id == child.targets[0].id
-            ):
-                decremented.add(child.targets[0].id)
-    return bool(tested & decremented)
-
-
-def loop_facts(func: ast.AST, documented_lines) -> List[Dict[str, Any]]:
-    """Unbounded loops; ``documented_lines`` maps a line to the set of
-    rule codes an existing suppression on that line already covers."""
-    events: List[Dict[str, Any]] = []
-    for node in ast.walk(func):
-        if not isinstance(node, ast.While):
-            continue
-        line = node.lineno
-        col = node.col_offset + 1
-        if _is_constant_true(node.test):
-            covered = documented_lines.get(line, set())
-            events.append(
-                {
-                    "kind": "while_true",
-                    "label": "while True:",
-                    "line": line,
-                    "col": col,
-                    "documented": bool({"RC106", "RC116"} & covered),
-                }
-            )
-            continue
-        involved = _retry_involved(node)
-        if involved and not _retry_budgeted(node):
-            covered = documented_lines.get(line, set())
-            events.append(
-                {
-                    "kind": "retry",
-                    "label": "retry loop (%s)" % ", ".join(involved),
-                    "line": line,
-                    "col": col,
-                    "documented": bool({"RC112", "RC116"} & covered),
-                }
-            )
-    return events

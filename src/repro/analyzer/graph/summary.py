@@ -1,18 +1,12 @@
-"""Per-file structural summaries: the call graph's unit of caching.
+"""Per-file structural summaries: the call graph's unit of input.
 
 A :class:`ModuleSummary` is everything the whole-program layer needs
-to know about one file, extracted in a single AST walk and fully
-JSON-round-trippable: the module's dotted name, its import table, its
-functions and classes with raw call-site references, lightweight type
-hints (``x = CompiledTrie(...)``, ``self.trie = trie`` where ``trie``
-is an annotated parameter), rule-local facts (:mod:`facts`), and the
+to know about one file, extracted in a single AST walk: the module's
+dotted name, its import table, its functions and classes with raw
+call-site references, lightweight type hints (``x =
+CompiledTrie(...)``, ``self.trie = trie`` where ``trie`` is an
+annotated parameter), rule-local facts (:mod:`facts`), and the
 telemetry registrations RC104 reconciles.
-
-Because a summary never holds an AST node, the incremental cache can
-persist it next to the file's content hash: a warm lint run loads
-summaries for unchanged files and only re-parses the files whose bytes
-actually changed, then rebuilds the (cheap) call graph from summaries
-alone.  That is the property the analyzer bench measures.
 
 Name references are stored *raw* as attribute chains (``("self",
 "_probe")``, ``("random", "random")``) — resolution to qualified names
@@ -23,14 +17,10 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analyzer.graph import facts as _facts
 from repro.analyzer.purity import is_cold_path_function, is_hot_path_function
-
-#: Bump when the summary shape or any fact extractor changes — the
-#: incremental store discards entries written by another version.
-SUMMARY_VERSION = 1
 
 #: Metric-registration method names RC104 reconciles.
 _METRIC_KINDS = ("counter", "gauge", "histogram")
@@ -73,23 +63,6 @@ class CallRef:
         self.line = line
         self.col = col
         self.in_loop = in_loop
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "chain": list(self.chain),
-            "line": self.line,
-            "col": self.col,
-            "in_loop": self.in_loop,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CallRef":
-        return cls(
-            tuple(payload["chain"]),
-            int(payload["line"]),
-            int(payload["col"]),
-            bool(payload["in_loop"]),
-        )
 
     def __repr__(self) -> str:
         return "CallRef(%s:%d)" % (".".join(self.chain), self.line)
@@ -137,38 +110,6 @@ class FunctionSummary:
             return "%s.%s.%s" % (module, self.cls, self.name)
         return "%s.%s" % (module, self.name)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "col": self.col,
-            "is_hot_path": self.is_hot_path,
-            "is_cold_path": self.is_cold_path,
-            "calls": [ref.to_dict() for ref in self.calls],
-            "local_types": {
-                key: list(value) for key, value in self.local_types.items()
-            },
-            "facts": self.facts,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            payload["name"],
-            payload.get("cls"),
-            int(payload["line"]),
-            int(payload["col"]),
-            bool(payload["is_hot_path"]),
-            bool(payload.get("is_cold_path", False)),
-            [CallRef.from_dict(ref) for ref in payload["calls"]],
-            {
-                key: tuple(value)
-                for key, value in payload["local_types"].items()
-            },
-            payload["facts"],
-        )
-
     def __repr__(self) -> str:
         return "FunctionSummary(%s)" % (
             "%s.%s" % (self.cls, self.name) if self.cls else self.name
@@ -193,30 +134,6 @@ class ClassSummary:
         self.bases = bases
         self.methods = methods
         self.attr_types = attr_types
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": [list(base) for base in self.bases],
-            "methods": self.methods,
-            "attr_types": {
-                key: list(value) for key, value in self.attr_types.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            payload["name"],
-            int(payload["line"]),
-            [tuple(base) for base in payload["bases"]],
-            list(payload["methods"]),
-            {
-                key: tuple(value)
-                for key, value in payload["attr_types"].items()
-            },
-        )
 
     def __repr__(self) -> str:
         return "ClassSummary(%s)" % self.name
@@ -259,32 +176,6 @@ class ModuleSummary:
         #: ``[name, kind, line]`` docstring-table rows (catalogue only).
         self.metric_table = metric_table
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "path": self.path,
-            "module": self.module,
-            "package": self.package,
-            "imports": self.imports,
-            "functions": [func.to_dict() for func in self.functions],
-            "classes": [klass.to_dict() for klass in self.classes],
-            "metric_calls": self.metric_calls,
-            "metric_table": self.metric_table,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            payload["path"],
-            payload["module"],
-            payload["package"],
-            dict(payload["imports"]),
-            [FunctionSummary.from_dict(f) for f in payload["functions"]],
-            [ClassSummary.from_dict(c) for c in payload["classes"]],
-            [list(row) for row in payload["metric_calls"]],
-            [list(row) for row in payload["metric_table"]],
-        )
-
     def __repr__(self) -> str:
         return "ModuleSummary(%s, %d functions)" % (
             self.module, len(self.functions),
@@ -303,14 +194,13 @@ def summarize_source(source) -> ModuleSummary:
     imports: Dict[str, str] = {}
     functions: List[FunctionSummary] = []
     classes: List[ClassSummary] = []
-    documented = _suppression_lines(source)
     if tree is not None:
         _collect_imports(tree, package, imports)
         for node in tree.body:
             if isinstance(node, FunctionDefs):
-                functions.append(_summarize_function(node, None, documented))
+                functions.append(_summarize_function(node, None))
             elif isinstance(node, ast.ClassDef):
-                klass, methods = _summarize_class(node, documented)
+                klass, methods = _summarize_class(node)
                 classes.append(klass)
                 functions.extend(methods)
     metric_calls = _metric_calls(tree) if tree is not None else []
@@ -325,20 +215,6 @@ def summarize_source(source) -> ModuleSummary:
         metric_calls,
         metric_table,
     )
-
-
-def _suppression_lines(source) -> Dict[int, Set[str]]:
-    """Line → codes an existing suppression covers (RC116's
-    ``documented`` bit: a loop whose RC106 bound is already stated in
-    a noqa reason needs no second flag from the closure rule)."""
-    covered: Dict[int, Set[str]] = {}
-    for suppression in getattr(source, "suppressions", ()):
-        lines = [suppression.line]
-        if suppression.standalone:
-            lines.append(suppression.line + 1)
-        for line in lines:
-            covered.setdefault(line, set()).update(suppression.codes)
-    return covered
 
 
 def _collect_imports(
@@ -374,13 +250,13 @@ def _collect_imports(
 
 
 def _summarize_class(
-    node: ast.ClassDef, documented: Dict[int, Set[str]]
+    node: ast.ClassDef,
 ) -> Tuple[ClassSummary, List[FunctionSummary]]:
     methods: List[FunctionSummary] = []
     attr_types: Dict[str, Tuple[str, ...]] = {}
     for child in node.body:
         if isinstance(child, FunctionDefs):
-            summary = _summarize_function(child, node.name, documented)
+            summary = _summarize_function(child, node.name)
             methods.append(summary)
             _collect_attr_types(child, summary.local_types, attr_types)
     bases = []
@@ -449,9 +325,7 @@ def _annotation_chain(node: Optional[ast.expr]) -> Optional[Tuple[str, ...]]:
     return _facts.attribute_chain(node)
 
 
-def _summarize_function(
-    node, cls: Optional[str], documented: Dict[int, Set[str]]
-) -> FunctionSummary:
+def _summarize_function(node, cls: Optional[str]) -> FunctionSummary:
     local_types: Dict[str, Tuple[str, ...]] = {}
     args = node.args
     all_args = list(
@@ -465,9 +339,8 @@ def _summarize_function(
     _collect_calls(node, 0, calls, local_types)
     facts = {
         "purity": _facts.purity_facts(node),
-        "rng": _facts.rng_facts(node, documented),
+        "seed_forks": _facts.seed_fork_facts(node),
         "stores": _facts.store_facts(node),
-        "loops": _facts.loop_facts(node, documented),
     }
     return FunctionSummary(
         node.name,
@@ -544,8 +417,3 @@ def _metric_table(source) -> List[List[Any]]:
         if match is not None:
             rows.append([match.group("name"), match.group("kind"), number])
     return rows
-
-
-def summarize_sources(sources: Sequence[Any]) -> Dict[str, ModuleSummary]:
-    """``path → summary`` for a batch of parsed files."""
-    return {source.path: summarize_source(source) for source in sources}

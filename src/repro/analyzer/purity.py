@@ -1,11 +1,11 @@
-"""The hot-path purity walker shared by RC101 and RC113.
+"""The hot-path purity walker behind RC101.
 
 One function body, one verdict: which statements allocate, format, or
-bind telemetry per packet?  RC101 applies the walker to functions the
-author *declared* hot (``@hot_path``); RC113 applies it to every
-function the call graph proves is *transitively reachable* from one.
-Both rules must agree on what "impure" means or the closure rule would
-re-litigate the per-file rule, so the definition lives here once.
+bind telemetry per packet?  The call-graph summaries run the walker
+over every function (:mod:`repro.analyzer.graph.facts`), and RC101
+reports its verdict for the functions the author *declared* hot
+(``@hot_path``) and for every function the call graph proves is
+*transitively reachable* from one.
 
 The contract (see :mod:`repro.lookup.hotpath` for the rationale):
 
@@ -20,9 +20,9 @@ The contract (see :mod:`repro.lookup.hotpath` for the rationale):
   outside an ``if ... .active`` sampling guard;
 * no ``print`` and no nested ``def`` (built once per outer call).
 
-Violations are yielded as ``(node, description)`` pairs; callers
-prepend their own context ("hot path %r ..." for RC101, the offending
-call path for RC113).
+Violations are yielded as ``(node, description)`` pairs; RC101
+prepends its own context ("hot path %r ..." for an entry, the
+offending call path for a function below one).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import Iterator, Tuple
 #: Builtin calls forbidden on the hot path: each allocates a fresh
 #: object per invocation.  ``str`` is the subtle one — ``str(x)`` on a
 #: non-str builds a new string (and usually calls ``__str__``, which
-#: formats); the PR 9 audit found it hiding in helpers that RC101's
-#: per-file view could not see.
+#: formats); an audit of the call graph found it hiding in helpers
+#: below the declared hot entries.
 FORBIDDEN_BUILTINS = (
     "list",
     "dict",

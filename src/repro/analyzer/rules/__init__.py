@@ -11,33 +11,19 @@ from repro.analyzer.rules.api import PublicApiRule
 from repro.analyzer.rules.batchkernel import BatchKernelLoopRule
 from repro.analyzer.rules.determinism import WallClockRule
 from repro.analyzer.rules.frozenarray import FrozenArrayRule
-from repro.analyzer.rules.hotclosure import HotPathClosureRule
 from repro.analyzer.rules.hotpath import HotPathPurityRule
-from repro.analyzer.rules.hygiene import (
-    AssertInLibraryRule,
-    BareExceptRule,
-    MutableDefaultRule,
-)
 from repro.analyzer.rules.loops import UnboundedLoopRule
-from repro.analyzer.rules.reachloop import ReachableLoopRule
 from repro.analyzer.rules.retry import BoundedRetryRule
 from repro.analyzer.rules.rng import SeededRngRule
-from repro.analyzer.rules.rngtaint import RngTaintRule
 from repro.analyzer.rules.telemetry_catalogue import TelemetryCatalogueRule
 from repro.analyzer.rules.todo import StrayTodoRule
 
 __all__ = [
-    "AssertInLibraryRule",
-    "BareExceptRule",
     "BatchKernelLoopRule",
     "BoundedRetryRule",
     "FrozenArrayRule",
-    "HotPathClosureRule",
     "HotPathPurityRule",
-    "MutableDefaultRule",
     "PublicApiRule",
-    "ReachableLoopRule",
-    "RngTaintRule",
     "SeededRngRule",
     "StrayTodoRule",
     "TelemetryCatalogueRule",

@@ -64,7 +64,6 @@ def _sanctioned(path: str) -> bool:
 class FrozenArrayRule(Rule):
     code = "RC115"
     name = "frozen-array-mutation"
-    graph_scoped = True
     rationale = (
         "compiled tries and clue tables are shared, aliased, and read "
         "lock-free by every batch kernel; element stores outside the "

@@ -1,66 +1,68 @@
 """RC102 — seeded-RNG discipline.
 
 Every experiment in this repo promises bit-identical reruns from a
-``--seed``; the CI churn smoke literally diffs two seeded runs.  Three
+``--seed``; the CI churn smoke literally diffs two seeded runs.  The
 ways that promise has broken (or nearly broken) before:
 
 * calling the *module-level* ``random.random()`` / ``choice()`` /
   ``shuffle()`` — global state shared across subsystems, perturbed by
   anything else that imports ``random``;
-* ``random.Random()`` with no seed argument — seeded from the OS;
-* re-seeding inside a loop with ``seed + k`` arithmetic — the PR 2
+* ``random.Random()`` with no seed argument, or ``SystemRandom()`` —
+  seeded from the OS;
+* ``rng.seed(...)`` — re-seeding an RNG mid-run resets its stream;
+* re-deriving ``Random(seed + k)`` inside a loop — the
   robustness-experiment bug, where every sweep fraction re-derived
   ``Random(seed + 1)`` and silently correlated its draws (fixed by
   threading one RNG through the loop).
 
-The rule flags all three.  Deriving a child RNG from ``seed`` *outside*
-a loop (scenario builders, CLI glue) is legitimate and stays legal.
+The rule flags every such call site in every file, module-level and
+class-body code included.  Deriving a child RNG from ``seed``
+*outside* a loop (scenario builders, CLI glue) is legitimate and stays
+legal — unless the loop sits at a call site instead.  That bug
+only correlated draws because the call into the deriving helper sat
+in the sweep loop, so the rule also walks the call graph from every
+engine entry point (the methods of ``*Engine`` classes, module-level
+``run_*`` drivers) and flags a loop-free ``Random(<seed arithmetic>)``
+that an entry reaches through a looping call site, with the
+entry→site witness path.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterable, List
 
-from repro.analyzer.engine import Finding, Rule, SourceFile, register
+from repro.analyzer.engine import Finding, Project, Rule, SourceFile, register
+from repro.analyzer.graph.facts import iter_rng_calls
 
-_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+#: Per-site messages by :func:`~repro.analyzer.graph.facts.rng_call_kind`.
+_SITE_MESSAGES = {
+    "module_random": (
+        "module-level {name}() uses shared global RNG state — thread a "
+        "seeded random.Random through"
+    ),
+    "reseed": (
+        "{name}() re-seeds an RNG mid-run and resets its stream — seed "
+        "it once at construction"
+    ),
+    "system_random": (
+        "SystemRandom() is OS-entropy seeded and can never reproduce a run"
+    ),
+    "unseeded": (
+        "Random() without an explicit seed argument is seeded from the "
+        "OS — pass the experiment seed"
+    ),
+    "seed_arith": (
+        "re-seeding with seed arithmetic inside a loop correlates draws "
+        "across iterations (the 'seed + 1' bug) — create the RNG "
+        "once outside the loop and thread it through"
+    ),
+}
 
 
-def _is_random_module_call(node: ast.Call) -> bool:
-    """``random.<fn>(...)`` for any fn except the ``Random`` class."""
-    callee = node.func
-    return (
-        isinstance(callee, ast.Attribute)
-        and isinstance(callee.value, ast.Name)
-        and callee.value.id == "random"
-        and callee.attr not in ("Random", "SystemRandom")
-    )
-
-
-def _is_rng_constructor(node: ast.Call) -> bool:
-    """``Random(...)`` / ``random.Random(...)`` / ``SystemRandom(...)``."""
-    callee = node.func
-    if isinstance(callee, ast.Name):
-        return callee.id in ("Random", "SystemRandom")
-    if isinstance(callee, ast.Attribute):
-        return callee.attr in ("Random", "SystemRandom")
-    return False
-
-
-def _mentions_seed_arithmetic(node: ast.expr) -> bool:
-    """An expression deriving a new value from a name containing 'seed'."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.BinOp):
-            for leaf in ast.walk(child):
-                if isinstance(leaf, ast.Name) and "seed" in leaf.id.lower():
-                    return True
-                if (
-                    isinstance(leaf, ast.Attribute)
-                    and "seed" in leaf.attr.lower()
-                ):
-                    return True
-    return False
+def _is_engine_entry(node) -> bool:
+    if node.cls is not None and node.cls.endswith("Engine"):
+        return True
+    return node.cls is None and node.name.startswith("run_")
 
 
 @register
@@ -69,87 +71,53 @@ class SeededRngRule(Rule):
     name = "seeded-rng"
     rationale = (
         "seeded determinism is a tested contract; global RNG state, "
-        "unseeded Random(), and per-iteration seed arithmetic all "
-        "broke or nearly broke it (the PR 2 'seed + 1' regression)"
+        "unseeded Random(), and seed arithmetic under a loop — written "
+        "inline or one call away — all broke or nearly broke it (the "
+        "'seed + 1' regression)"
     )
 
     def check_file(self, source: SourceFile) -> Iterable[Finding]:
         findings: List[Finding] = []
         if source.tree is None:
             return findings
-        self._walk(source, source.tree, loop_depth=0, findings=findings)
+        for call, kind, name, in_loop in iter_rng_calls(source.tree):
+            if kind == "seed_arith" and not in_loop:
+                continue  # a looping call site may still reach it: finish
+            findings.append(
+                source.finding(
+                    self, call, _SITE_MESSAGES[kind].format(name=name)
+                )
+            )
         return findings
 
-    def _walk(
-        self,
-        source: SourceFile,
-        node: ast.AST,
-        loop_depth: int,
-        findings: List[Finding],
-    ) -> None:
-        if isinstance(node, ast.Call):
-            self._check_call(source, node, loop_depth, findings)
-        depth = loop_depth + (1 if isinstance(node, _LOOPS) else 0)
-        for child in ast.iter_child_nodes(node):
-            self._walk(source, child, depth, findings)
-
-    def _check_call(
-        self,
-        source: SourceFile,
-        node: ast.Call,
-        loop_depth: int,
-        findings: List[Finding],
-    ) -> None:
-        if _is_random_module_call(node):
-            callee = node.func
-            attr = callee.attr if isinstance(callee, ast.Attribute) else "?"
-            findings.append(
-                source.finding(
-                    self,
-                    node,
-                    "module-level random.%s() uses shared global RNG "
-                    "state — thread a seeded random.Random through" % attr,
-                )
-            )
-            return
-        if not _is_rng_constructor(node):
-            return
-        callee = node.func
-        ctor = (
-            callee.attr
-            if isinstance(callee, ast.Attribute)
-            else callee.id if isinstance(callee, ast.Name) else "Random"
+    def finish(self, project: Project) -> Iterable[Finding]:
+        graph = project.graph()
+        entries = sorted(
+            qname
+            for qname, node in graph.functions.items()
+            if _is_engine_entry(node)
         )
-        if ctor == "SystemRandom":
-            findings.append(
-                source.finding(
-                    self,
-                    node,
-                    "SystemRandom() is OS-entropy seeded and can never "
-                    "reproduce a run",
+        parents = graph.reachable_from(entries)
+        findings: List[Finding] = []
+        for qname in sorted(parents):
+            node = graph.functions[qname]
+            forks = node.facts("seed_forks")
+            if not forks or not graph.path_in_loop(parents, qname):
+                continue
+            for line, col in forks:
+                findings.append(
+                    Finding(
+                        self.code,
+                        node.path,
+                        line,
+                        col,
+                        "%r re-derives Random(<seed arithmetic>) and an "
+                        "engine entry point reaches it through a looping "
+                        "call site — correlates draws across iterations "
+                        "(the 'seed + 1' class); path: %s — thread "
+                        "the engine's seeded Random through instead"
+                        % (qname, graph.format_path(parents, qname)),
+                        self.name,
+                    )
                 )
-            )
-            return
-        if not node.args and not node.keywords:
-            findings.append(
-                source.finding(
-                    self,
-                    node,
-                    "Random() without an explicit seed argument is "
-                    "seeded from the OS — pass the experiment seed",
-                )
-            )
-            return
-        if loop_depth > 0 and any(
-            _mentions_seed_arithmetic(arg) for arg in node.args
-        ):
-            findings.append(
-                source.finding(
-                    self,
-                    node,
-                    "re-seeding with seed arithmetic inside a loop "
-                    "correlates draws across iterations (the PR 2 "
-                    "'seed + 1' bug) — create the RNG once outside "
-                    "the loop and thread it through",
-                )
-            )
+        return findings

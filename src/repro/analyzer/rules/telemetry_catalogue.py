@@ -18,9 +18,7 @@ docstring table rows (`` ``name``  kind ``), the ``reg.counter(...)`` /
 module, and every string-literal metric registration anywhere else in
 ``src/repro``.  All three are read from the per-file
 :class:`~repro.analyzer.graph.summary.ModuleSummary` digests
-(``metric_calls`` / ``metric_table``), not from ASTs — on a warm
-incremental run the rule reconciles entirely from cached summaries
-without re-parsing a single unchanged file.
+(``metric_calls`` / ``metric_table``), not from ASTs.
 """
 
 from __future__ import annotations

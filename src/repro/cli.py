@@ -446,8 +446,6 @@ def _cmd_lint(args) -> int:
         render_text,
         write_baseline,
     )
-    from repro.analyzer.incremental import analyze_paths_incremental
-
     rules = default_rules()
     if args.list_rules:
         for rule in rules:
@@ -464,25 +462,7 @@ def _cmd_lint(args) -> int:
             )
         rules = [rule for rule in rules if rule.code in wanted]
     try:
-        if args.incremental:
-            run = analyze_paths_incremental(
-                args.paths, rules, cache_path=args.cache
-            )
-            result = run.result
-            print(
-                "incremental: %s run, %d/%d files re-parsed, "
-                "%d graph-dirty, %d removed"
-                % (
-                    "cold" if run.cold else "warm",
-                    len(run.reparsed),
-                    result.files,
-                    len(run.graph_dirty),
-                    len(run.removed),
-                ),
-                file=sys.stderr,
-            )
-        else:
-            result = analyze_paths(args.paths, rules)
+        result = analyze_paths(args.paths, rules)
     except FileNotFoundError as error:
         raise SystemExit(str(error))
     if args.write_baseline:
@@ -906,17 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--baseline", default="lint-baseline.json",
         help="committed baseline file (default lint-baseline.json)",
-    )
-    lint.add_argument(
-        "--incremental", action="store_true",
-        help="reuse the analysis cache: only changed files are "
-        "re-parsed and only changed call-graph neighborhoods re-run "
-        "the interprocedural rules",
-    )
-    lint.add_argument(
-        "--cache", default="lint-cache.json",
-        help="incremental cache file (default lint-cache.json; "
-        "not committed)",
     )
     lint.add_argument(
         "--no-baseline", action="store_true",

@@ -6,7 +6,7 @@ do not fit an int64 lane.  They iterate per packet — the point is
 portability and a second implementation to certify against, not speed —
 so they are deliberately *not* marked ``@hot_path`` — the per-element
 loops that RC111 bans from vectorized kernels are the whole method here
-— and *are* marked ``@cold_path``, so the closure rule (RC113) treats
+— and *are* marked ``@cold_path``, so the hot-path rule (RC101) treats
 the kernel dispatch into them as a sanctioned boundary: their per-batch
 result lists are amortized across every lane of the batch.  The numpy
 kernel also calls `resume_walks` itself for a batch that resumes only a

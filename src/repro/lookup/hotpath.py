@@ -5,7 +5,8 @@ memory reference; every Python-level inefficiency on that path dilutes
 the claim's measurement.  Functions decorated with :func:`hot_path` are
 the per-packet data path — the clue-table probe, the clue-assisted
 lookup, the router ``process`` methods — and the static analyzer
-(:mod:`repro.analyzer`, rule ``RC101``) holds them to a purity contract:
+(:mod:`repro.analyzer`, rule ``RC101``) holds them, and every function
+they reach through the call graph, to a purity contract:
 
 * no container allocations (literals, comprehensions, ``list()``/
   ``dict()``/``set()``/``sorted()`` calls) — per-packet allocation is the
@@ -22,8 +23,8 @@ function a hot path may call whose cost is amortized off the per-packet
 budget — lazy lookup-structure construction on a clue miss (the Advance
 method allocates an entry precisely once per destination), or the
 pure-Python batch twins whose per-batch result buffers are the whole
-point of batching.  The interprocedural closure rule (RC113) stops
-descending at a ``@cold_path`` boundary, so the decoration is the
+point of batching.  RC101's call-graph walk stops descending at a
+``@cold_path`` boundary, so the decoration is the
 reviewable, greppable record of every place the per-packet path is
 allowed to step off the fast path.
 
@@ -59,7 +60,7 @@ def is_hot_path(func: object) -> bool:
 def cold_path(func: F) -> F:
     """Mark ``func`` as a sanctioned exit from the hot path: callable
     from ``@hot_path`` code, but amortized off the per-packet budget
-    (build-on-miss construction, per-batch buffers).  RC113 treats it
+    (build-on-miss construction, per-batch buffers).  RC101 treats it
     as a closure barrier instead of flagging its allocations."""
     setattr(func, COLD_PATH_ATTR, True)
     return func

@@ -1,4 +1,4 @@
-"""RC102 fixture: global RNG, unseeded Random, seed arithmetic in loops."""
+"""RC102 fixture: global RNG anywhere, unseeded Random, seed arithmetic in loops."""
 
 import random
 
@@ -28,3 +28,11 @@ def derived_outside_loop_is_fine(seed):
     rng = random.Random(seed + 1)
     other = random.Random("scenario:%d" % seed)
     return rng, other
+
+
+_DECK = list(range(52))
+random.shuffle(_DECK)                         # module-level code
+
+
+class Jittered:
+    offset = random.random()                  # class-body code

@@ -9,7 +9,7 @@ def sink(table, key):
 
 
 def waived_sink(key):
-    # repro: noqa[RC113] -- scratch list reused by the caller's pool
+    # repro: noqa[RC101] -- scratch list reused by the caller's pool
     return list(key)
 
 

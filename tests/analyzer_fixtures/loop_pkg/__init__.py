@@ -1,3 +1,3 @@
-"""RC116 fixture package: unbudgeted loops reachable from a serving
-tick (the files are loaded under ``src/repro/serve/...`` paths by the
-tests so ``tick`` qualifies as an entry point)."""
+"""RC106/RC112 fixture package: unbounded and budget-less loops a
+serving tick reaches a file away (the tests load the files under
+``src/repro/serve/...`` paths)."""

@@ -1,8 +1,8 @@
 """Serving-plane tick whose drain helpers live a file away.
 
 Loaded by the tests with the path ``src/repro/serve/ticker.py`` so the
-module resolves as ``repro.serve.ticker`` and ``tick`` qualifies as an
-RC116 entry point.
+module resolves as ``repro.serve.ticker``, the serving plane whose
+loops RC106/RC112 flag where they are written.
 """
 
 from repro.serve.drain import (
@@ -21,8 +21,8 @@ def tick(queue, wire):
 
 
 def helper_only(queue):
-    """Not an entry name — loops below it are invisible to RC116
-    unless some tick also reaches them."""
+    """Not reached from ``tick`` — the loop below it is an RC106
+    finding all the same."""
     return orphan_spin(queue)
 
 

@@ -1,2 +1,3 @@
-"""RC114 fixture package: RNG taint reached from an engine entry
-across function boundaries (the cross-file PR 2 'seed + 1' shape)."""
+"""RC102 fixture package: seed arithmetic an engine entry reaches
+through a looping call site (the cross-file 'seed + 1' shape),
+plus global-RNG draws: reached, unreached, and waived."""

@@ -20,7 +20,7 @@ def jitter():
 
 
 def waived_draw():
-    # repro: noqa[RC114] -- diagnostic draw outside the certified path
+    # repro: noqa[RC102] -- diagnostic draw outside the certified path
     return random.random()
 
 

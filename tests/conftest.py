@@ -3,6 +3,8 @@ for statistical ones.  Expensive structures are session-scoped."""
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
 
 import pytest
@@ -80,3 +82,19 @@ def pair_structures(pair_tables):
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+@pytest.fixture(scope="session")
+def live_tree():
+    """``(files, result)``: one full-rule lint analysis of ``src/repro``
+    with repo-relative paths, shared by the in-process live-tree checks."""
+    from repro.analyzer import analyze, default_rules, load_files
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    previous = os.getcwd()
+    os.chdir(root)
+    try:
+        files = load_files(["src/repro"])
+        return files, analyze(files, default_rules())
+    finally:
+        os.chdir(previous)

@@ -70,10 +70,6 @@ def test_attribute_retry_names_are_detected():
     assert "'retries'" in findings[0].message
 
 
-def test_live_tree_is_clean():
-    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-    sources = [
-        SourceFile(str(path), path.read_text(encoding="utf-8"))
-        for path in sorted(root.rglob("*.py"))
-    ]
-    assert run(*sources).findings == []
+def test_live_tree_is_clean(live_tree):
+    _, result = live_tree
+    assert [f for f in result.findings if f.code == "RC112"] == []

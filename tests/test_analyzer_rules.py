@@ -4,10 +4,7 @@ import pathlib
 
 from repro.analyzer import analyze, SourceFile
 from repro.analyzer.rules import (
-    AssertInLibraryRule,
-    BareExceptRule,
     HotPathPurityRule,
-    MutableDefaultRule,
     PublicApiRule,
     SeededRngRule,
     StrayTodoRule,
@@ -31,7 +28,7 @@ def run(rule, *sources):
 
 
 # ----------------------------------------------------------------------
-# RC101 hot-path purity
+# RC101 hot-path purity, in the entries themselves
 # ----------------------------------------------------------------------
 def test_hotpath_flags_every_forbidden_construct():
     result = run(HotPathPurityRule(), load("bad_hotpath.py"))
@@ -69,21 +66,52 @@ def test_hotpath_accepts_the_real_data_path_idioms():
 # ----------------------------------------------------------------------
 # RC102 seeded RNG
 # ----------------------------------------------------------------------
+def line_of(name, needle):
+    """The 1-based line of the first fixture line containing ``needle``."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    for number, line in enumerate(text.splitlines(), start=1):
+        if needle in line:
+            return number
+    raise LookupError(needle)
+
+
 def test_rng_rule_flags_the_three_regression_shapes():
     result = run(SeededRngRule(), load("bad_rng.py"))
     messages = [f.message for f in result.findings]
     assert all(f.code == "RC102" for f in result.findings)
-    assert sum("module-level random." in m for m in messages) == 2
+    assert sum("module-level random." in m for m in messages) == 4
     assert sum("SystemRandom()" in m for m in messages) == 1
     assert sum("without an explicit seed" in m for m in messages) == 1
     assert sum("seed arithmetic inside a loop" in m for m in messages) == 1
-    assert len(messages) == 5
+    assert len(messages) == 7
 
 
 def test_rng_rule_allows_seed_derivation_outside_loops():
     result = run(SeededRngRule(), load("bad_rng.py"))
     # derived_outside_loop_is_fine lives on lines 27-30: nothing there.
-    assert all(f.line < 27 for f in result.findings)
+    assert not [f for f in result.findings if 27 <= f.line <= 30]
+
+
+def test_rng_rule_covers_module_level_and_class_body_code():
+    # Call-graph summaries hold only functions and methods, so these
+    # draws must stay per-file findings.
+    result = run(SeededRngRule(), load("bad_rng.py"))
+    by_line = {f.line: f.message for f in result.findings}
+    module_level = line_of("bad_rng.py", "random.shuffle(_DECK)")
+    class_body = line_of("bad_rng.py", "offset = random.random()")
+    assert "random.shuffle()" in by_line[module_level]
+    assert "random.random()" in by_line[class_body]
+
+
+def test_rng_rule_flags_reseeding():
+    source = SourceFile(
+        "reseed.py",
+        "def restart(self, seed):\n"
+        "    self.rng.seed(seed)\n",
+    )
+    result = run(SeededRngRule(), source)
+    assert [f.code for f in result.findings] == ["RC102"]
+    assert "self.rng.seed() re-seeds" in result.findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -173,31 +201,6 @@ def test_loop_rule_flags_unsuppressed_while_true():
     # so it is neither a finding nor an unused suppression.
     assert len(messages) == 2
     assert result.unused_suppressions == []
-
-
-# ----------------------------------------------------------------------
-# RC107 / RC108 / RC109 hygiene
-# ----------------------------------------------------------------------
-def test_bare_except_rule():
-    result = run(BareExceptRule(), load("bad_hygiene.py"))
-    assert [f.code for f in result.findings] == ["RC107"]
-
-
-def test_mutable_default_rule_flags_literals_and_constructors():
-    result = run(MutableDefaultRule(), load("bad_hygiene.py"))
-    messages = [f.message for f in result.findings]
-    assert all(f.code == "RC108" for f in result.findings)
-    for needle in (
-        "default list", "default dict", "default set()", "default list()",
-    ):
-        assert any(needle in m for m in messages), needle
-    assert len(messages) == 4
-
-
-def test_assert_rule_flags_runtime_validation():
-    result = run(AssertInLibraryRule(), load("bad_hygiene.py"))
-    assert [f.code for f in result.findings] == ["RC109"]
-    assert result.findings[0].line == 26
 
 
 # ----------------------------------------------------------------------

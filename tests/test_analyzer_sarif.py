@@ -174,12 +174,14 @@ SARIF_SCHEMA_SUBSET = {
 def bad_tree_log(tmp_path, monkeypatch):
     """A SARIF log with real findings, rendered from a bad file."""
     bad = tmp_path / "bad.py"
+    marker = "TO" + "DO"  # split so this file carries no marker itself
     bad.write_text(
-        "def f(x=[]):\n"
-        "    try:\n"
-        "        return x\n"
-        "    except:\n"
-        "        return None\n",
+        "import random\n"
+        "\n"
+        "\n"
+        "def f(items):\n"
+        "    # %s: thread the seeded RNG through\n"
+        "    random.shuffle(items)\n" % marker,
         encoding="utf-8",
     )
     monkeypatch.chdir(tmp_path)
@@ -206,9 +208,12 @@ def test_sarif_results_carry_locations_and_fingerprints(
     descriptors = run["tool"]["driver"]["rules"]
     ids = [d["id"] for d in descriptors]
     assert ids == sorted(ids)
-    # The interprocedural rules ship in the catalogue.
-    for code in ("RC113", "RC114", "RC115", "RC116"):
+    # The call-graph rules ship in the catalogue; their retired twins
+    # do not.
+    for code in ("RC101", "RC102", "RC115"):
         assert code in ids
+    for code in ("RC113", "RC114", "RC116"):
+        assert code not in ids
     for entry in results:
         assert descriptors[entry["ruleIndex"]]["id"] == entry["ruleId"]
         region = entry["locations"][0]["physicalLocation"]["region"]
@@ -222,8 +227,9 @@ def test_sarif_levels_track_rule_severity(tmp_path, monkeypatch):
     by_rule = {}
     for entry in log["runs"][0]["results"]:
         by_rule.setdefault(entry["ruleId"], set()).add(entry["level"])
-    # RC107 (bare except) gates; RC110 hygiene notes stay notes.
-    assert by_rule.get("RC107") == {"error"}
+    # RC102 (global RNG) gates; RC110 to-do markers stay notes.
+    assert by_rule.get("RC102") == {"error"}
+    assert by_rule.get("RC110") == {"note"}
     for code, levels in by_rule.items():
         assert levels <= {"note", "error"}, code
 

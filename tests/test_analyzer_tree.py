@@ -1,5 +1,6 @@
 """Integration: the live src/repro tree is clean under repro-clue lint."""
 
+import ast
 import json
 import pathlib
 
@@ -7,12 +8,12 @@ import pytest
 
 from repro import cli
 from repro.analyzer import (
-    analyze_paths,
     default_rules,
     diff_baseline,
     gating_findings,
     load_baseline,
 )
+from repro.analyzer.purity import is_hot_path_function
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -25,53 +26,55 @@ def _run_from_repo_root(monkeypatch):
     monkeypatch.chdir(ROOT)
 
 
-def test_live_tree_has_no_gating_findings_above_baseline():
-    rules = default_rules()
-    result = analyze_paths([str(SRC)], rules)
-    new, stale = diff_baseline(result.findings, load_baseline(str(BASELINE)))
-    gating = gating_findings(new, rules)
-    assert gating == [], "\n".join(
-        "%s:%d: %s %s" % (f.path, f.line, f.code, f.message) for f in gating
+def describe(findings):
+    return "\n".join(
+        "%s:%d: %s %s" % (f.path, f.line, f.code, f.message)
+        for f in findings
     )
+
+
+def test_live_tree_has_no_gating_findings_above_baseline(live_tree):
+    _, result = live_tree
+    new, stale = diff_baseline(result.findings, load_baseline(str(BASELINE)))
+    gating = gating_findings(new, default_rules())
+    assert gating == [], describe(gating)
     assert stale == [], "stale baseline entries: %s" % (stale,)
 
 
-def test_live_tree_is_clean_under_the_interprocedural_rules():
-    # The closure rules run with no baseline help at all: every hot
+def test_live_tree_is_clean_under_the_interprocedural_rules(live_tree):
+    # The call-graph rules get no baseline help at all: every hot
     # entry's reachable set is pure or explicitly @cold_path-bounded,
-    # no engine reaches global RNG state, nothing stores into compiled
-    # arrays, and every loop under a serving tick has a bound.
-    rules = [
-        rule
-        for rule in default_rules()
-        if rule.code in ("RC113", "RC114", "RC115", "RC116")
+    # no engine reaches a seed fork through a loop, and nothing stores
+    # into compiled arrays.
+    _, result = live_tree
+    graph_findings = [
+        f for f in result.findings if f.code in ("RC101", "RC102", "RC115")
     ]
-    assert len(rules) == 4
-    result = analyze_paths([str(SRC)], rules)
-    assert result.findings == [], "\n".join(
-        "%s:%d: %s %s" % (f.path, f.line, f.code, f.message)
-        for f in result.findings
-    )
+    assert graph_findings == [], describe(graph_findings)
 
 
-def test_incremental_live_run_matches_the_direct_run(tmp_path):
-    from repro.analyzer import analyze_paths_incremental
+def test_every_hot_path_function_is_a_call_graph_entry(live_tree):
+    # RC101 starts its walk at the graph's @hot_path nodes, and the
+    # graph holds only module-level functions and methods of
+    # module-level classes.  A @hot_path def nested anywhere else
+    # would go unchecked, so there must be none.
+    files, _ = live_tree
+    decorated = set()
+    entries = set()
+    for source in files:
+        for node in ast.walk(source.tree):
+            if is_hot_path_function(node):
+                decorated.add((source.path, node.lineno))
+        for node in source.tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if is_hot_path_function(member):
+                    entries.add((source.path, member.lineno))
+    assert entries and decorated == entries
 
-    cache = str(tmp_path / "cache.json")
-    rules = default_rules()
-    direct = analyze_paths([str(SRC)], rules)
-    cold = analyze_paths_incremental(["src/repro"], rules, cache_path=cache)
-    warm = analyze_paths_incremental(["src/repro"], rules, cache_path=cache)
-    keyed = lambda r: sorted(
-        (f.code, f.path, f.line, f.message) for f in r.findings
-    )
-    assert keyed(cold.result) == keyed(direct)
-    assert keyed(warm.result) == keyed(direct)
-    assert warm.reparsed == [] and warm.graph_dirty == []
 
-
-def test_live_tree_has_no_dead_suppressions():
-    result = analyze_paths([str(SRC)], default_rules())
+def test_live_tree_has_no_dead_suppressions(live_tree):
+    _, result = live_tree
     assert result.unused_suppressions == [], [
         "%s:%d" % (f.path, f.line) for f in result.unused_suppressions
     ]
@@ -112,14 +115,14 @@ def test_cli_lint_select_unknown_code_errors():
 def test_cli_lint_flags_a_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(
-        "def f():\n"
-        "    try:\n"
-        "        return 1\n"
-        "    except:\n"
-        "        return None\n",
+        "import random\n"
+        "\n"
+        "\n"
+        "def f(items):\n"
+        "    random.shuffle(items)\n",
         encoding="utf-8",
     )
     code = cli.main(["lint", str(bad), "--no-baseline"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "RC107" in out
+    assert "RC102" in out
