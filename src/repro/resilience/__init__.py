@@ -10,11 +10,11 @@ forwarding invariant anyway.  Four modules, one story:
 * :mod:`repro.resilience.health` — a per-worker health FSM (healthy →
   suspect → quarantined → probation, doubling cooldowns) that steers
   dispatch away from sick replicas.
-* :mod:`repro.resilience.engine` — the chaos tick loop: deadline
-  budgets, bounded retries with exponential backoff, tick-based
-  hedging, failover, a full-table degraded path of last resort, crash
-  rebuild + re-certification off the hot path — and a full-population
-  audit proving every served answer right.
+* :mod:`repro.resilience.engine` — the serving plane's one tick loop
+  (plain serving runs it too) and the chaos engine on it: deadlines,
+  bounded retries with backoff, hedging, failover, a full-table
+  degraded path, crash rebuild + re-certification — and a
+  full-population audit proving every served answer right.
 * :mod:`repro.resilience.report` — the ``BENCH_resilience.json``
   payload comparing the same seeded workload with and without faults.
 

@@ -1,13 +1,14 @@
-"""The chaos engine: fault-tolerant serving with a never-wrong audit.
+"""The serving tick loop, and the chaos engine built on it.
 
-:class:`ChaosEngine` is the resilience layer's counterpart of
-:class:`repro.serve.engine.ServeEngine`: the same §6 sender/receiver
-fixture, the same seeded Zipf/bursty workload, but every table slice is
-built R times (:mod:`repro.resilience.replica`) and the tick loop
-survives the shard-level fault vocabulary of
-:class:`repro.faults.inject.ShardFaultPlan` — replica crashes with
-off-hot-path rebuild + re-certification, slow-replica windows, and
-whole-batch drops.
+:class:`ServingLoop` is the one tick loop of the serving plane.  As
+constructed it is plain serving — one replica per slice, no fault
+plan, no deadline, zero service ticks — and that is how
+:class:`repro.serve.engine.ServeEngine` runs it.  :class:`ChaosEngine`
+runs the same loop with every table slice built R times
+(:mod:`repro.resilience.replica`) and survives the shard-level fault
+vocabulary of :class:`repro.faults.inject.ShardFaultPlan` — replica
+crashes with off-hot-path rebuild + re-certification, slow-replica
+windows, and whole-batch drops.
 
 Per-request lifecycle (all ticks are the engine's integer clock; RC103
 — no wall clocks anywhere in the plane):
@@ -32,10 +33,16 @@ Per-request lifecycle (all ticks are the engine's integer clock; RC103
   — the answer every shard is certified against, so the degraded path
   can change latency but never the result.
 
-The end-of-run audit re-verifies ``(prefix, next_hop)`` for **every**
-served request — including retried, hedged, and degraded ones, decoded
-from the exact table epoch that served them — against the full-table
-scalar lookup and the receiver's longest-prefix-match oracle, and a
+Per-request state is flat typed arrays.  With numpy (present, width
+<= 32, not ``force_python``, as for the kernels) dispatch grouping,
+batch release and commit, deadline expiry and the audit's dedupe are
+array operations over numpy views of them; the per-request code is the
+pure-Python twin.
+
+The chaos audit re-verifies ``(prefix, next_hop)`` for **every** served
+request — including retried, hedged, and degraded ones, decoded from
+the exact table epoch that served them — against the full-table scalar
+lookup and the receiver's longest-prefix-match oracle, and a
 conservation check proves ``offered = served + shed + expired`` with
 nothing left pending.  Wrong answers must be zero: faults may cost
 latency and availability, never correctness.
@@ -43,14 +50,11 @@ latency and availability, never correctness.
 
 from __future__ import annotations
 
-import gc
+from array import array
+from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 from repro.addressing import Address
-from repro.core.advance import AdvanceMethod
-from repro.core.lookup import ClueAssistedLookup
-from repro.core.receiver import ReceiverState
-from repro.core.simple import SimpleMethod
 from repro.fastpath.backend import get_numpy, numpy_eligible
 from repro.fastpath.kernels import as_destination_array, as_length_array
 from repro.faults.inject import (
@@ -61,7 +65,6 @@ from repro.faults.inject import (
     ShardFaultPlan,
     shard_chaos_plan,
 )
-from repro.lookup.regular import RegularTrieLookup
 from repro.resilience.health import ShardHealth, ShardHealthPolicy
 from repro.resilience.replica import (
     MAX_REPLICATION,
@@ -71,12 +74,15 @@ from repro.resilience.replica import (
     replica_rotation,
 )
 from repro.resilience.report import ResilienceReport
-from repro.serve.batcher import BatchPolicy, RequestBatcher
-from repro.serve.loadgen import LoadProfile, ZipfLoadGenerator
+from repro.serve.batcher import ArrayBatcher, BatchPolicy, RequestBatcher
 from repro.serve.dispatch import ShardPlan, route_batch
+from repro.serve.engine import (
+    build_fixture,
+    build_reference,
+    check_choices,
+    settled_heap,
+)
 from repro.serve.report import latency_summary
-from repro.tablegen import NeighborProfile, derive_neighbor, generate_table
-from repro.trie.binary_trie import BinaryTrie
 
 Clock = Optional[Callable[[], float]]
 
@@ -163,6 +169,7 @@ class ResilienceConfig:
             raise ValueError("service_ticks must be >= 1")
         if rebuild_ticks < 1:
             raise ValueError("rebuild_ticks must be >= 1")
+        check_choices(policy, partition, method)
         self.shards = shards
         self.replication = replication
         self.partition = partition
@@ -185,21 +192,6 @@ class ResilienceConfig:
         self.retry_backoff = retry_backoff
         self.service_ticks = service_ticks
         self.rebuild_ticks = rebuild_ticks
-
-    def batch_policy(self) -> BatchPolicy:
-        """The per-worker queue policy.
-
-        Worker batchers always run in ``block`` mode internally: a full
-        queue must *refuse* the overflow so the dispatcher can spill it
-        to the next replica — the engine applies the configured
-        shed/block policy only after every candidate refused.
-        """
-        return BatchPolicy(
-            max_batch=self.max_batch,
-            max_wait=self.max_wait,
-            capacity=self.queue_capacity,
-            policy="block",
-        )
 
     def as_dict(self) -> Dict[str, object]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -234,6 +226,7 @@ class _Worker:
         "res_metrics",
         "requests_run",
         "batches_run",
+        "shed",
     )
 
     def __init__(self, slice_id, replica, shard, table_index, batcher,
@@ -250,10 +243,13 @@ class _Worker:
         self.res_metrics = res_metrics
         self.requests_run = 0
         self.batches_run = 0
+        #: Requests shed while this worker was their preferred replica.
+        self.shed = 0
 
 
 class _RunState:
-    """Everything one chaos run mutates (fresh per ``run`` call)."""
+    """Everything one run mutates; per-request columns are typed arrays
+    (seen through numpy views on the numpy path)."""
 
     __slots__ = (
         "workers",
@@ -264,13 +260,13 @@ class _RunState:
         "last_replica",
         "result_src",
         "result_code",
+        "done",
         "completions",
         "retry_due",
         "hedge_due",
         "rebuild_due",
         "backlog",
         "degraded_cache",
-        "latency",
         "served",
         "shed",
         "expired",
@@ -286,24 +282,33 @@ class _RunState:
         "rebuilt_lanes",
         "expire_cursor",
         "ticks_run",
+        "plain",
     )
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, slices: int, np, plain: bool):
+        def column(code, fill=0):
+            values = array(code, [fill]) * n
+            return values if np is None else np.frombuffer(values, dtype=code)
+
         self.workers: List[List[_Worker]] = []
         self.tables: List[object] = []
-        self.status = bytearray(n)
-        self.attempts = bytearray(n)
-        self.hedged = bytearray(n)
-        self.last_replica = bytearray(n)
-        self.result_src = [-1] * n
-        self.result_code = [0] * n
+        self.status = column("B")
+        self.attempts = column("B")
+        self.hedged = column("B")
+        self.last_replica = column("B")
+        #: Table epoch (index into ``tables``; −1 = the degraded path),
+        #: result code and completion tick of each served request.
+        self.result_src = column("i", -1)
+        self.result_code = column("i")
+        self.done = column("i")
         self.completions: Dict[int, List[_Flight]] = {}
         self.retry_due: Dict[int, List[int]] = {}
-        self.hedge_due: Dict[int, List[int]] = {}
+        #: Request chunks to hedge-check per tick, in placement order.
+        self.hedge_due: Dict[int, list] = {}
         self.rebuild_due: Dict[int, List[tuple]] = {}
-        self.backlog: List[int] = []
+        #: Per slice, the blocked request chunks, oldest first.
+        self.backlog: List[list] = [[] for _ in range(slices)]
         self.degraded_cache: Dict[tuple, tuple] = {}
-        self.latency: Dict[int, int] = {}
         self.served = 0
         self.shed = 0
         self.expired = 0
@@ -319,88 +324,44 @@ class _RunState:
         self.rebuilt_lanes = 0
         self.expire_cursor = 0
         self.ticks_run = 0
+        #: One replica, no deadline, no faults: a placed request leaves
+        #: its queue only by being served, so nothing needs re-checking.
+        self.plain = plain
 
 
-class ChaosEngine:
-    """Builds the replicated plane once, then replays seeded chaos runs."""
+class ServingLoop:
+    """The one serving tick loop over a grid of certified workers.
 
-    def __init__(
-        self,
-        config: Optional[ResilienceConfig] = None,
-        instruments=None,
-        health_policy: Optional[ShardHealthPolicy] = None,
-    ):
-        self.config = config if config is not None else ResilienceConfig()
-        cfg = self.config
+    ``grid[s][r]`` is replica ``r`` of slice ``s``.  As constructed the
+    loop is plain serving: no deadline, zero service ticks (a batch
+    commits on its release tick), blocked requests keep their arrival
+    stamp, no resilience series.  :class:`ChaosEngine` changes all four.
+    """
+
+    _deadline: Optional[int] = None
+    _service_ticks = 0
+    _blocked_keep_arrival = True
+    _bind_resilience = False
+    #: The degraded path's scalar pair (set by :class:`ChaosEngine`).
+    reference = None
+
+    def __init__(self, config, rplan: ReplicaPlan, grid, loadgen,
+                 instruments=None, health_policy=None):
+        self.config = config
+        self.rplan = rplan
+        self.shards = grid
+        self.loadgen = loadgen
         self.instruments = instruments
         self.health_policy = (
             health_policy if health_policy is not None else ShardHealthPolicy()
         )
-        self.sender_entries = generate_table(
-            cfg.table_size, seed=cfg.seed, width=cfg.width
-        )
-        self.receiver_entries = derive_neighbor(
-            self.sender_entries, NeighborProfile(), seed=cfg.seed + 1
-        )
-        self.sender_trie = BinaryTrie(cfg.width)
-        for prefix, next_hop in self.sender_entries:
-            self.sender_trie.insert(prefix, next_hop)
-        self.rplan = ReplicaPlan(
-            ShardPlan(cfg.shards, cfg.partition, cfg.width), cfg.replication
-        )
-        # Every replica slice is compiled and certified here, exactly
-        # like a PR 6 shard — an uncertified replica never serves, and
-        # the retained slices let crashes rebuild off the hot path.
-        self.shards, self.entry_slices, self.clue_slices = (
-            build_replica_shards(
-                self.rplan,
-                self.receiver_entries,
-                self.sender_trie,
-                method=cfg.method,
-                width=cfg.width,
-                seed=cfg.seed,
-                force_python=cfg.force_python,
-                instruments=instruments,
-            )
-        )
-        self.certified_lanes = sum(
-            shard.certified_lanes for row in self.shards for shard in row
-        )
-        # The degraded path and the audit both answer from the one
-        # full-table scalar pair every shard was certified against.
-        state = ReceiverState(self.receiver_entries, cfg.width)
-        if cfg.method == "advance":
-            builder = AdvanceMethod(self.sender_trie, state, "regular")
-        else:
-            builder = SimpleMethod(state, "regular")
-        table = builder.build_table(list(self.sender_trie.prefixes()))
-        # One read-only trie is both the scalar pair's base and the LPM
-        # oracle: the audit's two checks differ in the path, not the table.
-        self.oracle = RegularTrieLookup(self.receiver_entries, cfg.width)
-        self.reference = ClueAssistedLookup(self.oracle, table)
-        self.loadgen = ZipfLoadGenerator(
-            self.sender_entries,
-            self.sender_trie,
-            LoadProfile(
-                zipf_alpha=cfg.zipf_alpha,
-                universe=cfg.universe,
-                rate=cfg.rate,
-            ),
-            seed=cfg.seed + 2,
-            width=cfg.width,
-        )
         self._use_numpy = (
             get_numpy() is not None
-            and not cfg.force_python
-            and numpy_eligible(cfg.width)
+            and not config.force_python
+            and numpy_eligible(config.width)
         )
         self._workload = None
-        self._prep = None
-        self._deadline_counter = (
-            instruments.serve_deadline_expired
-            if instruments is not None
-            else None
-        )
+        self._offsets: List[int] = []
 
     # ------------------------------------------------------------------
     def workload(self):
@@ -409,54 +370,669 @@ class ChaosEngine:
             self._workload = self.loadgen.generate(self.config.requests)
         return self._workload
 
-    def _prepared(self):
-        """Workload-derived arrays shared by every run (computed once).
-
-        ``(values, lens, offsets, slice_ids, rotations, arrival)`` —
-        the per-request slice id, preferred replica, and arrival tick,
-        all from vectorized passes when numpy is available.
-        """
-        if self._prep is not None:
-            return self._prep
+    def _prepare(self) -> None:
+        """Per-request columns shared by every run (computed once); the
+        numpy path sorts each tick's arrivals into routing groups."""
+        if self._offsets:
+            return
         wl = self.workload()
-        values, lens, offsets = wl.values, wl.clue_lens, wl.offsets
-        if not self._use_numpy and not isinstance(values, list):
-            values = values.tolist()
-            lens = lens.tolist()
-            offsets = offsets.tolist()
-        slice_ids = route_batch(
-            self.rplan.plan, values, force_python=not self._use_numpy
-        )
-        rotations = replica_rotation(
-            self.rplan, values, force_python=not self._use_numpy
-        )
-        np = get_numpy()
+        values, lens = wl.values, wl.clue_lens
+        offsets = self._offsets = [int(value) for value in wl.offsets]
+        replication = self.rplan.replication
         if self._use_numpy:
-            arrival = np.repeat(
-                np.arange(wl.ticks, dtype=np.int64), np.diff(offsets)
-            ).tolist()
-            slice_ids = slice_ids.tolist()
-            rotations = rotations.tolist()
-            values_list = values.tolist()
-            lens_list = lens.tolist()
+            np = get_numpy()
+            self._arrival = np.repeat(
+                np.arange(wl.ticks, dtype=np.int32), np.diff(wl.offsets)
+            )
+            groups = len(self.shards) * replication
+            keys = self._arrival.astype(np.int64) * groups
+            keys += route_batch(self.rplan.plan, values) * replication
+            if replication > 1:
+                keys += replica_rotation(self.rplan, values)
+            self._order = np.argsort(keys, kind="stable").astype(np.int32)
+            self._groups = np.bincount(
+                keys, minlength=wl.ticks * groups
+            ).reshape(wl.ticks, groups)
         else:
-            arrival = []
-            for tick in range(wl.ticks):
-                arrival.extend(
-                    [tick] * (int(offsets[tick + 1]) - int(offsets[tick]))
-                )
-            values_list = list(values)
-            lens_list = list(lens)
-            offsets = [int(value) for value in offsets]
-        self._prep = (
-            values_list,
-            lens_list,
-            [int(value) for value in offsets],
-            slice_ids,
-            rotations,
-            arrival,
+            if not isinstance(values, list):
+                values = values.tolist()
+                lens = lens.tolist()
+            self._slices = route_batch(self.rplan.plan, values, force_python=True)
+            self._rotations = replica_rotation(self.rplan, values, force_python=True)
+            self._arrival = [
+                tick
+                for tick in range(wl.ticks)
+                for _ in range(offsets[tick + 1] - offsets[tick])
+            ]
+        self._values = values
+        self._lens = lens
+
+    def run_ticks(self, plan: Optional[ShardFaultPlan] = None, clock: Clock = None):
+        """Replay the workload once, fresh state; ``(state, elapsed)``.
+        ``clock`` is read exactly twice, before and after the loop."""
+        cfg = self.config
+        # A full worker queue refuses its overflow, so the dispatcher can
+        # spill it to the next replica; the configured shed/block policy
+        # applies only once every candidate refused.
+        policy = BatchPolicy(cfg.max_batch, cfg.max_wait, cfg.queue_capacity)
+        self._prepare()
+        offsets = self._offsets
+        n = len(self._values)
+        arrival_ticks = len(offsets) - 1
+        # Drain bound: a request ends within its deadline; with none, a
+        # full queue releases a max_batch per tick.  Overrunning is a bug.
+        budget = self._deadline
+        if budget is None:
+            budget = n // cfg.max_batch
+        horizon = (
+            arrival_ticks + budget + self._service_ticks + cfg.max_wait + 16
         )
-        return self._prep
+        if plan is not None:
+            horizon += sum(event.extra_ticks for event in plan.slowdowns)
+            horizon = max(
+                horizon,
+                plan.last_event_tick()
+                + cfg.rebuild_ticks
+                + budget
+                + self._service_ticks
+                + 16,
+            )
+        np = get_numpy() if self._use_numpy else None
+        plain = self._deadline is None and plan is None
+        state = _RunState(
+            n, len(self.shards), np, plain and self.rplan.replication == 1
+        )
+        batcher = RequestBatcher if np is None else ArrayBatcher
+        bind = self._bind_resilience and self.instruments is not None
+        for s, row in enumerate(self.shards):
+            state.workers.append([
+                _Worker(s, r, shard, len(state.tables) + r, batcher(policy),
+                        ShardHealth(self.health_policy),
+                        self.instruments.bind_resilience("%d.%d" % (s, r))
+                        if bind else None)
+                for r, shard in enumerate(row)
+            ])
+            state.tables.extend(row)
+        if plan is not None and self.instruments is not None:
+            plan.telemetry = self.instruments
+        start = clock() if clock is not None else None
+        for now in range(horizon):
+            arriving = now < arrival_ticks
+            pending = n - state.served - state.shed - state.expired
+            if not arriving and pending == 0 and not state.rebuild_due:
+                break
+            state.ticks_run = now + 1
+            self._commit_completions(state, now)
+            if plan is not None:
+                self._apply_faults(state, plan, now)
+            if self._deadline is not None:
+                self._expire_deadlines(state, now, arrival_ticks)
+            for i in state.retry_due.pop(now, ()):
+                if state.status[i] == PENDING:
+                    self._redispatch(state, i, now)
+            self._reoffer_backlog(state, now)
+            if arriving:
+                lo, hi = offsets[now], offsets[now + 1]
+                if hi > lo:
+                    self._dispatch_arrivals(state, lo, hi, now)
+            for chunk in state.hedge_due.pop(now, ()):
+                for i in self._pending(state, chunk):
+                    if not state.hedged[i]:
+                        self._hedge(state, int(i), now)
+            self._release_batches(state, plan, now)
+            if self.instruments is not None:
+                self._publish_gauges(state)
+        else:
+            raise RuntimeError(
+                "serving loop failed to drain within %d ticks" % horizon
+            )
+        elapsed = clock() - start if clock is not None else None
+        return state, elapsed
+
+    # -- dispatch -------------------------------------------------------
+    def _dispatch_arrivals(self, state, lo, hi, now):
+        """Group one tick's arrivals by (slice, preferred replica)."""
+        replication = self.rplan.replication
+        if self._use_numpy:
+            start = lo
+            for key, count in enumerate(self._groups[now].tolist()):
+                if count:
+                    s, rotation = divmod(key, replication)
+                    group = self._order[start:start + count]
+                    self._offer_group(state, s, rotation, group, now)
+                    start += count
+            return
+        groups: Dict[tuple, List[int]] = {}
+        for i in range(lo, hi):
+            groups.setdefault((self._slices[i], self._rotations[i]), []).append(i)
+        for key in sorted(groups):
+            self._offer_group(state, key[0], key[1], groups[key], now)
+
+    def _candidates(self, state, slice_id, rotation, now, exclude=-1):
+        """Live workers of the slice in health-then-rotation order."""
+        workers = state.workers[slice_id]
+        replication = self.rplan.replication
+        order = []
+        for k in range(replication):
+            r = (rotation + k) % replication
+            if r == exclude:
+                continue
+            worker = workers[r]
+            if worker.down:
+                continue
+            rank = worker.health.dispatch_rank(now)
+            if rank is None:
+                continue
+            order.append((rank, k, worker))
+        order.sort(key=lambda item: (item[0], item[1]))
+        return [worker for _rank, _k, worker in order]
+
+    def _place(self, state, slice_id, rotation, idxs, now, stamps=None,
+               exclude=-1):
+        """Offer ``idxs`` (queue ``stamps``, default now) to the live
+        replicas in order; returns how many were placed (a prefix), or
+        ``None`` when none was dispatchable and all were degraded.
+        """
+        candidates = self._candidates(state, slice_id, rotation, now, exclude)
+        if not candidates and exclude >= 0:
+            # The failed replica may be the only one back up by now.
+            candidates = self._candidates(state, slice_id, rotation, now)
+        if not candidates:
+            # No replica of the slice is dispatchable at all: last
+            # resort, answer from the full-table scalar path right now.
+            for i in idxs:
+                self._degrade(state, int(i), now)
+            return None
+        placed = 0
+        for worker in candidates:
+            rest = idxs[placed:]
+            taken = worker.batcher.offer(
+                rest, rest, now, None if stamps is None else stamps[placed:]
+            )
+            if taken:
+                if self.rplan.replication > 1:
+                    accepted = idxs[placed:placed + taken]
+                    self._assign(state.last_replica, accepted, worker.replica)
+                if worker.replica != rotation:
+                    state.failovers += taken
+                    if worker.res_metrics is not None:
+                        worker.res_metrics.failovers.inc(taken)
+                placed += taken
+            if placed == len(idxs):
+                break
+        return placed
+
+    def _offer_group(self, state, slice_id, rotation, idxs, now):
+        """Place a same-preference arrival group; hedge what was placed."""
+        placed = self._place(state, slice_id, rotation, idxs, now)
+        if placed is None:
+            return
+        if placed and self.rplan.replication > 1:
+            state.hedge_due.setdefault(
+                now + self.config.hedge_ticks, []
+            ).append(idxs[:placed])
+        remaining = idxs[placed:]
+        if not len(remaining):
+            return
+        # Every live replica refused the tail: the configured policy
+        # decides between shedding and upstream backlog.
+        if self.config.policy == "shed":
+            primary = state.workers[slice_id][rotation]
+            primary.shed += len(remaining)
+            metrics = primary.shard.metrics
+            if metrics is not None:
+                metrics.shed.inc(len(remaining))
+            self._assign(state.status, remaining, SHED)
+            state.shed += len(remaining)
+        else:
+            # Queue-sized chunks: one re-offer fills at most a queue per
+            # replica, so it only ever examines the front chunks.
+            step = self.config.queue_capacity
+            state.backlog[slice_id].extend(
+                remaining[k:k + step] for k in range(0, len(remaining), step)
+            )
+
+    def _reoffer_backlog(self, state, now):
+        """Re-offer blocked requests once per slice, oldest first.
+
+        With one replica a held chunk is one group, else each request
+        is.  A refusal means every candidate is full: the slice is done.
+        """
+        single = self.rplan.replication == 1
+        for slice_id, held in enumerate(state.backlog):
+            queue = state.workers[slice_id][0].batcher
+            # Plain serving has one live worker: a full queue ends it.
+            while held and not (state.plain and len(queue) == queue.policy.capacity):
+                chunk = held[0] if state.plain else self._pending(state, held[0])
+                step = max(1, len(chunk)) if single else 1
+                for start in range(0, len(chunk), step):
+                    run = chunk[start:start + step]
+                    keep = self._blocked_keep_arrival
+                    stamps = self._gather(self._arrival, run) if keep else None
+                    rotation = 0 if single else self._route(run[0])[1]
+                    placed = self._place(state, slice_id, rotation, run, now, stamps)
+                    if placed is not None and placed < len(run):
+                        held[0] = chunk[start + placed:]
+                        break
+                else:
+                    del held[0]
+                    continue
+                break
+
+    def _route(self, i):
+        """``(slice, preferred replica)`` of request ``i``: the numpy path
+        keeps no per-request column of them and asks the plans."""
+        if not self._use_numpy:
+            return self._slices[i], self._rotations[i]
+        value, rplan = int(self._values[i]), self.rplan
+        rotation = rplan.rotation_of(value) if rplan.replication > 1 else 0
+        return rplan.plan.shard_of(value), rotation
+
+    def _pending(self, state, idxs):
+        """The still-pending requests of ``idxs``, in order."""
+        if self._use_numpy:
+            idxs = get_numpy().asarray(idxs, dtype="int64")
+            return idxs[state.status[idxs] == PENDING]
+        status = state.status
+        return [i for i in idxs if status[i] == PENDING]
+
+    def _gather(self, column, idxs):
+        """``column[i]`` for every ``i`` in ``idxs``."""
+        if self._use_numpy:
+            return column[idxs]
+        return [column[i] for i in idxs]
+
+    def _assign(self, column, idxs, value):
+        """``column[i] = value`` for every ``i`` in ``idxs``."""
+        if self._use_numpy:
+            column[idxs] = value
+        else:
+            for i in idxs:
+                column[i] = value
+
+    def _redispatch(self, state, i, now):
+        """Retry one request on the next live replica of its slice."""
+        slice_id, rotation = self._route(i)
+        exclude = int(state.last_replica[i])
+        if self._place(state, slice_id, rotation, [i], now, exclude=exclude) != 0:
+            return
+        if self.config.policy == "shed":
+            state.status[i] = SHED
+            state.shed += 1
+        else:
+            state.backlog[slice_id].append([i])
+
+    def _hedge(self, state, i, now):
+        """Duplicate a still-pending request to a different replica."""
+        if now - self._arrival[i] >= self._deadline:
+            return
+        slice_id, rotation = self._route(i)
+        candidates = self._candidates(
+            state, slice_id, rotation, now, exclude=state.last_replica[i]
+        )
+        for worker in candidates:
+            if worker.batcher.offer([i], [i], now):
+                state.hedged[i] = 1
+                state.hedges += 1
+                if worker.res_metrics is not None:
+                    worker.res_metrics.hedges.inc()
+                return
+
+    # -- failure recovery -----------------------------------------------
+    def _requeue(self, state, idxs, now, worker):
+        """Requests lost to a crash or dropped batch: retry or degrade."""
+        cfg = self.config
+        if not isinstance(idxs, list):
+            idxs = idxs.tolist()
+        for i in idxs:
+            if state.status[i] != PENDING:
+                continue
+            used = int(state.attempts[i])
+            if used >= cfg.max_retries:
+                self._degrade(state, i, now)
+                continue
+            state.attempts[i] = used + 1
+            state.retries += 1
+            if worker.res_metrics is not None:
+                worker.res_metrics.retries.inc()
+            delay = cfg.retry_backoff << used
+            state.retry_due.setdefault(now + delay, []).append(i)
+
+    def _degrade(self, state, i, now):
+        """Serve one request from the full-table scalar path, now.
+
+        The scalar :class:`ClueAssistedLookup` is the exact reference
+        every shard was certified against, so a degraded answer is
+        *definitionally* never wrong — the audit still re-checks it
+        against the oracle like every other completion.
+        """
+        value = int(self._values[i])
+        clen = int(self._lens[i])
+        key = (value, clen)
+        answer = state.degraded_cache.get(key)
+        if answer is None:
+            address = Address(value, self.config.width)
+            clue = address.prefix(clen) if clen >= 0 else None
+            result = self.reference.lookup(address, clue)
+            answer = (result.prefix, result.next_hop)
+            state.degraded_cache[key] = answer
+        state.status[i] = SERVED
+        state.result_src[i] = -1
+        state.result_code[i] = 0
+        state.done[i] = now
+        state.served += 1
+        state.degraded += 1
+
+    def _apply_faults(self, state, plan, now):
+        """Execute the plan's scheduled events landing on this tick."""
+        cfg = self.config
+        replication = self.rplan.replication
+        slices = self.rplan.plan.shards
+        for event in plan.crashes_at(now):
+            if event.shard >= slices or event.replica >= replication:
+                continue
+            worker = state.workers[event.shard][event.replica]
+            if worker.down:
+                continue
+            worker.down = True
+            worker.rebuilding = False
+            state.crashes += 1
+            plan.count_event(KIND_SHARD_CRASH)
+            worker.health.mark_down(now)
+            # Everything queued on or in flight at the worker is lost;
+            # the pending copies come back through the retry machinery.
+            for batch in worker.batcher.drain_all(now):
+                self._requeue(state, batch[0], now, worker)
+            for flight in worker.flights:
+                flight.cancelled = True
+                self._requeue(state, flight.indices, now, worker)
+            worker.flights = []
+        for event in plan.restarts_at(now):
+            if event.shard >= slices or event.replica >= replication:
+                continue
+            worker = state.workers[event.shard][event.replica]
+            if not worker.down or worker.rebuilding:
+                continue
+            worker.rebuilding = True
+            state.rebuild_due.setdefault(now + cfg.rebuild_ticks, []).append(
+                (event.shard, event.replica)
+            )
+        for (s, r) in state.rebuild_due.pop(now, ()):
+            worker = state.workers[s][r]
+            # The rebuild runs the full PR 6 pipeline again — compile
+            # plus certification — and the fresh table becomes a new
+            # epoch so the audit decodes every answer against the exact
+            # table that produced it.
+            shard = self._rebuild_shard(s, r)
+            state.tables.append(shard)
+            worker.shard = shard
+            worker.table_index = len(state.tables) - 1
+            worker.down = False
+            worker.rebuilding = False
+            worker.health.rebuilt(now)
+            state.restarts += 1
+            state.rebuilt_lanes += shard.certified_lanes
+            plan.count_event(KIND_SHARD_RESTART)
+
+    def _expire_deadlines(self, state, now, arrival_ticks):
+        """Expire pending requests whose deadline budget ran out."""
+        boundary_tick = now - self._deadline
+        if boundary_tick < 0:
+            return
+        if boundary_tick >= arrival_ticks:
+            hi = len(state.status)
+        else:
+            hi = self._offsets[boundary_tick + 1]
+        cursor = state.expire_cursor
+        state.expire_cursor = max(cursor, hi)
+        stale = self._pending(state, range(cursor, hi))
+        self._assign(state.status, stale, EXPIRED)
+        state.expired += len(stale)
+        if len(stale) and self.instruments is not None:
+            self.instruments.serve_deadline_expired.inc(len(stale))
+
+    # -- service --------------------------------------------------------
+    def _commit_completions(self, state, now):
+        """Commit every batch whose service time elapses this tick."""
+        for flight in state.completions.pop(now, ()):
+            if not flight.cancelled:
+                flight.worker.flights.remove(flight)
+                self._commit(state, flight, now)
+
+    def _commit(self, state, flight, now):
+        """Commit one batch: the first copy of a request is served, any
+        later copy (or one that expired in flight) counts late.  A batch
+        carrying a request twice commits request by request.
+        """
+        flight.worker.health.record_ok(now)
+        idxs = flight.indices
+        codes = flight.codes
+        if self._use_numpy and not self._repeats(idxs):
+            live = len(idxs)
+            if not state.plain:
+                pend = state.status[idxs] == PENDING
+                live = int(get_numpy().count_nonzero(pend))
+                if live < len(idxs):
+                    idxs = idxs[pend]
+                    codes = codes[pend]
+            state.status[idxs] = SERVED
+            state.result_src[idxs] = flight.table_index
+            state.result_code[idxs] = codes
+            state.done[idxs] = now
+            state.late += len(flight.indices) - live
+            state.served += live
+            return
+        status = state.status
+        for pos, i in enumerate(idxs):
+            if status[i] == PENDING:
+                status[i] = SERVED
+                state.served += 1
+                state.result_src[i] = flight.table_index
+                state.result_code[i] = int(codes[pos])
+                state.done[i] = now
+            else:
+                state.late += 1
+
+    def _repeats(self, idxs) -> bool:
+        """True when a batch carries some request twice (replicas only)."""
+        if self.rplan.replication < 2 or len(idxs) < 2:
+            return False
+        ordered = get_numpy().sort(idxs)
+        return bool((ordered[1:] == ordered[:-1]).any())
+
+    def _release_batches(self, state, plan, now):
+        """Release every due batch on every live worker (kernel calls)."""
+        for row in state.workers:
+            for worker in row:
+                if worker.down:
+                    continue
+                batch = worker.batcher.take_batch(now)
+                while batch is not None:
+                    self._release_one(state, worker, batch[0], now, plan)
+                    batch = worker.batcher.take_batch(now)
+
+    def _release_one(self, state, worker, idxs, now, plan):
+        """One coalesced batch through one kernel call (or a fault)."""
+        cfg = self.config
+        live = idxs if state.plain else self._pending(state, idxs)
+        if not len(live):
+            return
+        state.batches += 1
+        if plan is not None and plan.drops_batch(
+            worker.slice_id, worker.replica, now
+        ):
+            plan.count_event(KIND_BATCH_DROP)
+            state.batch_drops += 1
+            worker.health.record_fault(now)
+            self._requeue(state, live, now, worker)
+            return
+        extra = 0
+        if plan is not None:
+            extra = plan.slow_penalty(worker.slice_id, worker.replica, now)
+            if extra:
+                plan.count_event(KIND_SHARD_SLOW)
+                worker.health.record_fault(now)
+        dsts = as_destination_array(self._gather(self._values, live), cfg.width)
+        clue_lens = as_length_array(self._gather(self._lens, live), cfg.width)
+        codes, _memrefs = worker.shard.process(dsts, clue_lens)
+        worker.requests_run += len(live)
+        worker.batches_run += 1
+        flight = _Flight(worker, worker.table_index, live, codes)
+        due = now + self._service_ticks + extra
+        if due == now:
+            self._commit(state, flight, now)
+        else:
+            worker.flights.append(flight)
+            state.completions.setdefault(due, []).append(flight)
+
+    def _publish_gauges(self, state):
+        for row in state.workers:
+            for worker in row:
+                metrics = worker.shard.metrics
+                if metrics is not None:
+                    metrics.queue_depth.set(worker.batcher.depth)
+                if worker.res_metrics is not None:
+                    worker.res_metrics.health_state.set(
+                        worker.health.state_code()
+                    )
+
+    # -- results --------------------------------------------------------
+    def served_indices(self, state):
+        """Indices of every served request, ascending."""
+        if self._use_numpy:
+            return get_numpy().flatnonzero(state.status == SERVED)
+        return [i for i, code in enumerate(state.status) if code == SERVED]
+
+    def latency_counts(self, state) -> Dict[int, int]:
+        """Exact ``{ticks waited: requests}`` over every served request."""
+        if not self._use_numpy:
+            served = self.served_indices(state)
+            return Counter(state.done[i] - self._arrival[i] for i in served)
+        served = state.status == SERVED
+        counts = get_numpy().bincount(state.done[served] - self._arrival[served])
+        return {wait: int(counts[wait]) for wait in counts.nonzero()[0].tolist()}
+
+    def audit(self, state, picks, reference, oracle):
+        """Check the recorded answers of requests ``picks`` (repeats count).
+
+        Each answer, decoded from the table epoch that served it (−1 =
+        the degraded path), must equal the full-table scalar clue lookup
+        and the receiver's LPM.  Each distinct ``(epoch, code,
+        destination, clue)`` is verified once, in first-appearance
+        order.  Returns ``(checked, wrong, distinct, details)``.
+        """
+        details: List[Dict[str, object]] = []
+        if not self._use_numpy:
+            cache: Dict[tuple, bool] = {}
+            wrong = 0
+            for i in picks:
+                key = (state.result_src[i], state.result_code[i],
+                       self._values[i], self._lens[i])
+                verdict = cache.get(key)
+                if verdict is None:
+                    verdict = self._verify(state, i, reference, oracle, details)
+                    cache[key] = verdict
+                wrong += not verdict
+            return len(picks), wrong, len(cache), details
+        np = get_numpy()
+        picks = np.asarray(picks, dtype=np.int64)
+        # Rank destinations and answers separately, then the pairs; the
+        # epoch and code each shift by one so −1 packs as zero.
+        _, dest = np.unique(
+            (self._values[picks] << 6) | (self._lens[picks] + 1),
+            return_inverse=True,
+        )
+        answers, answer = np.unique(
+            ((state.result_src[picks].astype(np.int64) + 1) << 32)
+            + state.result_code[picks] + 1,
+            return_inverse=True,
+        )
+        _, first, inverse = np.unique(
+            dest * len(answers) + answer, return_index=True, return_inverse=True
+        )
+        verdicts = np.ones(len(first), dtype=bool)
+        for key in np.argsort(first).tolist():
+            verdicts[key] = self._verify(
+                state, int(picks[first[key]]), reference, oracle, details
+            )
+        wrong = int(np.count_nonzero(~verdicts[inverse.ravel()]))
+        return len(picks), wrong, len(first), details
+
+    def _verify(self, state, i, reference, oracle, details) -> bool:
+        """One recorded answer against the scalar pair; logs a failure."""
+        value = int(self._values[i])
+        clen = int(self._lens[i])
+        src = int(state.result_src[i])
+        address = Address(value, self.config.width)
+        clue = address.prefix(clen) if clen >= 0 else None
+        result = reference.lookup(address, clue)
+        want = (result.prefix, result.next_hop)
+        if src >= 0:
+            got = state.tables[src].decode(int(state.result_code[i]))
+        else:
+            got = state.degraded_cache[(value, clen)]
+        oracle_hop = oracle.lookup(address).next_hop
+        verdict = got == want and got[1] == oracle_hop
+        if not verdict and len(details) < 5:
+            details.append(
+                {
+                    "destination": value,
+                    "clue_len": clen,
+                    "table_epoch": src,
+                    "got": repr(got),
+                    "scalar": repr(want),
+                    "oracle_next_hop": repr(oracle_hop),
+                }
+            )
+        return verdict
+
+
+class ChaosEngine(ServingLoop):
+    """Builds the replicated plane once, then replays seeded chaos runs."""
+
+    _blocked_keep_arrival = False
+    _bind_resilience = True
+
+    def __init__(
+        self,
+        config: Optional[ResilienceConfig] = None,
+        instruments=None,
+        health_policy: Optional[ShardHealthPolicy] = None,
+    ):
+        cfg = config if config is not None else ResilienceConfig()
+        with settled_heap():
+            self.sender_entries, self.receiver_entries, self.sender_trie, loadgen = (
+                build_fixture(cfg)
+            )
+            rplan = ReplicaPlan(
+                ShardPlan(cfg.shards, cfg.partition, cfg.width),
+                cfg.replication,
+            )
+            # Every replica slice is compiled and certified here, exactly
+            # like a PR 6 shard — an uncertified replica never serves, and
+            # the retained slices let crashes rebuild off the hot path.
+            grid, self.entry_slices, self.clue_slices = build_replica_shards(
+                rplan,
+                self.receiver_entries,
+                self.sender_trie,
+                method=cfg.method,
+                width=cfg.width,
+                seed=cfg.seed,
+                force_python=cfg.force_python,
+                instruments=instruments,
+            )
+            # The degraded path and the audit both answer from the one
+            # full-table scalar pair every shard was certified against;
+            # the degraded path needs it inside the serving window.
+            self.reference, self.oracle = build_reference(
+                self.receiver_entries, self.sender_trie, cfg.method, cfg.width
+            )
+        super().__init__(cfg, rplan, grid, loadgen, instruments, health_policy)
+        self.certified_lanes = sum(
+            shard.certified_lanes for row in self.shards for shard in row
+        )
+        self._deadline = cfg.deadline_ticks
+        self._service_ticks = cfg.service_ticks
 
     def default_plan(
         self,
@@ -493,99 +1069,9 @@ class ChaosEngine:
     def run(
         self, plan: Optional[ShardFaultPlan] = None, clock: Clock = None
     ) -> Dict[str, object]:
-        """Replay the workload once (with or without faults); one payload.
-
-        Fresh per-run state throughout — two runs of the same engine
-        (the baseline/chaos pair :meth:`bench` reports) never share
-        queues, health, or table epochs.
-        """
-        cfg = self.config
-        values, lens, offsets, slice_ids, rotations, arrival = (
-            self._prepared()
-        )
-        n = len(values)
-        arrival_ticks = len(offsets) - 1
-        state = _RunState(n)
-        for row in self.shards:
-            state.tables.extend(row)
-        index = 0
-        for s, row in enumerate(self.shards):
-            workers_row = []
-            for r, shard in enumerate(row):
-                res_metrics = (
-                    self.instruments.bind_resilience("%d.%d" % (s, r))
-                    if self.instruments is not None
-                    else None
-                )
-                workers_row.append(
-                    _Worker(
-                        s,
-                        r,
-                        shard,
-                        index,
-                        RequestBatcher(cfg.batch_policy()),
-                        ShardHealth(self.health_policy),
-                        res_metrics,
-                    )
-                )
-                index += 1
-            state.workers.append(workers_row)
-        if plan is not None and self.instruments is not None:
-            plan.telemetry = self.instruments
-        self._values = values
-        self._lens = lens
-        self._arrival = arrival
-        start = clock() if clock is not None else None
-        horizon = (
-            arrival_ticks
-            + cfg.deadline_ticks
-            + cfg.service_ticks
-            + cfg.max_wait
-            + 16
-        )
-        if plan is not None:
-            horizon += sum(event.extra_ticks for event in plan.slowdowns)
-            horizon = max(
-                horizon,
-                plan.last_event_tick()
-                + cfg.rebuild_ticks
-                + cfg.deadline_ticks
-                + cfg.service_ticks
-                + 16,
-            )
-        for now in range(horizon):
-            arriving = now < arrival_ticks
-            pending = n - state.served - state.shed - state.expired
-            if not arriving and pending == 0 and not state.rebuild_due:
-                break
-            state.ticks_run = now + 1
-            self._commit_completions(state, now)
-            if plan is not None:
-                self._apply_faults(state, plan, now)
-            self._expire_deadlines(state, offsets, now, arrival_ticks)
-            for i in state.retry_due.pop(now, ()):
-                if state.status[i] == PENDING:
-                    self._redispatch(state, i, now)
-            if state.backlog:
-                self._reoffer_backlog(state, now)
-            if arriving:
-                lo, hi = offsets[now], offsets[now + 1]
-                if hi > lo:
-                    self._dispatch_arrivals(
-                        state, slice_ids, rotations, lo, hi, now
-                    )
-            for i in state.hedge_due.pop(now, ()):
-                if state.status[i] == PENDING and not state.hedged[i]:
-                    self._hedge(state, i, now)
-            self._release_batches(state, plan, now)
-            if self.instruments is not None:
-                self._publish_gauges(state)
-        else:
-            raise RuntimeError(
-                "chaos loop failed to drain within %d ticks" % horizon
-            )
-        elapsed = clock() - start if clock is not None else None
-        return self._payload(state, plan, n, arrival_ticks, elapsed)
+        """Replay the workload once (with or without faults); one payload."""
+        state, elapsed = self.run_ticks(plan, clock)
+        return self._payload(state, plan, elapsed)
 
     def bench(
         self,
@@ -641,275 +1127,10 @@ class ChaosEngine:
         }
         return ResilienceReport(payload)
 
-    # -- dispatch -------------------------------------------------------
-    def _dispatch_arrivals(self, state, slice_ids, rotations, lo, hi, now):
-        """Group one tick's arrivals by (slice, preferred replica)."""
-        groups: Dict[tuple, List[int]] = {}
-        for i in range(lo, hi):
-            key = (slice_ids[i], rotations[i])
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [i]
-            else:
-                bucket.append(i)
-        for (s, rotation) in sorted(groups):
-            self._offer_group(state, s, rotation, groups[(s, rotation)], now)
-
-    def _candidates(self, state, slice_id, rotation, now, exclude=-1):
-        """Live workers of the slice in health-then-rotation order."""
-        workers = state.workers[slice_id]
-        replication = self.rplan.replication
-        order = []
-        for k in range(replication):
-            r = (rotation + k) % replication
-            if r == exclude:
-                continue
-            worker = workers[r]
-            if worker.down:
-                continue
-            rank = worker.health.dispatch_rank(now)
-            if rank is None:
-                continue
-            order.append((rank, k, worker))
-        order.sort(key=lambda item: (item[0], item[1]))
-        return [worker for _rank, _k, worker in order]
-
-    def _offer_group(self, state, slice_id, rotation, idxs, now,
-                     first_dispatch=True):
-        """Offer a same-preference group, spilling across replicas."""
-        cfg = self.config
-        candidates = self._candidates(state, slice_id, rotation, now)
-        if not candidates:
-            # No replica of the slice is dispatchable at all: last
-            # resort, answer from the full-table scalar path right now.
-            for i in idxs:
-                self._degrade(state, i, now)
-            return
-        remaining = idxs
-        for worker in candidates:
-            taken = worker.batcher.offer(remaining, remaining, now)
-            if taken:
-                accepted = remaining[:taken]
-                for i in accepted:
-                    state.last_replica[i] = worker.replica
-                if worker.replica != rotation:
-                    state.failovers += taken
-                    if worker.res_metrics is not None:
-                        worker.res_metrics.failovers.inc(taken)
-                if (
-                    first_dispatch
-                    and self.rplan.replication > 1
-                ):
-                    state.hedge_due.setdefault(
-                        now + cfg.hedge_ticks, []
-                    ).extend(accepted)
-                remaining = remaining[taken:]
-            if not remaining:
-                return
-        # Every live replica refused the tail: the configured policy
-        # decides between shedding and upstream backlog.
-        if cfg.policy == "shed":
-            primary = state.workers[slice_id][rotation]
-            metrics = primary.shard.metrics
-            if metrics is not None:
-                metrics.shed.inc(len(remaining))
-            for i in remaining:
-                state.status[i] = SHED
-            state.shed += len(remaining)
-        else:
-            state.backlog.extend(remaining)
-
-    def _reoffer_backlog(self, state, now):
-        """Re-offer blocked requests in arrival order (block policy)."""
-        held = state.backlog
-        state.backlog = []
-        slice_ids = self._prep[3]
-        rotations = self._prep[4]
-        for i in held:
-            if state.status[i] != PENDING:
-                continue
-            candidates = self._candidates(
-                state, slice_ids[i], rotations[i], now
-            )
-            if not candidates:
-                self._degrade(state, i, now)
-                continue
-            placed = False
-            for worker in candidates:
-                if worker.batcher.offer([i], [i], now):
-                    state.last_replica[i] = worker.replica
-                    if worker.replica != rotations[i]:
-                        state.failovers += 1
-                        if worker.res_metrics is not None:
-                            worker.res_metrics.failovers.inc()
-                    placed = True
-                    break
-            if not placed:
-                state.backlog.append(i)
-
-    def _redispatch(self, state, i, now):
-        """Retry one request on the next live replica of its slice."""
-        slice_ids = self._prep[3]
-        rotations = self._prep[4]
-        slice_id = slice_ids[i]
-        rotation = rotations[i]
-        candidates = self._candidates(
-            state, slice_id, rotation, now, exclude=state.last_replica[i]
-        )
-        if not candidates:
-            # The failed replica may be the only one back up by now.
-            candidates = self._candidates(state, slice_id, rotation, now)
-        if not candidates:
-            self._degrade(state, i, now)
-            return
-        for worker in candidates:
-            if worker.batcher.offer([i], [i], now):
-                state.last_replica[i] = worker.replica
-                if worker.replica != rotation:
-                    state.failovers += 1
-                    if worker.res_metrics is not None:
-                        worker.res_metrics.failovers.inc()
-                return
-        if self.config.policy == "shed":
-            state.status[i] = SHED
-            state.shed += 1
-        else:
-            state.backlog.append(i)
-
-    def _hedge(self, state, i, now):
-        """Duplicate a still-pending request to a different replica."""
-        if self.rplan.replication < 2:
-            return
-        arrival = self._arrival
-        if now - arrival[i] >= self.config.deadline_ticks:
-            return
-        slice_ids = self._prep[3]
-        rotations = self._prep[4]
-        candidates = self._candidates(
-            state,
-            slice_ids[i],
-            rotations[i],
-            now,
-            exclude=state.last_replica[i],
-        )
-        for worker in candidates:
-            if worker.batcher.offer([i], [i], now):
-                state.hedged[i] = 1
-                state.hedges += 1
-                if worker.res_metrics is not None:
-                    worker.res_metrics.hedges.inc()
-                return
-
-    # -- failure recovery -----------------------------------------------
-    def _requeue(self, state, idxs, now, worker):
-        """Requests lost to a crash or dropped batch: retry or degrade."""
-        cfg = self.config
-        for i in idxs:
-            if state.status[i] != PENDING:
-                continue
-            used = state.attempts[i]
-            if used >= cfg.max_retries:
-                self._degrade(state, i, now)
-                continue
-            state.attempts[i] = used + 1
-            state.retries += 1
-            if worker.res_metrics is not None:
-                worker.res_metrics.retries.inc()
-            delay = cfg.retry_backoff << used
-            state.retry_due.setdefault(now + delay, []).append(i)
-
-    def _degrade(self, state, i, now):
-        """Serve one request from the full-table scalar path, now.
-
-        The scalar :class:`ClueAssistedLookup` is the exact reference
-        every shard was certified against, so a degraded answer is
-        *definitionally* never wrong — the audit still re-checks it
-        against the oracle like every other completion.
-        """
-        value = self._values[i]
-        clen = self._lens[i]
-        key = (value, clen)
-        answer = state.degraded_cache.get(key)
-        if answer is None:
-            address = Address(value, self.config.width)
-            clue = address.prefix(clen) if clen >= 0 else None
-            result = self.reference.lookup(address, clue)
-            answer = (result.prefix, result.next_hop)
-            state.degraded_cache[key] = answer
-        state.status[i] = SERVED
-        state.result_src[i] = -1
-        state.result_code[i] = 0
-        state.served += 1
-        state.degraded += 1
-        waited = now - self._arrival[i]
-        state.latency[waited] = state.latency.get(waited, 0) + 1
-
-    def _apply_faults(self, state, plan, now):
-        """Execute the plan's scheduled events landing on this tick."""
-        cfg = self.config
-        replication = self.rplan.replication
-        slices = self.rplan.plan.shards
-        for event in plan.crashes_at(now):
-            if event.shard >= slices or event.replica >= replication:
-                continue
-            worker = state.workers[event.shard][event.replica]
-            if worker.down:
-                continue
-            worker.down = True
-            worker.rebuilding = False
-            state.crashes += 1
-            plan.count_event(KIND_SHARD_CRASH)
-            worker.health.mark_down(now)
-            # Everything queued on or in flight at the worker is lost;
-            # the pending copies come back through the retry machinery.
-            for batch in worker.batcher.drain_all(now):
-                self._requeue(state, batch[0], now, worker)
-            for flight in worker.flights:
-                flight.cancelled = True
-                self._requeue(state, flight.indices, now, worker)
-            worker.flights = []
-        for event in plan.restarts_at(now):
-            if event.shard >= slices or event.replica >= replication:
-                continue
-            worker = state.workers[event.shard][event.replica]
-            if not worker.down or worker.rebuilding:
-                continue
-            worker.rebuilding = True
-            state.rebuild_due.setdefault(now + cfg.rebuild_ticks, []).append(
-                (event.shard, event.replica)
-            )
-        for (s, r) in state.rebuild_due.pop(now, ()):
-            worker = state.workers[s][r]
-            # The rebuild runs the full PR 6 pipeline again — compile
-            # plus certification — and the fresh table becomes a new
-            # epoch so the audit decodes every answer against the exact
-            # table that produced it.
-            shard = self._rebuild_shard(s, r)
-            state.tables.append(shard)
-            worker.shard = shard
-            worker.table_index = len(state.tables) - 1
-            worker.down = False
-            worker.rebuilding = False
-            worker.health.rebuilt(now)
-            state.restarts += 1
-            state.rebuilt_lanes += shard.certified_lanes
-            plan.count_event(KIND_SHARD_RESTART)
-
     def _rebuild_shard(self, s, r):
-        """Rebuild replica ``r`` of slice ``s``, then settle the heap once.
-
-        A rebuild allocates a whole table graph in the middle of a run.
-        Left to its allocation counters, the cyclic collector's next
-        full pass over the heap (tenths of a second at these table
-        sizes) lands wherever the counters happen to cross: for some
-        seeds inside the tick loop, for others after it.  The build
-        runs with the collector paused and ends in one full collection,
-        so that pass belongs to the rebuild on every seed.
-        """
+        """Rebuild replica ``r`` of slice ``s`` under a settled heap."""
         cfg = self.config
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with settled_heap():
             return build_replica_shard(
                 s,
                 r,
@@ -922,126 +1143,13 @@ class ChaosEngine:
                 force_python=cfg.force_python,
                 instruments=self.instruments,
             )
-        finally:
-            if enabled:
-                gc.enable()
-                gc.collect()
-
-    def _expire_deadlines(self, state, offsets, now, arrival_ticks):
-        """Expire pending requests whose deadline budget ran out."""
-        boundary_tick = now - self.config.deadline_ticks
-        if boundary_tick < 0:
-            return
-        if boundary_tick >= arrival_ticks:
-            hi = len(state.status)
-        else:
-            hi = offsets[boundary_tick + 1]
-        status = state.status
-        cursor = state.expire_cursor
-        counter = self._deadline_counter
-        while cursor < hi:
-            if status[cursor] == PENDING:
-                status[cursor] = EXPIRED
-                state.expired += 1
-                if counter is not None:
-                    counter.inc()
-            cursor += 1
-        state.expire_cursor = cursor
-
-    # -- service --------------------------------------------------------
-    def _commit_completions(self, state, now):
-        """Commit every batch whose service time elapses this tick."""
-        status = state.status
-        latency = state.latency
-        arrival = self._arrival
-        result_src = state.result_src
-        result_code = state.result_code
-        for flight in state.completions.pop(now, ()):
-            if flight.cancelled:
-                continue
-            worker = flight.worker
-            try:
-                worker.flights.remove(flight)
-            except ValueError:
-                pass
-            worker.health.record_ok(now)
-            codes = flight.codes
-            table_index = flight.table_index
-            for pos, i in enumerate(flight.indices):
-                if status[i] == PENDING:
-                    status[i] = SERVED
-                    state.served += 1
-                    result_src[i] = table_index
-                    result_code[i] = int(codes[pos])
-                    waited = now - arrival[i]
-                    latency[waited] = latency.get(waited, 0) + 1
-                else:
-                    # A hedge/retry duplicate lost the race (or the
-                    # request expired mid-flight): counted, not served.
-                    state.late += 1
-
-    def _release_batches(self, state, plan, now):
-        """Release every due batch on every live worker (kernel calls)."""
-        for row in state.workers:
-            for worker in row:
-                if worker.down:
-                    continue
-                batch = worker.batcher.take_batch(now)
-                while batch is not None:
-                    self._release_one(state, worker, batch[0], now, plan)
-                    batch = worker.batcher.take_batch(now)
-
-    def _release_one(self, state, worker, idxs, now, plan):
-        """One coalesced batch through one kernel call (or a fault)."""
-        cfg = self.config
-        status = state.status
-        live = [i for i in idxs if status[i] == PENDING]
-        if not live:
-            return
-        state.batches += 1
-        if plan is not None and plan.drops_batch(
-            worker.slice_id, worker.replica, now
-        ):
-            plan.count_event(KIND_BATCH_DROP)
-            state.batch_drops += 1
-            worker.health.record_fault(now)
-            self._requeue(state, live, now, worker)
-            return
-        extra = 0
-        if plan is not None:
-            extra = plan.slow_penalty(worker.slice_id, worker.replica, now)
-            if extra:
-                plan.count_event(KIND_SHARD_SLOW)
-                worker.health.record_fault(now)
-        values = self._values
-        lens = self._lens
-        dsts = as_destination_array(
-            [values[i] for i in live], cfg.width
-        )
-        clue_lens = as_length_array([lens[i] for i in live], cfg.width)
-        codes, _memrefs = worker.shard.process(dsts, clue_lens)
-        worker.requests_run += len(live)
-        worker.batches_run += 1
-        flight = _Flight(worker, worker.table_index, live, codes)
-        worker.flights.append(flight)
-        state.completions.setdefault(
-            now + cfg.service_ticks + extra, []
-        ).append(flight)
-
-    def _publish_gauges(self, state):
-        for row in state.workers:
-            for worker in row:
-                metrics = worker.shard.metrics
-                if metrics is not None:
-                    metrics.queue_depth.set(worker.batcher.depth)
-                if worker.res_metrics is not None:
-                    worker.res_metrics.health_state.set(
-                        worker.health.state_code()
-                    )
 
     # -- reporting ------------------------------------------------------
-    def _payload(self, state, plan, n, arrival_ticks, elapsed):
-        audit = self._audit(state, n)
+    def _payload(self, state, plan, elapsed):
+        checked, wrong, distinct, details = self.audit(
+            state, self.served_indices(state), self.reference, self.oracle
+        )
+        n = len(state.status)
         served = state.served
         pending_end = n - served - state.shed - state.expired
         goodput = served / state.ticks_run if state.ticks_run else 0.0
@@ -1049,7 +1157,7 @@ class ChaosEngine:
         return {
             "workload": {
                 "requests": n,
-                "arrival_ticks": arrival_ticks,
+                "arrival_ticks": workload.ticks,
                 "burst_ticks": workload.burst_ticks,
             },
             "totals": {
@@ -1073,7 +1181,7 @@ class ChaosEngine:
                 "elapsed_s": elapsed,
                 "sustained_pps": served / elapsed if elapsed else None,
             },
-            "latency": latency_summary(state.latency),
+            "latency": latency_summary(self.latency_counts(state)),
             "workers": [
                 {
                     "slice": worker.slice_id,
@@ -1093,7 +1201,13 @@ class ChaosEngine:
                 if plan is not None
                 else None
             ),
-            "audit": audit,
+            # Every served answer, decoded against the epoch that served it.
+            "audit": {
+                "checked": checked,
+                "wrong_answers": wrong,
+                "distinct_verified": distinct,
+                "details": details,
+            },
             "conservation": {
                 "offered": n,
                 "served": served,
@@ -1105,67 +1219,4 @@ class ChaosEngine:
                     and served + state.shed + state.expired == n
                 ),
             },
-        }
-
-    def _audit(self, state, n):
-        """Verify every served request against the scalar path + oracle.
-
-        Answers are decoded from the exact table epoch that served them
-        (``result_src`` indexes the per-run table registry, −1 = the
-        degraded scalar path) and compared with the full-table scalar
-        clue lookup *and* the receiver's longest-prefix match.  Distinct
-        ``(epoch, code, destination, clue)`` combinations are verified
-        once and the verdict reused — same rigor, linear cost.
-        """
-        cfg = self.config
-        values = self._values
-        lens = self._lens
-        status = state.status
-        result_src = state.result_src
-        result_code = state.result_code
-        tables = state.tables
-        cache: Dict[tuple, bool] = {}
-        checked = 0
-        wrong = 0
-        details: List[Dict[str, object]] = []
-        for i in range(n):
-            if status[i] != SERVED:
-                continue
-            value = values[i]
-            clen = lens[i]
-            src = result_src[i]
-            code = result_code[i]
-            key = (src, code, value, clen)
-            verdict = cache.get(key)
-            if verdict is None:
-                address = Address(value, cfg.width)
-                clue = address.prefix(clen) if clen >= 0 else None
-                reference = self.reference.lookup(address, clue)
-                want = (reference.prefix, reference.next_hop)
-                if src >= 0:
-                    got = tables[src].decode(code)
-                else:
-                    got = state.degraded_cache[(value, clen)]
-                oracle_hop = self.oracle.lookup(address).next_hop
-                verdict = got == want and got[1] == oracle_hop
-                cache[key] = verdict
-                if not verdict and len(details) < 5:
-                    details.append(
-                        {
-                            "destination": value,
-                            "clue_len": clen,
-                            "table_epoch": src,
-                            "got": repr(got),
-                            "scalar": repr(want),
-                            "oracle_next_hop": repr(oracle_hop),
-                        }
-                    )
-            checked += 1
-            if not verdict:
-                wrong += 1
-        return {
-            "checked": checked,
-            "wrong_answers": wrong,
-            "distinct_verified": len(cache),
-            "details": details,
         }

@@ -32,7 +32,7 @@ from repro.serve.dispatch import (
     _mix64,
     ShardPlan,
 )
-from repro.serve.shard import Shard
+from repro.serve.shard import Shard, partition_slices
 
 #: Replication ceiling: candidate lists are tiny ordered scans and the
 #: engine stores replica ids in byte arrays.
@@ -114,29 +114,6 @@ def replica_rotation(rplan: ReplicaPlan, dsts, force_python: bool = False):
     ):
         return _rotation_numpy(np, rplan, dsts)
     return _rotation_python(rplan, dsts)
-
-
-def partition_slices(
-    plan: ShardPlan, receiver_entries, sender_trie
-) -> Tuple[List[List[Tuple[object, object]]], List[List[object]]]:
-    """Receiver-entry and clue-universe slices per shard of ``plan``.
-
-    The same overlap-replication rule ``build_shards`` applies, exposed
-    separately so replica construction computes each slice once and the
-    chaos engine can rebuild a crashed replica from the retained slice
-    without re-partitioning the whole table.
-    """
-    entry_slices: List[List[Tuple[object, object]]] = [
-        [] for _ in range(plan.shards)
-    ]
-    for prefix, next_hop in receiver_entries:
-        for shard in plan.prefix_shards(prefix):
-            entry_slices[shard].append((prefix, next_hop))
-    clue_slices: List[List[object]] = [[] for _ in range(plan.shards)]
-    for clue in sender_trie.prefixes():
-        for shard in plan.prefix_shards(clue):
-            clue_slices[shard].append(clue)
-    return entry_slices, clue_slices
 
 
 def build_replica_shard(

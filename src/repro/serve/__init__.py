@@ -7,11 +7,11 @@ with finite queues in front of every worker?  Six modules, one story:
 
 * :mod:`repro.serve.dispatch` — destination → shard (range or hash).
 * :mod:`repro.serve.shard` — a compiled-and-certified table slice.
-* :mod:`repro.serve.batcher` — kernel-sized coalescing, bounded queues,
-  explicit shed/block backpressure.
+* :mod:`repro.serve.batcher` — kernel-sized coalescing, bounded queues
+  that refuse their overflow (the loop sheds or holds it).
 * :mod:`repro.serve.loadgen` — seeded Zipf + bursty arrivals.
-* :mod:`repro.serve.engine` — the deterministic tick loop plus the
-  never-wrong-forwarding differential audit.
+* :mod:`repro.serve.engine` — plain serving on the one tick loop
+  (:mod:`repro.resilience.engine`) plus a sampled never-wrong audit.
 * :mod:`repro.serve.report` — exact latency percentiles and the
   ``BENCH_serve.json`` payload.
 

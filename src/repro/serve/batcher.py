@@ -7,13 +7,13 @@ and a partial batch is released once the *oldest* queued request has
 waited ``max_wait`` ticks — the classic latency/throughput coalescing
 trade-off, made explicit and testable.
 
-Backpressure is a first-class outcome, not an exception: when the queue
-is full, ``shed`` policy drops the overflow (counted per shard — the
-report and the ``serve_shed_total`` series account every drop), while
-``block`` policy refuses the overflow and the engine holds it upstream
-in an ingress backlog, trading drops for latency.  :meth:`offer`
-returns how many requests were accepted so the caller always knows
-which tail was refused.
+Backpressure is a first-class outcome, not an exception: a full queue
+refuses the overflow, and :meth:`offer` returns how many requests were
+accepted so the caller always knows which tail was refused.  The
+serving loop then applies the configured policy to that tail: ``shed``
+drops it (counted per shard — the report and the ``serve_shed_total``
+series account every drop), ``block`` holds it upstream in an ingress
+backlog, trading drops for latency.
 
 Time is a caller-supplied integer tick, never a wall clock (RC103):
 the whole serving plane replays bit-identically from a seed.
@@ -23,23 +23,23 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.fastpath.backend import get_numpy
 from repro.lookup.hotpath import hot_path
 
-#: Backpressure policies: drop the overflow vs. refuse it (hold upstream).
+#: Backpressure policies for a refused tail: drop it vs. hold it upstream.
 BACKPRESSURE_POLICIES = ("shed", "block")
 
 
 class BatchPolicy:
     """The coalescing knobs shared by every shard's batcher."""
 
-    __slots__ = ("max_batch", "max_wait", "capacity", "policy")
+    __slots__ = ("max_batch", "max_wait", "capacity")
 
     def __init__(
         self,
         max_batch: int = 256,
         max_wait: int = 4,
         capacity: int = 4096,
-        policy: str = "shed",
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1, got %d" % max_batch)
@@ -50,66 +50,69 @@ class BatchPolicy:
                 "capacity %d cannot be smaller than max_batch %d"
                 % (capacity, max_batch)
             )
-        if policy not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                "unknown backpressure policy %r (choose from %s)"
-                % (policy, "/".join(BACKPRESSURE_POLICIES))
-            )
         self.max_batch = max_batch
         self.max_wait = max_wait
         self.capacity = capacity
-        self.policy = policy
 
     def __repr__(self) -> str:
-        return "BatchPolicy(max_batch=%d, max_wait=%d, capacity=%d, %r)" % (
+        return "BatchPolicy(max_batch=%d, max_wait=%d, capacity=%d)" % (
             self.max_batch,
             self.max_wait,
             self.capacity,
-            self.policy,
         )
 
 
 class RequestBatcher:
     """A bounded coalescing queue in front of one shard.
 
-    The queue is three parallel Python lists (destination value, clue
-    length, arrival tick); batches hand contiguous slices to the kernel
-    packer, so the per-request bookkeeping cost is one append and one
-    slice copy regardless of batch size.
+    Three parallel ``capacity``-slot list buffers (destination value,
+    clue length, arrival tick), read at a head and written at a tail
+    that moves the queue to the front when it would run off the end.
+    Requests go in and batches come out as slice copies.
     """
 
     __slots__ = (
         "policy",
-        "shed",
         "accepted",
         "released",
         "_values",
         "_lens",
         "_ticks",
+        "_head",
+        "_tail",
     )
 
     def __init__(self, policy: Optional[BatchPolicy] = None):
         self.policy = policy if policy is not None else BatchPolicy()
-        #: Requests dropped by shed backpressure since construction.
-        self.shed = 0
         #: Requests admitted to the queue since construction.
         self.accepted = 0
         #: Requests handed out in released batches since construction.
         #: Conservation holds at every instant:
         #: ``accepted = released + depth`` and every offered request is
-        #: accepted, shed, or refused.
+        #: accepted or refused.
         self.released = 0
-        self._values: List[int] = []
-        self._lens: List[int] = []
-        self._ticks: List[int] = []
+        capacity = self.policy.capacity
+        self._values = self._buffer(capacity)
+        self._lens = self._buffer(capacity)
+        self._ticks = self._buffer(capacity)
+        self._head = 0
+        self._tail = 0
+
+    @staticmethod
+    def _buffer(size: int):
+        return [0] * size
+
+    @staticmethod
+    def _stamps(tick: int, count: int):
+        return [tick] * count
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._tail - self._head
 
     @property
     def depth(self) -> int:
         """Current queue depth (the ``serve_queue_depth`` gauge value)."""
-        return len(self._values)
+        return len(self)
 
     def offer(self, values, lens, tick: int, arrivals=None) -> int:
         """Enqueue up to capacity; returns how many were accepted.
@@ -117,26 +120,26 @@ class RequestBatcher:
         ``tick`` stamps the arrival time of every request unless
         ``arrivals`` carries per-request ticks (blocked requests being
         retried keep their *original* arrival, so their latency includes
-        the time they spent refused upstream).  Overflow handling is the
-        policy's call: ``shed`` counts and drops the tail, ``block``
-        just refuses it (the caller keeps it and retries next tick —
-        upstream backpressure).
+        the time they spent refused upstream).  The refused tail is the
+        caller's to shed or hold.
         """
-        room = self.policy.capacity - len(self._values)
-        count = len(values)
-        take = count if count <= room else room
+        capacity = self.policy.capacity
+        take = min(len(values), capacity - len(self))
         if take:
-            self._values.extend(values[:take])
-            self._lens.extend(lens[:take])
-            if arrivals is None:
-                self._ticks.extend([tick] * take)
-            else:
-                self._ticks.extend(arrivals[:take])
+            if self._tail + take > capacity:
+                depth = len(self)
+                for buf in (self._values, self._lens, self._ticks):
+                    buf[:depth] = buf[self._head : self._tail]
+                self._head, self._tail = 0, depth
+            tail = self._tail
+            end = tail + take
+            self._values[tail:end] = values[:take]
+            self._lens[tail:end] = lens[:take]
+            self._ticks[tail:end] = (
+                self._stamps(tick, take) if arrivals is None else arrivals[:take]
+            )
+            self._tail = end
             self.accepted += take
-        overflow = count - take
-        if overflow and self.policy.policy == "shed":
-            self.shed += overflow
-            return count  # consumed: the tail was dropped, not refused
         return take
 
     @hot_path
@@ -149,39 +152,49 @@ class RequestBatcher:
         full batches back to back.  Returns ``(values, lens, ticks)``
         slices; an empty queue never yields an (empty) batch.
         """
-        queued = len(self._values)
+        queued = len(self)
         if not queued:
             return None
         policy = self.policy
         size = policy.max_batch
         if queued < size:
-            if tick - self._ticks[0] < policy.max_wait:
+            if tick - self._ticks[self._head] < policy.max_wait:
                 return None
             size = queued
-        batch = (self._values[:size], self._lens[:size], self._ticks[:size])
-        del self._values[:size]
-        del self._lens[:size]
-        del self._ticks[:size]
-        self.released += size
-        return batch
+        return self._pop(size)
 
     def drain_all(self, tick: int) -> List[Tuple[list, list, list]]:
         """Flush everything queued as maximal batches (end-of-run drain)."""
         batches = []
-        while self._values:
-            size = min(self.policy.max_batch, len(self._values))
-            batches.append(
-                (self._values[:size], self._lens[:size], self._ticks[:size])
-            )
-            del self._values[:size]
-            del self._lens[:size]
-            del self._ticks[:size]
-            self.released += size
+        while len(self):
+            batches.append(self._pop(min(self.policy.max_batch, len(self))))
         return batches
 
-    def __repr__(self) -> str:
-        return "RequestBatcher(depth=%d, shed=%d, %r)" % (
-            len(self._values),
-            self.shed,
-            self.policy,
+    def _pop(self, size: int):
+        start = self._head
+        self._head = stop = start + size
+        self.released += size
+        return (
+            self._values[start:stop].copy(),
+            self._lens[start:stop].copy(),
+            self._ticks[start:stop].copy(),
         )
+
+    def __repr__(self) -> str:
+        return "%s(depth=%d, %r)" % (type(self).__name__, len(self), self.policy)
+
+
+class ArrayBatcher(RequestBatcher):
+    """The numpy twin: the same queue in int64 arrays, so array offers
+    and batches never box their elements into Python ints."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _buffer(size: int):
+        np = get_numpy()
+        return np.zeros(size, dtype=np.int64)
+
+    @staticmethod
+    def _stamps(tick: int, count: int):
+        return tick

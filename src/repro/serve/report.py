@@ -13,7 +13,7 @@ what the seeded-determinism test compares.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 def percentile_from_counts(
@@ -40,18 +40,6 @@ def percentile_from_counts(
         if running >= rank:
             return latency
     return max(counts)
-
-
-def tally_waits(counts: Dict[int, int], arrivals: List[int], now: int) -> None:
-    """Add one batch's waits (``now`` minus each arrival tick) to ``counts``.
-
-    A batch spans a few arrival ticks, so the histogram takes one update
-    per distinct tick, weighted by how many requests arrived on it,
-    instead of one per request.
-    """
-    for arrived in set(arrivals):
-        waited = now - arrived
-        counts[waited] = counts.get(waited, 0) + arrivals.count(arrived)
 
 
 def latency_summary(counts: Dict[int, int]) -> Dict[str, object]:

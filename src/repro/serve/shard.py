@@ -176,6 +176,27 @@ class Shard:
         )
 
 
+def partition_slices(
+    plan: ShardPlan, receiver_entries, sender_trie
+) -> Tuple[List[List[Tuple[object, object]]], List[List[object]]]:
+    """Receiver-entry and clue-universe slices per shard of ``plan``.
+
+    Each receiver entry and sender prefix (the clue universe) goes on
+    every shard its address range overlaps: the one replication rule.
+    """
+    entry_slices: List[List[Tuple[object, object]]] = [
+        [] for _ in range(plan.shards)
+    ]
+    for prefix, next_hop in receiver_entries:
+        for shard in plan.prefix_shards(prefix):
+            entry_slices[shard].append((prefix, next_hop))
+    clue_slices: List[List[object]] = [[] for _ in range(plan.shards)]
+    for clue in sender_trie.prefixes():
+        for shard in plan.prefix_shards(clue):
+            clue_slices[shard].append(clue)
+    return entry_slices, clue_slices
+
+
 def build_shards(
     plan: ShardPlan,
     receiver_entries,
@@ -189,21 +210,12 @@ def build_shards(
 ) -> List[Shard]:
     """Partition the tables along ``plan`` and build every shard.
 
-    Each receiver entry and each sender prefix (the clue universe) is
-    placed on every shard its address range overlaps; each shard then
-    compiles and certifies independently.  Returns the shards in id
-    order.
+    Slices come from :func:`partition_slices`; each shard then compiles
+    and certifies independently.  Returns the shards in id order.
     """
-    entry_slices: List[List[Tuple[object, object]]] = [
-        [] for _ in range(plan.shards)
-    ]
-    for prefix, next_hop in receiver_entries:
-        for shard in plan.prefix_shards(prefix):
-            entry_slices[shard].append((prefix, next_hop))
-    clue_slices: List[List[object]] = [[] for _ in range(plan.shards)]
-    for clue in sender_trie.prefixes():
-        for shard in plan.prefix_shards(clue):
-            clue_slices[shard].append(clue)
+    entry_slices, clue_slices = partition_slices(
+        plan, receiver_entries, sender_trie
+    )
     shards = []
     for shard_id in range(plan.shards):
         metrics = (

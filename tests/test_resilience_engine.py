@@ -17,7 +17,7 @@ from repro.resilience import (
     ResilienceConfig,
     replica_rotation,
 )
-from repro.serve import ShardPlan
+from repro.serve import ServeConfig, ShardPlan
 from repro.telemetry import LookupInstruments, MetricsRegistry
 
 
@@ -269,6 +269,14 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             small_config(**kwargs)
+
+    @pytest.mark.parametrize("config", [ServeConfig, ResilienceConfig])
+    @pytest.mark.parametrize("field", ["policy", "partition", "method"])
+    def test_rejects_unknown_choice(self, config, field):
+        # An unknown policy used to run as block policy in the chaos
+        # engine, and every unknown value used to pass ServeConfig.
+        with pytest.raises(ValueError, match=field):
+            config(**{field: "bogus"})
 
     def test_as_dict_round_trips(self):
         config = small_config()

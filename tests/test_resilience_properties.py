@@ -2,17 +2,17 @@
 
 Two ledgers must balance no matter what traffic does:
 
-* the batcher's — every offered request is accepted, shed, or refused,
-  and every accepted request is either still queued or was released
-  (``accepted = released + depth``), under both backpressure policies
-  and any interleaving of offers, takes, and drains;
+* the batcher's — every offered request is accepted or refused, and
+  every accepted request is either still queued or was released
+  (``accepted = released + depth``), under any interleaving of offers,
+  takes, and drains;
 * the replica plan's — every destination's candidate list is a
   permutation of the replica set, so failover can always reach every
   copy of the slice.
 
-Plus the blocked-backlog regression: under ``block`` policy the
-ServeEngine re-offers refused requests *before* new arrivals each tick,
-so the arrival ticks each shard's kernel sees never go backwards.
+Plus the blocked-backlog regression: under ``block`` policy the serving
+loop re-offers refused requests *before* new arrivals each tick, so the
+arrival ticks each shard's kernel sees never go backwards.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -35,18 +35,16 @@ steps = st.lists(
 
 @given(
     steps,
-    st.sampled_from(("shed", "block")),
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=0, max_value=4),
 )
 @settings(max_examples=200, deadline=None)
-def test_batcher_conserves_every_request(traffic, policy, max_batch, max_wait):
+def test_batcher_conserves_every_request(traffic, max_batch, max_wait):
     batcher = RequestBatcher(
         BatchPolicy(
             max_batch=max_batch,
             max_wait=max_wait,
             capacity=max(max_batch, 16),
-            policy=policy,
         )
     )
     offered = 0
@@ -56,12 +54,8 @@ def test_batcher_conserves_every_request(traffic, policy, max_batch, max_wait):
         values = list(range(count))
         accepted = batcher.offer(values, values, tick)
         offered += count
-        if policy == "shed":
-            # Shed consumes everything: drops are counted, not refused.
-            assert accepted == count
-        else:
-            assert 0 <= accepted <= count
-            refused += count - accepted
+        assert 0 <= accepted <= count
+        refused += count - accepted
         if consume:
             batch = batcher.take_batch(tick)
             while batch is not None:
@@ -69,14 +63,14 @@ def test_batcher_conserves_every_request(traffic, policy, max_batch, max_wait):
                 taken_out += len(batch[0])
                 batch = batcher.take_batch(tick)
         # The ledger balances at every step, not just at the end.
-        assert batcher.accepted == offered - refused - batcher.shed
+        assert batcher.accepted == offered - refused
         assert batcher.accepted == batcher.released + batcher.depth
         assert taken_out == batcher.released
     for batch in batcher.drain_all(len(traffic)):
         taken_out += len(batch[0])
     assert batcher.depth == 0
     assert batcher.released == taken_out
-    assert offered == batcher.released + batcher.shed + refused
+    assert offered == batcher.released + refused
 
 
 @given(
@@ -113,19 +107,20 @@ def test_blocked_backlog_preserves_arrival_order():
         seed=11,
     )
     engine = ServeEngine(config)
+    loop = engine._loop
     seen = {}
-    original = engine._process
+    original = loop._release_one
 
-    def spy(shard, batch, now, latency):
-        arrivals = batch[2]
+    def spy(state, worker, idxs, now, plan):
+        arrivals = [int(loop._arrival[i]) for i in idxs]
         assert arrivals == sorted(arrivals)
-        history = seen.setdefault(shard.shard_id, [])
+        history = seen.setdefault(worker.slice_id, [])
         if history:
             assert arrivals[0] >= history[-1]
         history.extend(arrivals)
-        return original(shard, batch, now, latency)
+        return original(state, worker, idxs, now, plan)
 
-    engine._process = spy
+    loop._release_one = spy
     report = engine.run()
     assert seen, "spy never saw a batch"
     totals = report.as_dict()["totals"]

@@ -3,9 +3,10 @@
 The batcher is the piece of the serving plane that trades latency for
 throughput, so its edge cases are where the report numbers would silently
 go wrong: empty batches must never be released, an oversize burst must
-come back as several full batches, and every shed request must be
-accounted — ``completed + shed == offered`` is the engine's conservation
-law and it starts here.
+come back as several full batches, and every refused request must be
+reported back to the caller, which sheds or holds it —
+``completed + shed == offered`` is the engine's conservation law and it
+starts here.
 """
 
 import pytest
@@ -22,13 +23,10 @@ class TestBatchPolicy:
             BatchPolicy(max_wait=-1)
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=64, capacity=32)
-        with pytest.raises(ValueError):
-            BatchPolicy(policy="panic")
 
     def test_defaults_are_consistent(self):
         policy = BatchPolicy()
         assert policy.capacity >= policy.max_batch
-        assert policy.policy == "shed"
 
 
 class TestCoalescing:
@@ -84,28 +82,14 @@ class TestCoalescing:
 
 
 class TestBackpressure:
-    def test_shed_drops_and_counts_the_overflow(self):
-        batcher = RequestBatcher(
-            BatchPolicy(max_batch=2, capacity=4, policy="shed")
-        )
-        consumed = batcher.offer(list(range(7)), [0] * 7, tick=0)
-        # Shed consumes everything: 4 queued, 3 dropped and counted.
-        assert consumed == 7
-        assert batcher.depth == 4
-        assert batcher.shed == 3
-        assert batcher.accepted == 4
-
     def test_block_refuses_the_tail_instead(self):
-        batcher = RequestBatcher(
-            BatchPolicy(max_batch=2, capacity=4, policy="block")
-        )
+        batcher = RequestBatcher(BatchPolicy(max_batch=2, capacity=4))
         taken = batcher.offer(list(range(7)), [0] * 7, tick=0)
         assert taken == 4
-        assert batcher.shed == 0
         assert batcher.depth == 4
-        # No room at all: nothing taken, nothing shed.
+        assert batcher.accepted == 4
+        # No room at all: nothing taken.
         assert batcher.offer([99], [0], tick=1) == 0
-        assert batcher.shed == 0
 
     def test_blocked_retry_keeps_original_arrival_ticks(self):
         batcher = RequestBatcher(BatchPolicy(max_batch=8, max_wait=0))
@@ -114,20 +98,20 @@ class TestBackpressure:
         assert ticks == [2, 3]
 
     def test_conservation_under_heavy_shed(self):
-        batcher = RequestBatcher(
-            BatchPolicy(max_batch=4, capacity=8, policy="shed")
-        )
+        batcher = RequestBatcher(BatchPolicy(max_batch=4, capacity=8))
         offered = 0
         completed = 0
+        shed = 0
         for tick in range(50):
             offered += 20
-            batcher.offer(list(range(20)), [0] * 20, tick=tick)
+            # A shedding caller drops exactly the refused tail.
+            shed += 20 - batcher.offer(list(range(20)), [0] * 20, tick=tick)
             batch = batcher.take_batch(tick)
             while batch is not None:
                 completed += len(batch[0])
                 batch = batcher.take_batch(tick)
         completed += sum(len(b[0]) for b in batcher.drain_all(50))
-        assert completed + batcher.shed == offered
+        assert completed + shed == offered
 
     def test_drain_all_empties_in_maximal_batches(self):
         batcher = RequestBatcher(BatchPolicy(max_batch=3, capacity=16))

@@ -4,20 +4,20 @@ The engine's contract: seeded runs replay bit-identically (the whole
 ``BENCH_serve.json`` payload, not just totals), the conservation law
 ``completed + shed == offered`` holds under both backpressure policies,
 the differential audit finds zero disagreements between the sharded
-path and the full-table oracle, the latency histogram tallied once per
-distinct arrival tick equals a per-request count, and the CLI exposes
-all of it with the wall clock injected only at the very top (RC103).
+path and the full-table oracle, the numpy serving loop and its
+pure-Python twin report the same payload, the ``serve_*`` series match
+the payload, and the CLI exposes all of it with the wall clock injected
+only at the very top (RC103).
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.resilience import SERVED
 from repro.serve import ServeConfig, ServeEngine
-from repro.serve import engine as serve_engine
-from repro.serve.report import tally_waits
+from repro.telemetry import LookupInstruments, MetricsRegistry
 
 
 def small_config(**overrides):
@@ -235,46 +235,85 @@ class TestServeCli:
             main(["serve", "--partition", "modulo"])
 
 
-def per_request_tally(counts, arrivals, now):
-    for arrived in arrivals:
-        waited = now - arrived
-        counts[waited] = counts.get(waited, 0) + 1
+BLOCK_PRESSURE = dict(
+    policy="block", max_batch=16, queue_capacity=32, rate=2048.0, audit_samples=0
+)
 
 
 class TestLatencyTally:
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=40), max_size=64),
-            max_size=6,
-        ),
-        st.integers(min_value=40, max_value=60),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_grouped_tally_equals_per_request_loop(self, batches, now):
-        grouped = {}
+    def test_grouped_tally_equals_per_request_loop(self):
+        # One bincount over completion minus arrival ticks, against a
+        # per-request count of the same run.
+        loop = ServeEngine(small_config(**BLOCK_PRESSURE))._loop
+        state, _elapsed = loop.run_ticks()
         looped = {}
-        for offset, arrivals in enumerate(batches):
-            tally_waits(grouped, arrivals, now + offset)
-            per_request_tally(looped, arrivals, now + offset)
-        assert grouped == looped
+        for i, status in enumerate(state.status):
+            if status == SERVED:
+                waited = int(state.done[i]) - int(loop._arrival[i])
+                looped[waited] = looped.get(waited, 0) + 1
+        assert loop.latency_counts(state) == looped
 
-    def test_block_policy_multi_tick_batches_match_per_request(
-        self, monkeypatch
-    ):
-        config = small_config(
-            policy="block",
-            max_batch=16,
-            queue_capacity=32,
-            rate=2048.0,
-            audit_samples=0,
-        )
-        grouped = ServeEngine(config).run().as_dict()
+    def test_block_policy_multi_tick_batches_match_per_request(self):
+        engine = ServeEngine(small_config(**BLOCK_PRESSURE))
+        loop = engine._loop
         spans = []
+        original = loop._commit
 
-        def looped(counts, arrivals, now):
-            spans.append(len(set(arrivals)))
-            per_request_tally(counts, arrivals, now)
+        def spy(state, flight, now):
+            spans.append(len(set(loop._arrival[flight.indices].tolist())))
+            return original(state, flight, now)
 
-        monkeypatch.setattr(serve_engine, "tally_waits", looped)
-        assert ServeEngine(config).run().as_dict() == grouped
+        loop._commit = spy
+        grouped = engine.run().as_dict()
+        # The pure-Python twin commits request by request.
+        looped = ServeEngine(
+            small_config(force_python=True, **BLOCK_PRESSURE)
+        ).run().as_dict()
+        assert grouped["latency"] == looped["latency"]
+        assert grouped["totals"] == looped["totals"]
         assert max(spans) > 1  # some batch really spans several ticks
+
+
+class TestPythonTwin:
+    """The numpy loop and the pure-Python twin serve the same run."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"max_batch": 16, "queue_capacity": 16, "rate": 2048.0},
+            {"partition": "hash", "method": "simple"},
+        ],
+        ids=["default", "shed-pressure", "hash-simple"],
+    )
+    def test_payloads_match(self, overrides):
+        fast = ServeEngine(small_config(**overrides)).run().as_dict()
+        slow = ServeEngine(small_config(force_python=True, **overrides)).run().as_dict()
+        assert (fast["backend"], slow["backend"]) == ("numpy", "python")
+        for payload in (fast, slow):
+            del payload["backend"]
+            del payload["config"]["force_python"]
+        assert fast == slow
+
+
+class TestTelemetry:
+    def test_serve_series_match_the_payload(self):
+        instruments = LookupInstruments(MetricsRegistry())
+        config = small_config(max_batch=16, queue_capacity=16, rate=2048.0)
+        payload = ServeEngine(config, instruments).run().as_dict()
+        assert payload["totals"]["shed"] > 0
+        for row in payload["shards"]:
+            label = (str(row["shard_id"]),)
+            assert instruments.serve_requests.value(label) == row["requests"]
+            assert instruments.serve_batches.value(label) == row["batches"]
+            assert instruments.serve_shed.value(label) == row["shed"]
+            assert instruments.serve_queue_depth.value(label) == 0
+        # Plain serving binds no resilience series.
+        for series in (
+            instruments.serve_retries,
+            instruments.serve_hedges,
+            instruments.serve_failovers,
+            instruments.serve_deadline_expired,
+            instruments.shard_health_state,
+        ):
+            assert series.samples() == []
