@@ -4,12 +4,14 @@ The §3.4 maintenance machinery is only trustworthy if it provably
 converges to what a from-scratch build would produce.  The auditor is
 that proof obligation made executable: at checkpoint epochs it settles
 each pair's backlog, rebuilds the pair's clue table from scratch with a
-fresh Advance builder (:meth:`MaintainedClueTable.reference_table`), and
+fresh Advance builder (:meth:`MaintainedClueTable.reference_method`), and
 diffs the two record by record — FD field, Ptr emptiness, and record
 presence for every clue in the sender's table, plus a sweep for active
-records the incremental table should no longer have.  Any divergence is
-a hard error by default: a wrong clue entry is a latent wrong forwarding
-decision, not a performance bug.
+records the incremental table should no longer have.  For the trie
+techniques it also diffs the live §4 stop booleans on every vertex of
+the fresh overlay: a stop wrongly set ends a resumed walk early.  Any
+divergence is a hard error by default: a wrong clue entry is a latent
+wrong forwarding decision, not a performance bug.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ class AuditReport:
 
 def _diff_pair(audit: PairAudit, maintained: MaintainedClueTable) -> None:
     """Diff the settled incremental table against a from-scratch build."""
-    reference = maintained.reference_table()
+    method = maintained.reference_method()
+    reference = method.build_table()
     incremental = maintained.table
     for clue in sorted(maintained.sender_trie.prefixes()):
         audit.entries_checked += 1
@@ -147,6 +150,13 @@ def _diff_pair(audit: PairAudit, maintained: MaintainedClueTable) -> None:
                 "%s: active record for a clue no longer in the sender table"
                 % record.clue
             )
+    if method.stops is not None:
+        live = maintained.overlay.stops
+        for prefix, expected in method.stops.items():
+            if live.get(prefix) != expected:
+                audit.divergences.append(
+                    "%s: stop %r != reference %r" % (prefix, live.get(prefix), expected)
+                )
 
 
 class ConsistencyAuditor:

@@ -8,10 +8,11 @@ the fabric through *epochs*.  Each epoch:
 1. pulls one burst from the :class:`~repro.churn.stream.UpdateStream`
    and applies it to every router's forwarding table (updates propagate
    network-wide, next hops pointing along shortest paths to the origin);
-2. folds the burst into each affected pair with ``defer_rebuild=True``:
-   the dirty records are *deactivated* immediately (the routing update
-   message carries enough information for that) while the expensive
-   entry recomputation is queued;
+2. folds the burst into each affected pair with ``defer_rebuild=True``
+   — steps 1 and 2 are the :class:`~repro.churn.feed.TableDeltaFeed`
+   fold the control plane uses too: the dirty records are *deactivated*
+   immediately (the routing update message carries enough information
+   for that) while the expensive entry recomputation is queued;
 3. forwards interleaved traffic.  A deactivated record probes as a miss,
    so packets in the staleness window degrade to full lookups — the
    §5.3 robustness semantics: never wrong-forwarding, only a degraded
@@ -29,13 +30,14 @@ outcome, so convergence lag is measurable rather than anecdotal.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.core.maintenance import MaintainedClueTable
 from repro.churn.audit import AuditReport, ConsistencyAuditor
-from repro.churn.feed import build_adjacency_pairs
+from repro.churn.feed import TableDeltaFeed
 from repro.churn.stream import ANNOUNCE, UpdateStream
 from repro.netsim.invariant import wrong_hops
 from repro.netsim.packet import Packet
@@ -252,37 +254,29 @@ class ChurnEngine:
             if audit_every > 0
             else None
         )
-        self._clue_routers: Dict[str, ClueRouter] = {
-            name: router
-            for name, router in network.routers.items()
-            if isinstance(router, ClueRouter)
-        }
-        if not self._clue_routers:
-            raise ValueError("churn needs at least one ClueRouter")
-        if technique is None:
-            technique = next(iter(self._clue_routers.values())).technique
-        self.technique = technique
+        #: Folds each burst into the routers and their pairs, exactly as
+        #: it folds the control plane's SPF deltas.  ``technique``
+        #: defaults to the first clue router's.
+        self.feed = TableDeltaFeed(network, technique=technique)
+        self.technique = self.feed.technique
+        #: (sender, receiver) -> maintained clue table, one per directed
+        #: adjacency; each pair *shares* both routers' own tables, so a
+        #: route change mutates one structure per router that the data
+        #: path and the maintenance machinery both observe.
+        self.pairs: Dict[Tuple[str, str], MaintainedClueTable] = self.feed.pairs
         self._router_names = sorted(network.routers)
         self._graph = self._adjacency_graph()
         self._next_hop = self._shortest_next_hops()
-        #: (sender, receiver) -> maintained clue table, one per directed
-        #: adjacency; the receiver side *shares* the router's own
-        #: ReceiverState, so a route change mutates one structure that
-        #: both the data path and the maintenance machinery observe.
-        #: Construction is shared with the control-plane delta feed
-        #: (:func:`repro.churn.feed.build_adjacency_pairs`).
-        self.pairs: Dict[Tuple[str, str], MaintainedClueTable] = (
-            build_adjacency_pairs(network, self.technique)
-        )
 
     # ------------------------------------------------------------------
     def _adjacency_graph(self) -> nx.Graph:
         graph = nx.Graph()
         graph.add_nodes_from(self._router_names)
-        for r_name, router in sorted(self._clue_routers.items()):
-            for s_name in router._neighbor_tries:
-                if s_name in self.network.routers:
-                    graph.add_edge(s_name, r_name)
+        for r_name, router in sorted(self.network.routers.items()):
+            if isinstance(router, ClueRouter):
+                for s_name in router._neighbor_tries:
+                    if s_name in self.network.routers:
+                        graph.add_edge(s_name, r_name)
         return graph
 
     def _shortest_next_hops(self) -> Dict[str, Dict[str, str]]:
@@ -300,12 +294,8 @@ class ChurnEngine:
     def _apply_batch(self, batch, report: EpochReport) -> None:
         """Fold one burst into every router table and every pair."""
         instruments = self.network._effective_instruments()
-        per_add: Dict[str, List[Tuple[object, object]]] = {
-            name: [] for name in self._router_names
-        }
-        per_remove: Dict[str, List[object]] = {
-            name: [] for name in self._router_names
-        }
+        per_add: Dict[str, List[Tuple[object, object]]] = defaultdict(list)
+        per_remove: Dict[str, List[object]] = defaultdict(list)
         for update in batch:
             if update.kind == ANNOUNCE:
                 report.announces += 1
@@ -321,36 +311,7 @@ class ChurnEngine:
                     if router.receiver.trie.contains(update.prefix):
                         per_remove[name].append(update.prefix)
             instruments.record_update(update.kind)
-        # Phase 1: every router's own table (and base structure).
-        for name in self._router_names:
-            if per_add[name] or per_remove[name]:
-                self.network.routers[name].apply_update(
-                    add=per_add[name], remove=per_remove[name]
-                )
-        # Phase 2: every affected pair — dirty records are deactivated
-        # now, their rebuild deferred to the budgeted flush.
-        for (s_name, r_name), maintained in self.pairs.items():
-            s_removed = [
-                prefix
-                for prefix in per_remove[s_name]
-                if maintained.sender_trie.contains(prefix)
-            ]
-            if not (
-                per_add[s_name]
-                or s_removed
-                or per_add[r_name]
-                or per_remove[r_name]
-            ):
-                continue
-            dirty = maintained.apply_batch(
-                sender_add=per_add[s_name],
-                sender_remove=s_removed,
-                receiver_add=per_add[r_name],
-                receiver_remove=per_remove[r_name],
-                update_receiver=False,
-                defer_rebuild=True,
-            )
-            report.dirty_marked += len(dirty)
+        report.dirty_marked += self.feed.apply(per_add, per_remove)
 
     def _forward_traffic(self, count: int, report: EpochReport) -> None:
         """Interleaved data-plane load, verified hop-by-hop."""
@@ -371,20 +332,6 @@ class ChurnEngine:
             report.accesses += delivery.total_accesses()
             report.wrong_hops += wrong_hops(self.network, delivery.packet)
 
-    def _flush(self, report: EpochReport) -> None:
-        """Drain (up to the budget) every pair's rebuild backlog."""
-        instruments = self.network._effective_instruments()
-        remaining = self.rebuild_budget
-        for (s_name, r_name), maintained in sorted(self.pairs.items()):
-            if remaining is not None and remaining <= 0:
-                break
-            rebuilt = maintained.flush(limit=remaining)
-            if rebuilt:
-                report.rebuilt += rebuilt
-                instruments.record_rebuilds(r_name, rebuilt)
-            if remaining is not None:
-                remaining -= rebuilt
-
     # ------------------------------------------------------------------
     def run_epoch(self, traffic: int = 0) -> EpochReport:
         """One epoch: updates in, traffic through, backlog drained."""
@@ -393,11 +340,8 @@ class ChurnEngine:
         batch = self.stream.next_batch()
         self._apply_batch(batch, report)
         self._forward_traffic(traffic, report)
-        self._flush(report)
-        backlogs = [
-            maintained.pending_count()
-            for _pair, maintained in sorted(self.pairs.items())
-        ]
+        report.rebuilt = self.feed.flush(self.rebuild_budget)
+        backlogs = self.feed.backlogs()
         report.pending_after = sum(backlogs)
         report.converged = report.pending_after == 0
         self.network._effective_instruments().record_epoch(
@@ -424,7 +368,7 @@ class ChurnEngine:
 
     def pending_total(self) -> int:
         """Fabric-wide rebuild backlog."""
-        return sum(m.pending_count() for m in self.pairs.values())
+        return self.feed.pending_total()
 
     def __repr__(self) -> str:
         return "ChurnEngine(%d pairs, epoch=%d, pending=%d)" % (

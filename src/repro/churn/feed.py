@@ -9,14 +9,15 @@ Two consumers share this machinery:
   :mod:`repro.control` link-state IGP.
 
 Both reduce to the same two-phase fold: phase 1 applies each router's
-adds/removes to its own forwarding table (mutating the shared
-:class:`~repro.core.receiver.ReceiverState`), phase 2 folds the same
-deltas into every affected directed-adjacency
-:class:`~repro.core.maintenance.MaintainedClueTable` with
-``defer_rebuild=True``, leaving the expensive entry recomputation to a
-budgeted :meth:`TableDeltaFeed.flush`.  Because a
-:meth:`~repro.trie.binary_trie.BinaryTrie.insert` is insert-or-update,
-a next-hop *change* travels as a plain add.
+adds/removes to its own forwarding table, patching its
+:class:`~repro.core.receiver.ReceiverState` and base lookup in place;
+phase 2 folds the deltas phase 1 actually applied into every affected
+directed-adjacency :class:`~repro.core.maintenance.MaintainedClueTable`
+with ``defer_rebuild=True``, leaving the expensive entry recomputation
+to a budgeted :meth:`TableDeltaFeed.flush`.  Each pair shares both
+routers' tables, so phase 2 touches only the pair's overlay and clue
+records.  Because a :meth:`~repro.trie.binary_trie.BinaryTrie.insert` is
+insert-or-update, a next-hop *change* travels as a plain add.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ def build_adjacency_pairs(
     """One maintained clue table per directed adjacency of ``network``.
 
     For every clue router and each of its upstream neighbours, builds a
-    :class:`MaintainedClueTable` whose receiver side *shares* the
-    router's own :class:`ReceiverState` — a route change mutates one
-    structure both the data path and the maintenance machinery observe
-    — and attaches it so learned lookups survive updates.  Returns
-    ``{(sender, receiver): maintained}`` in deterministic order.
+    :class:`MaintainedClueTable` that *shares* the receiving router's own
+    :class:`ReceiverState` and the sending router's own trie — a route
+    change mutates one structure per router, which its data path and
+    every pair it takes part in observe — and attaches it so learned
+    lookups survive updates.  Returns ``{(sender, receiver):
+    maintained}`` in deterministic order.
     """
     clue_routers = {
         name: router
@@ -54,7 +56,7 @@ def build_adjacency_pairs(
                 continue
             sender = network.routers[s_name]
             maintained = MaintainedClueTable(
-                sender.receiver.entries,
+                sender.receiver.trie,
                 router.receiver,
                 technique=technique,
                 width=router.receiver.width,
@@ -69,15 +71,13 @@ class TableDeltaFeed:
 
     def __init__(self, network, technique: Optional[str] = None):
         self.network = network
-        if technique is None:
-            for router in network.routers.values():
-                if isinstance(router, ClueRouter):
-                    technique = router.technique
-                    break
-        if technique is None:
+        clue_routers = [
+            router for router in network.routers.values() if isinstance(router, ClueRouter)
+        ]
+        if not clue_routers:
             raise ValueError("a delta feed needs at least one ClueRouter")
-        self.technique = technique
-        self.pairs = build_adjacency_pairs(network, technique)
+        self.technique = technique or clue_routers[0].technique
+        self.pairs = build_adjacency_pairs(network, self.technique)
         self._router_names = sorted(network.routers)
 
     def apply(
@@ -92,33 +92,29 @@ class TableDeltaFeed:
         prefixes.  Routers absent from both mappings are untouched.
         """
         dirty_marked = 0
-        # Phase 1: every router's own table (and base structure).
+        # Phase 1: every router's own table and base structure, which the
+        # pairs share.  Keep what was applied: a withdrawn prefix is
+        # already gone from the shared tries by phase 2.
+        applied = {}
         for name in self._router_names:
-            add = list(per_add.get(name, ()))
-            remove = list(per_remove.get(name, ()))
+            add = per_add.get(name, ())
+            remove = per_remove.get(name, ())
             if add or remove:
-                self.network.routers[name].apply_update(
+                applied[name] = self.network.routers[name].apply_update(
                     add=add, remove=remove
                 )
         # Phase 2: every affected pair — dirty records are deactivated
         # now, their rebuild deferred to the budgeted flush.
         for (s_name, r_name), maintained in self.pairs.items():
-            s_add = list(per_add.get(s_name, ()))
-            s_removed = [
-                prefix
-                for prefix in per_remove.get(s_name, ())
-                if maintained.sender_trie.contains(prefix)
-            ]
-            r_add = list(per_add.get(r_name, ()))
-            r_remove = list(per_remove.get(r_name, ()))
-            if not (s_add or s_removed or r_add or r_remove):
+            s_add, s_remove = applied.get(s_name, ((), ()))
+            r_add, r_remove = applied.get(r_name, ((), ()))
+            if not (s_add or s_remove or r_add or r_remove):
                 continue
             dirty = maintained.apply_batch(
                 sender_add=s_add,
-                sender_remove=s_removed,
+                sender_remove=s_remove,
                 receiver_add=r_add,
                 receiver_remove=r_remove,
-                update_receiver=False,
                 defer_rebuild=True,
             )
             dirty_marked += len(dirty)

@@ -68,12 +68,11 @@ class AdvanceMethod:
             if overlay is not None
             else TrieOverlay(sender_trie, receiver.trie)
         )
-        #: Per-vertex Claim 1 Booleans for the trie/Patricia walks (§4);
-        #: only materialised for the techniques that need them.
+        #: Per-vertex Claim 1 Booleans for the trie/Patricia walks (§4):
+        #: the overlay's live map, so continuations see every update.
+        #: Only materialised for the techniques that need them.
         self.stops: Optional[Dict[Prefix, bool]] = (
-            self.overlay.stop_booleans()
-            if technique in ("regular", "patricia")
-            else None
+            self.overlay.stops if technique in ("regular", "patricia") else None
         )
         #: Optional per-router telemetry view
         #: (:class:`repro.telemetry.RouterInstruments`).

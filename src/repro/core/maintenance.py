@@ -10,9 +10,11 @@ The dependency structure is local: the entry of a clue ``s`` depends only
 on receiver prefixes on the root→s path (the FD) and on both routers'
 prefixes below ``s`` (Claim 1 / the continuation).  So a change at prefix
 ``p`` can only dirty the clues that are *comparable* with ``p`` — the
-sender clues on p's root path plus those in p's subtree.  The overlay is
-patched incrementally (see :meth:`TrieOverlay.set_receiver_mark`) and
-exactly the dirty entries are rebuilt.
+sender clues on p's root path plus those in p's subtree.  The overlay
+patches its marks and live §4 stop booleans in place along the root→p
+path (see :meth:`TrieOverlay.set_receiver_mark`), exactly the dirty
+entries are rebuilt, and both routers' tables may be shared rather than
+copied — so each route update writes each structure once.
 
 Two application modes serve the churn engine (``repro.churn``):
 
@@ -29,7 +31,7 @@ Two application modes serve the churn engine (``repro.churn``):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.addressing import Prefix
 from repro.core.advance import AdvanceMethod
@@ -99,26 +101,29 @@ class MaintenanceStats:
 class MaintainedClueTable:
     """An Advance clue table that tracks route changes incrementally.
 
-    ``receiver_entries`` may be a plain entry iterable (a private
-    :class:`ReceiverState` is built) or an existing ``ReceiverState`` —
-    the churn engine shares one receiver state between a router's data
-    path and all the pairs it participates in as the receiving side, and
-    then applies batches with ``update_receiver=False`` so the shared
-    state is only mutated once.
+    ``sender_entries`` is an entry iterable or the sending router's own
+    :class:`BinaryTrie`; ``receiver_entries`` an entry iterable or the
+    receiving router's own :class:`ReceiverState`.  Iterables get private
+    copies.  The churn and control feeds share both tables, so a router
+    writes each update once and every pair it takes part in sees it;
+    :meth:`apply_batch` updates only the private structures.
     """
 
     def __init__(
         self,
-        sender_entries: Iterable[Entry],
+        sender_entries,
         receiver_entries,
         technique: str = "binary",
         width: int = 32,
     ):
         self.width = width
-        self.sender_trie = BinaryTrie.from_prefixes(sender_entries, width)
-        if isinstance(receiver_entries, ReceiverState):
-            self.receiver = receiver_entries
-        else:
+        self._own_sender = not isinstance(sender_entries, BinaryTrie)
+        self.sender_trie: BinaryTrie = sender_entries
+        if self._own_sender:
+            self.sender_trie = BinaryTrie.from_prefixes(sender_entries, width)
+        self._own_receiver = not isinstance(receiver_entries, ReceiverState)
+        self.receiver: ReceiverState = receiver_entries
+        if self._own_receiver:
             self.receiver = ReceiverState(receiver_entries, width)
         self.overlay = TrieOverlay(self.sender_trie, self.receiver.trie)
         self.method = AdvanceMethod(
@@ -151,28 +156,6 @@ class MaintainedClueTable:
             for vertex in self.sender_trie.marked_in_subtree(prefix):
                 dirty.add(vertex.prefix)
         return dirty
-
-    def _refresh_stops(self, changed: Iterable[Prefix]) -> None:
-        """Patch the per-vertex stop booleans along the changed paths."""
-        if self.method.stops is None:
-            return
-        for prefix in changed:
-            node = self.overlay.find(prefix)
-            # The stop value can change at the vertex and its ancestors.
-            lineage = [prefix] + list(prefix.ancestors())
-            for ancestor in lineage:
-                vertex = self.overlay.find(ancestor)
-                if vertex is None:
-                    continue
-                self.method.stops[ancestor] = not any(
-                    child.unclaimed for child in vertex.children.values()
-                )
-            if node is not None:
-                for descendant in node.subtree():
-                    self.method.stops[descendant.prefix] = not any(
-                        child.unclaimed
-                        for child in descendant.children.values()
-                    )
 
     def _rebuild_one(self, clue: Prefix) -> bool:
         """Recompute one clue's record; True if a fresh entry was built."""
@@ -212,7 +195,6 @@ class MaintainedClueTable:
         receiver_add: Iterable[Entry] = (),
         receiver_remove: Iterable[Prefix] = (),
         defer_rebuild: bool = False,
-        update_receiver: bool = True,
     ) -> Set[Prefix]:
         """Apply one burst touching either side; returns the dirty clues.
 
@@ -221,31 +203,32 @@ class MaintainedClueTable:
         subtrees) pay for each dirtied clue once — the amortisation §3.4
         appeals to.  With ``defer_rebuild`` the dirty records are only
         deactivated and queued on :attr:`pending` for a later
-        :meth:`flush`.
+        :meth:`flush`.  Within each side, removals apply before adds.
         """
         s_added = list(sender_add)
         s_removed = list(sender_remove)
         r_added = list(receiver_add)
         r_removed = list(receiver_remove)
 
-        if update_receiver and (r_added or r_removed):
+        if self._own_receiver and (r_added or r_removed):
             self.receiver.apply_update(r_added, r_removed)
         for prefix in r_removed:
             self.overlay.set_receiver_mark(prefix, False)
         for prefix, _hop in r_added:
             self.overlay.set_receiver_mark(prefix, True)
         for prefix in s_removed:
-            self.sender_trie.remove(prefix)
+            if self._own_sender:
+                self.sender_trie.remove(prefix)
             self.overlay.set_sender_mark(prefix, False)
         for prefix, next_hop in s_added:
-            self.sender_trie.insert(prefix, next_hop)
+            if self._own_sender:
+                self.sender_trie.insert(prefix, next_hop)
             self.overlay.set_sender_mark(prefix, True)
 
         sender_changed = [prefix for prefix, _ in s_added] + list(s_removed)
         changed = (
             [prefix for prefix, _ in r_added] + list(r_removed) + sender_changed
         )
-        self._refresh_stops(changed)
         dirty = self._dirty_clues(changed)
         # Changed sender prefixes are themselves (new or dead) clues.
         dirty.update(sender_changed)
@@ -306,10 +289,13 @@ class MaintainedClueTable:
         return self.apply_batch(sender_add=add, sender_remove=remove)
 
     # ------------------------------------------------------------------
+    def reference_method(self) -> AdvanceMethod:
+        """A from-scratch Advance builder over a fresh overlay."""
+        return AdvanceMethod(self.sender_trie, self.receiver, self.method.technique)
+
     def reference_table(self) -> ClueTable:
         """A from-scratch rebuild (test oracle for the incremental path)."""
-        method = AdvanceMethod(self.sender_trie, self.receiver, self.method.technique)
-        return method.build_table()
+        return self.reference_method().build_table()
 
     def __repr__(self) -> str:
         return "MaintainedClueTable(%d entries, %d rebuilt, %d pending)" % (

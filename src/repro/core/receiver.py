@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from repro.addressing import Address, Prefix
+from repro.lookup.base import merge_entries, sorted_entries
 from repro.trie.binary_trie import BinaryTrie
 from repro.trie.patricia import PatriciaTrie
 
@@ -28,9 +29,7 @@ class ReceiverState:
         width: int = 32,
     ):
         self.width = width
-        self.entries: List[Tuple[Prefix, object]] = sorted(
-            entries, key=lambda item: (item[0].length, item[0].bits)
-        )
+        self.entries: List[Tuple[Prefix, object]] = sorted_entries(entries)
         self.trie = BinaryTrie.from_prefixes(self.entries, width)
         self.patricia = PatriciaTrie.from_prefixes(self.entries, width)
         self._multibit = None
@@ -88,14 +87,7 @@ class ReceiverState:
         for prefix, next_hop in added:
             self.trie.insert(prefix, next_hop)
             self.patricia.insert(prefix, next_hop)
-        table = dict(self.entries)
-        for prefix in removed:
-            table.pop(prefix, None)
-        for prefix, next_hop in added:
-            table[prefix] = next_hop
-        self.entries = sorted(
-            table.items(), key=lambda item: (item[0].length, item[0].bits)
-        )
+        self.entries = merge_entries(self.entries, added, removed)
         self._multibit = None
 
     def size(self) -> int:

@@ -4,15 +4,15 @@ The paper compares five baselines — Regular (bit-by-bit trie), Patricia,
 Binary (binary search over prefix ranges), 6-way (B-way branching search)
 and Log W (binary search over prefix lengths) — and then combines each of
 them with the Simple and Advance clue methods.  Every baseline implements
-this interface: built once from a forwarding table, it answers
-longest-prefix-match queries while charging memory references to a
-:class:`~repro.lookup.counters.MemoryCounter`.
+this interface: built from a forwarding table and patched by route
+updates, it answers longest-prefix-match queries while charging memory
+references to a :class:`~repro.lookup.counters.MemoryCounter`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.lookup.counters import LookupResult, MemoryCounter
@@ -20,28 +20,70 @@ from repro.lookup.counters import LookupResult, MemoryCounter
 TableEntries = Iterable[Tuple[Prefix, object]]
 
 
+def sorted_entries(entries: TableEntries) -> List[Tuple[Prefix, object]]:
+    """Entries in the canonical (length, bits) build order."""
+    return sorted(entries, key=lambda item: (item[0].length, item[0].bits))
+
+
+def merge_entries(
+    entries: TableEntries, added: TableEntries, removed: Iterable[Prefix]
+) -> List[Tuple[Prefix, object]]:
+    """``entries`` after a route change: removes first, then adds.
+
+    An added prefix already present takes its new next hop, so a
+    next-hop change travels as a plain add.
+    """
+    table = dict(entries)
+    for prefix in removed:
+        table.pop(prefix, None)
+    table.update(added)
+    return sorted_entries(table.items())
+
+
 class LookupAlgorithm(abc.ABC):
-    """A longest-prefix-match algorithm over one forwarding table."""
+    """A longest-prefix-match algorithm over one forwarding table.
+
+    A route change patches it in place through :meth:`apply_update`.
+    """
 
     #: Human-readable algorithm name, as used in the paper's tables.
     name: str = "abstract"
 
     def __init__(self, entries: TableEntries, width: int = 32):
         self.width = width
-        self._entries: List[Tuple[Prefix, object]] = sorted(
-            entries, key=lambda item: (item[0].length, item[0].bits)
-        )
-        for prefix, _ in self._entries:
-            if prefix.width != width:
+        self._entries: List[Tuple[Prefix, object]] = sorted_entries(entries)
+        self._check_width(prefix for prefix, _ in self._entries)
+        self._build()
+
+    def _check_width(self, prefixes: Iterable[Prefix]) -> None:
+        for prefix in prefixes:
+            if prefix.width != self.width:
                 raise ValueError(
                     "prefix %s does not belong to width-%d family"
-                    % (prefix, width)
+                    % (prefix, self.width)
                 )
-        self._build()
 
     @abc.abstractmethod
     def _build(self) -> None:
         """Construct the search structure from ``self._entries``."""
+
+    def apply_update(
+        self, added: Sequence[Tuple[Prefix, object]] = (), removed: Sequence[Prefix] = ()
+    ) -> None:
+        """Apply a route change: drop ``removed``, then insert ``added``.
+
+        The structure ends up answering exactly like a fresh build over
+        the merged table.  By default it *is* rebuilt from that table,
+        because binary, 6-way, Log W and multibit have no cheap delete;
+        the trie walks override :meth:`_patch` to edit in place.
+        """
+        self._check_width([prefix for prefix, _ in added] + list(removed))
+        self._entries = merge_entries(self._entries, added, removed)
+        self._patch(added, removed)
+
+    def _patch(self, added, removed) -> None:
+        """Bring the search structure up to date with ``self._entries``."""
+        self._build()
 
     @abc.abstractmethod
     def lookup(

@@ -27,6 +27,14 @@ class PatriciaLookup(LookupAlgorithm):
         for prefix, next_hop in self._entries:
             self.trie.insert(prefix, next_hop)
 
+    def _patch(self, added, removed) -> None:
+        # Removal re-contracts one-way vertices, so the trie keeps the
+        # vertex set of a fresh build over the merged table.
+        for prefix in removed:
+            self.trie.remove(prefix)
+        for prefix, next_hop in added:
+            self.trie.insert(prefix, next_hop)
+
     def lookup(
         self, address: Address, counter: Optional[MemoryCounter] = None
     ) -> LookupResult:

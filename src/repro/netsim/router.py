@@ -39,7 +39,7 @@ from repro.fastpath.kernels import (
     full_lookup_batch,
     lookup_batch,
 )
-from repro.lookup import BASELINES
+from repro.lookup import BASELINES, LookupAlgorithm
 from repro.lookup.counters import METHOD_FULL, MemoryCounter
 from repro.lookup.hotpath import hot_path
 from repro.netsim.packet import HopRecord, Packet
@@ -62,6 +62,10 @@ class Router:
     single :class:`MemoryCounter` across packets (allocating one per
     packet measurably slows the hot path; see DESIGN.md "Telemetry").
     """
+
+    #: Every router owns its table and a base lookup over it.
+    receiver: ReceiverState
+    base: LookupAlgorithm
 
     def __init__(self, name: str, instruments: Optional[LookupInstruments] = None):
         self.name = name
@@ -97,8 +101,26 @@ class Router:
         add: Entries = (),
         remove: Iterable[Prefix] = (),
     ) -> Tuple[List[Tuple[Prefix, object]], List[Prefix]]:
-        """Apply a live route change to this router's own table."""
-        raise NotImplementedError
+        """Apply a live route change to this router's own table.
+
+        The receiver state and the base lookup structure are patched in
+        place, so maintained pairs that share this router's tables — as
+        sender or as receiver — observe the change for free.  Returns
+        the ``(added, removed)`` entries actually applied.
+        """
+        added = list(add)
+        removed = [
+            prefix for prefix in remove if self.receiver.trie.contains(prefix)
+        ]
+        if added or removed:
+            self.receiver.apply_update(added, removed)
+            self.base.apply_update(added, removed)
+            self._table_changed()
+        return added, removed
+
+    def _table_changed(self) -> None:
+        """Drop what was derived from the old table: the compiled trie."""
+        self._compiled_trie = None
 
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self.name)
@@ -273,37 +295,14 @@ class ClueRouter(Router):
         """The maintained clue table attached for ``upstream``, if any."""
         return self._maintained.get(upstream)
 
-    def apply_update(
-        self,
-        add: Entries = (),
-        remove: Iterable[Prefix] = (),
-    ) -> Tuple[List[Tuple[Prefix, object]], List[Prefix]]:
-        """Apply a live route change to this router's own table.
-
-        The receiver state mutates in place (maintained pairs sharing it
-        observe the change for free), the base lookup structure is
-        rebuilt, and learned clue tables that are *not* incrementally
-        maintained are dropped — their records were built against the old
-        table and relearning is the only safe repair for them.  Returns
-        the ``(added, removed)`` entries actually applied.
-        """
-        added = list(add)
-        removed = [
-            prefix for prefix in remove if self.receiver.trie.contains(prefix)
-        ]
-        if added or removed:
-            self.receiver.apply_update(added, removed)
-            self.base = BASELINES[self.technique](
-                self.receiver.entries, self.receiver.width
-            )
-            for upstream in list(self._lookups):
-                if upstream in self._maintained:
-                    self._lookups[upstream].base = self.base
-                else:
-                    del self._lookups[upstream]
-            self._compiled.clear()
-            self._compiled_trie = None
-        return added, removed
+    def _table_changed(self) -> None:
+        # Learned clue tables that are *not* incrementally maintained were
+        # built against the old table; relearning is the only safe repair.
+        for upstream in list(self._lookups):
+            if upstream not in self._maintained:
+                del self._lookups[upstream]
+        self._compiled.clear()
+        super()._table_changed()
 
     def _lookup_for(self, from_router: Optional[str]) -> LearningClueLookup:
         lookup = self._lookups.get(from_router)
@@ -549,24 +548,6 @@ class LegacyRouter(Router):
         self.relay_clues = relay_clues
         #: Receiver trie compiled lazily for :meth:`process_batch`.
         self._compiled_trie = None
-
-    def apply_update(
-        self,
-        add: Entries = (),
-        remove: Iterable[Prefix] = (),
-    ) -> Tuple[List[Tuple[Prefix, object]], List[Prefix]]:
-        """Apply a live route change: update the table, rebuild the base."""
-        added = list(add)
-        removed = [
-            prefix for prefix in remove if self.receiver.trie.contains(prefix)
-        ]
-        if added or removed:
-            self.receiver.apply_update(added, removed)
-            self.base = BASELINES[self.technique](
-                self.receiver.entries, self.receiver.width
-            )
-            self._compiled_trie = None
-        return added, removed
 
     def process_batch(
         self, packets: List[Packet], from_router: Optional[str] = None

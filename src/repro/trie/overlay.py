@@ -61,7 +61,13 @@ class OverlayNode:
 
 
 class TrieOverlay:
-    """Union trie of a sender trie t1 and a receiver trie t2."""
+    """Union trie of a sender trie t1 and a receiver trie t2.
+
+    Route changes patch it in place (:meth:`set_receiver_mark`,
+    :meth:`set_sender_mark`); vertices are created on demand and never
+    removed.  The §4 stop booleans live in :attr:`stops`, built on first
+    use and from then on kept current by every mark change.
+    """
 
     def __init__(self, sender: BinaryTrie, receiver: BinaryTrie):
         if sender.width != receiver.width:
@@ -71,6 +77,18 @@ class TrieOverlay:
         self.receiver = receiver
         self.root = self._merge(sender.root, receiver.root, Prefix.root(self.width))
         self._annotate(self.root)
+        self._stops: Optional[Dict[Prefix, bool]] = None
+
+    @property
+    def stops(self) -> Dict[Prefix, bool]:
+        """The live per-vertex stop booleans (see :meth:`stop_booleans`).
+
+        Built on first read — Tables 1-3 and the range and Log W
+        techniques never pay for them — then patched in place.
+        """
+        if self._stops is None:
+            self._stops = self.stop_booleans()
+        return self._stops
 
     # ------------------------------------------------------------------
     # construction
@@ -116,6 +134,9 @@ class TrieOverlay:
             if child is None:
                 child = OverlayNode(prefix.truncate(index + 1))
                 node.children[bit] = child
+                # A new leaf (unclaimed False) changes no other stop.
+                if self._stops is not None:
+                    self._stops[child.prefix] = True
             node = child
         return node
 
@@ -124,7 +145,9 @@ class TrieOverlay:
 
         A mark change at a vertex can only alter the memoised predicate on
         the vertex itself and its ancestors; the walk stops early once a
-        value is unchanged (the usual dominator argument).
+        value is unchanged (the usual dominator argument).  A vertex's
+        stop boolean reads only its children's memos, so each memo that
+        flips re-derives its parent's stop, and no other stop can change.
         """
         path: List[OverlayNode] = [self.root]
         node = self.root
@@ -133,16 +156,24 @@ class TrieOverlay:
             if node is None:
                 break
             path.append(node)
-        for vertex in reversed(path):
+        for depth in range(len(path) - 1, -1, -1):
+            vertex = path[depth]
             if vertex.marked1:
                 fresh = False
             elif vertex.marked2:
                 fresh = True
             else:
                 fresh = any(child.unclaimed for child in vertex.children.values())
-            if fresh == vertex.unclaimed and vertex is not path[-1]:
-                return
+            if fresh == vertex.unclaimed:
+                if depth < len(path) - 1:
+                    return
+                continue
             vertex.unclaimed = fresh
+            if self._stops is not None and depth:
+                parent = path[depth - 1]
+                self._stops[parent.prefix] = not any(
+                    child.unclaimed for child in parent.children.values()
+                )
 
     def set_receiver_mark(self, prefix: Prefix, marked: bool) -> None:
         """Record that the receiver gained/lost ``prefix`` (marked2)."""

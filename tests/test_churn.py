@@ -180,6 +180,18 @@ class TestAuditor:
         assert not audit.ok
         assert audit.divergence_count() >= 1
 
+    def test_hard_auditor_raises_on_a_corrupted_stop(self):
+        # A wrong stop boolean ends a resumed walk early (or late): the
+        # audit must see it although every clue record still matches.
+        _network, _stream, engine = tiny_scenario(audit_every=50)
+        engine.run(2)
+        maintained = engine.pairs[sorted(engine.pairs)[0]]
+        stops = maintained.method.stops
+        vertex = sorted(stops)[-1]
+        stops[vertex] = not stops[vertex]
+        with pytest.raises(ChurnAuditError, match="stop"):
+            ConsistencyAuditor(every=1, hard=True).audit(engine.pairs, epoch=99)
+
     def test_auditor_validates_period(self):
         with pytest.raises(ValueError):
             ConsistencyAuditor(every=0)

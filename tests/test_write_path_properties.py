@@ -1,0 +1,141 @@
+"""Property tests for the in-place write path.
+
+A route update writes each structure once: the router patches its own
+receiver state and base lookup, and a maintained pair that shares both
+routers' tables (as :func:`repro.churn.feed.build_adjacency_pairs` wires
+it) patches only its overlay, its live stop booleans and its clue
+records.  Random bursts — announces, withdrawals, next-hop changes and
+withdrawals of absent prefixes, on both sides — must leave every patched
+structure equal to a fresh build over the same tables.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.addressing import Address, Prefix
+from repro.core import MaintainedClueTable
+from repro.lookup import BASELINES, MemoryCounter
+from repro.netsim.router import ClueRouter
+from repro.trie import TrieOverlay
+
+HOPS = ("a", "b", "c")
+
+
+@st.composite
+def prefixes(draw, depth=7):
+    # A small universe, so bursts hit present prefixes, nest and repeat.
+    length = draw(st.integers(min_value=0, max_value=depth))
+    bits = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+    return Prefix(bits, length, 32)
+
+
+tables = st.lists(st.tuples(prefixes(), st.sampled_from(HOPS)), max_size=20)
+#: One update: (side, withdraw?, prefix, next hop if announced).
+updates = st.tuples(
+    st.sampled_from(("sender", "receiver")),
+    st.booleans(),
+    prefixes(),
+    st.sampled_from(HOPS),
+)
+bursts = st.lists(st.lists(updates, max_size=8), min_size=1, max_size=5)
+
+
+def side_delta(burst, side):
+    add = [(prefix, hop) for s, withdraw, prefix, hop in burst if s == side and not withdraw]
+    remove = [prefix for s, withdraw, prefix, _ in burst if s == side and withdraw]
+    return add, remove
+
+
+def probes(routers, burst, rng):
+    """Both ends of every prefix in play, plus random addresses."""
+    values = {rng.getrandbits(32) for _ in range(8)}
+    in_play = [prefix for router in routers for prefix, _ in router.receiver.entries]
+    in_play += [prefix for _side, _withdraw, prefix, _hop in burst]
+    for prefix in in_play:
+        values.update(prefix.address_range())
+    return [Address(value, 32) for value in sorted(values)]
+
+
+def answer(base, address):
+    result = base.lookup(address, MemoryCounter())
+    return result.prefix, result.next_hop, result.accesses
+
+
+def shape(trie):
+    """Vertices (with marks and next hops) and edges of a trie."""
+    vertices = {
+        (node.prefix, node.marked, node.next_hop if node.marked else None)
+        for node in trie.nodes()
+    }
+    edges = {
+        (node.prefix, child.prefix)
+        for node in trie.nodes()
+        for child in node.children.values()
+    }
+    return vertices, edges
+
+
+def assert_base_like_fresh(router, addresses):
+    fresh = BASELINES[router.technique](router.receiver.entries)
+    assert router.base.table() == fresh.table()
+    for address in addresses:
+        assert answer(router.base, address) == answer(fresh, address), str(address)
+    if router.technique in ("regular", "patricia"):
+        assert shape(router.base.trie) == shape(fresh.trie)
+
+
+@pytest.mark.parametrize("technique", sorted(BASELINES))
+@given(sender_table=tables, receiver_table=tables, bursts=bursts, seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_shared_pair_matches_fresh_builds(technique, sender_table, receiver_table, bursts, seed):
+    rng = random.Random(seed)
+    sender = ClueRouter("s", sender_table, technique=technique)
+    receiver = ClueRouter("r", receiver_table, technique=technique)
+    maintained = MaintainedClueTable(
+        sender.receiver.trie, receiver.receiver, technique=technique
+    )
+    # Materialise the live stop map up front for every technique, so
+    # each burst exercises its incremental upkeep.
+    live = maintained.overlay.stops
+    for burst in bursts:
+        # Phase 1: each router patches its own tables; phase 2 folds
+        # what was applied into the pair, as TableDeltaFeed.apply does.
+        s_add, s_remove = sender.apply_update(*side_delta(burst, "sender"))
+        r_add, r_remove = receiver.apply_update(*side_delta(burst, "receiver"))
+        maintained.apply_batch(
+            sender_add=s_add,
+            sender_remove=s_remove,
+            receiver_add=r_add,
+            receiver_remove=r_remove,
+            defer_rebuild=True,
+        )
+        maintained.flush()
+
+        fresh = TrieOverlay(sender.receiver.trie, receiver.receiver.trie)
+        for prefix, stop in fresh.stop_booleans().items():
+            assert live[prefix] == stop, str(prefix)
+
+        reference = maintained.reference_table()
+        for clue in sender.receiver.trie.prefixes():
+            got, want = maintained.table.probe(clue), reference.probe(clue)
+            assert got is not None, str(clue)
+            assert got.final_decision() == want.final_decision(), str(clue)
+            assert got.pointer_empty() == want.pointer_empty(), str(clue)
+
+        addresses = probes((sender, receiver), burst, rng)
+        assert_base_like_fresh(sender, addresses)
+        assert_base_like_fresh(receiver, addresses)
+    if technique in ("regular", "patricia"):
+        assert maintained.method.stops is live
+
+
+@pytest.mark.parametrize("technique", sorted(BASELINES))
+def test_apply_update_rejects_another_width(technique):
+    base = BASELINES[technique]([(Prefix(0b1, 1, 32), "a")])
+    with pytest.raises(ValueError):
+        base.apply_update([(Prefix(0, 8, 128), "x")], [])
+    with pytest.raises(ValueError):
+        base.apply_update([], [Prefix(0, 8, 128)])
+    assert base.table() == [(Prefix(0b1, 1, 32), "a")]
