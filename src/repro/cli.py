@@ -22,8 +22,8 @@ Subcommands mirror the common workflows:
   baseline;
 * ``serve``     — the sharded serving plane: certified per-shard
   compiled tables, request batching with shed/block backpressure, a
-  seeded Zipf/bursty load generator and a differential never-wrong
-  audit, emitting ``BENCH_serve.json``;
+  seeded Zipf/bursty load generator and a never-wrong audit of every
+  served answer, emitting ``BENCH_serve.json``;
 * ``chaos``     — fault-tolerant serving: the R-way replicated plane
   under a seeded shard fault schedule (crashes with rebuild +
   re-certification, slow replicas, dropped batches) with deadlines,
@@ -569,7 +569,6 @@ def _cmd_serve(args) -> int:
         args.table_size = min(args.table_size, 2000)
         args.requests = min(args.requests, 120000)
         args.universe = min(args.universe, 2048)
-        args.audit = min(args.audit, 1000)
     config = ServeConfig(
         shards=args.shards,
         partition=args.partition,
@@ -583,9 +582,7 @@ def _cmd_serve(args) -> int:
         zipf_alpha=args.alpha,
         universe=args.universe,
         rate=args.rate,
-        audit_samples=args.audit,
         seed=args.seed,
-        force_python=args.force_python,
         layout=args.layout,
     )
     try:
@@ -637,7 +634,6 @@ def _cmd_chaos(args) -> int:
         universe=args.universe,
         rate=args.rate,
         seed=args.seed,
-        force_python=args.force_python,
         deadline_ticks=args.deadline,
         hedge_ticks=args.hedge_after,
         max_retries=args.max_retries,
@@ -958,15 +954,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean arrivals per tick (default 512)")
     serve.add_argument("--universe", type=int, default=4096,
                        help="distinct destinations in the workload")
-    serve.add_argument("--audit", type=int, default=2000,
-                       help="live requests replayed against the oracle")
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--quick", action="store_true",
                        help="CI mode: clamp to 2000 prefixes / 120k requests")
     serve.add_argument("--output", default=None,
                        help="write BENCH_serve.json here (default stdout)")
-    serve.add_argument("--force-python", action="store_true",
-                       help="serve on the pure-Python fallback kernels")
     serve.add_argument("--layout", choices=("dense", "multibit4", "multibit8"),
                        default="dense",
                        help="compiled trie layout the shards serve through "
@@ -1027,8 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--output", default=None,
                        help="write BENCH_resilience.json here "
                             "(default stdout)")
-    chaos.add_argument("--force-python", action="store_true",
-                       help="serve on the pure-Python fallback kernels")
     chaos.set_defaults(func=_cmd_chaos)
 
     space = sub.add_parser("space", help="§3.5 clue-table space model")

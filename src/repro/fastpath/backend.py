@@ -1,11 +1,13 @@
 """Optional numpy backend gate for the fastpath kernels.
 
-numpy is an accelerator, never a dependency: every fastpath entry point
-has a pure-Python twin (`repro.fastpath.fallback`) with identical
-semantics, and the compiler only emits numpy arrays when the module is
-importable *and* the address width fits a 64-bit lane (width 32).  IPv6
-tables (width 128) always compile to plain Python lists, where arbitrary
-precision integers do the shifting.
+numpy is a declared dependency (``install_requires``), and the serving
+plane uses it directly.  The fastpath still keeps a pure-Python twin of
+every entry point (`repro.fastpath.fallback`) with identical semantics,
+for two callers: IPv6 tables (width 128), which do not fit a 64-bit
+lane and always compile to plain Python lists where arbitrary precision
+integers do the shifting, and ``bench-fastpath --force-python``.  The
+compiler emits numpy arrays when the module is importable *and* the
+address width fits a 64-bit lane (width 32).
 
 The four action codes returned by every batch kernel are defined here —
 the leaf module of the package — so the numpy kernels and the fallback

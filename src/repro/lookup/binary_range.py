@@ -6,8 +6,11 @@ prefix is constant, so longest-prefix matching reduces to a binary search
 for the segment containing the destination (O(log N) memory references,
 one per probe; the answer rides in the final probed record for free).
 
-The same :class:`RangeTable` also powers the 6-way variant (baseline (4))
-and the clue-restricted searches over a potential set ``P(s, R1)``.
+The same :class:`RangeTable` also powers the 6-way variant (baseline (4)),
+the clue-restricted searches over a potential set ``P(s, R1)``, and the
+serving plane's audit oracle (``repro.resilience.engine``).  It builds
+its segments from the entry list with a sort and a stack sweep, never a
+trie, so the oracle shares no code with the tries it checks.
 """
 
 from __future__ import annotations
@@ -18,33 +21,53 @@ from typing import List, Optional, Tuple
 from repro.addressing import Address, Prefix
 from repro.lookup.base import LookupAlgorithm, TableEntries
 from repro.lookup.counters import LookupResult, MemoryCounter
-from repro.trie.binary_trie import BinaryTrie
 
 
 class RangeTable:
-    """Sorted segment array with a precomputed BMP per segment."""
+    """Sorted segment array with a precomputed BMP per segment.
+
+    Built from the raw entry list with one sort and one sweep, no trie:
+    entries sorted by ``(low, length)`` open in nesting order, so a
+    stack of open prefixes always holds the matches of the current
+    address, deepest on top.  A segment starts at every prefix's low
+    end (answered by that prefix) and one past every high end (answered
+    by whatever is still open); a later entry for the same prefix
+    replaces an earlier one.
+    """
 
     def __init__(self, entries: TableEntries, width: int = 32):
         self.width = width
-        items = list(entries)
-        trie = BinaryTrie(width)
-        boundaries = {0}
-        for prefix, next_hop in items:
-            trie.insert(prefix, next_hop)
+        top = 1 << width
+        latest = {}
+        for prefix, next_hop in entries:
             low, high = prefix.address_range()
-            boundaries.add(low)
-            if high + 1 < (1 << width):
-                boundaries.add(high + 1)
+            latest[(low, prefix.length)] = (high, (prefix, next_hop))
         #: segment i covers addresses [starts[i], starts[i+1]) — the last
         #: segment runs to the top of the address space.
-        self.starts: List[int] = sorted(boundaries)
-        self.answers: List[Tuple[Optional[Prefix], Optional[object]]] = []
-        for start in self.starts:
-            node = trie.longest_match(Address(start, width))
-            if node is None:
-                self.answers.append((None, None))
-            else:
-                self.answers.append((node.prefix, node.next_hop))
+        self.starts: List[int] = [0]
+        self.answers: List[Tuple[Optional[Prefix], Optional[object]]] = [
+            (None, None)
+        ]
+        # (high, answer) of every prefix holding the sweep point, deepest
+        # last; the sentinel at ``top`` closes whatever is still open.
+        holding: List[Tuple[int, Tuple[Prefix, object]]] = []
+        for key in sorted(latest) + [(top, 0)]:
+            low = key[0]
+            while holding and holding[-1][0] < low:
+                end = holding.pop()[0] + 1
+                if end < top:
+                    self._emit(end, holding[-1][1] if holding else (None, None))
+            if low < top:
+                holding.append(latest[key])
+                self._emit(low, latest[key][1])
+
+    def _emit(self, start: int, answer) -> None:
+        """Open a segment at ``start``; a later one at the same start wins."""
+        if self.starts[-1] == start:
+            self.answers[-1] = answer
+        else:
+            self.starts.append(start)
+            self.answers.append(answer)
 
     def segment_count(self) -> int:
         """Number of constant-BMP segments."""

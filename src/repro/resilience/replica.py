@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.fastpath.backend import get_numpy, numpy_eligible
-from repro.lookup.hotpath import cold_path, hot_path
+import numpy as np
+
+from repro.lookup.hotpath import hot_path
 from repro.serve.dispatch import (
     _GOLDEN,
     _MASK64,
@@ -85,8 +86,8 @@ class ReplicaPlan:
 
 
 @hot_path
-def _rotation_numpy(np, rplan, dsts):
-    """Vectorized preferred-replica ids for a whole destination batch."""
+def replica_rotation(rplan: ReplicaPlan, dsts):
+    """Preferred replica id per lane of ``dsts`` (one array op chain)."""
     h = (dsts.astype(np.uint64) + np.uint64(_GOLDEN)) & np.uint64(_MASK64)
     h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_1)
     h = (h ^ (h >> np.uint64(27))) * np.uint64(_MIX_2)
@@ -96,26 +97,6 @@ def _rotation_numpy(np, rplan, dsts):
     )
 
 
-@cold_path
-def _rotation_python(rplan, dsts):
-    """Per-element twin of :func:`_rotation_numpy` — per-batch result
-    list amortized across lanes, so off the per-packet budget."""
-    return [rplan.rotation_of(int(value)) for value in dsts]
-
-
-@hot_path
-def replica_rotation(rplan: ReplicaPlan, dsts, force_python: bool = False):
-    """Preferred replica id per lane of ``dsts`` (one array op chain)."""
-    np = get_numpy()
-    if (
-        np is not None
-        and not force_python
-        and numpy_eligible(rplan.plan.width)
-    ):
-        return _rotation_numpy(np, rplan, dsts)
-    return _rotation_python(rplan, dsts)
-
-
 def build_replica_shard(
     slice_id: int,
     replica: int,
@@ -123,9 +104,7 @@ def build_replica_shard(
     clue_slice,
     sender_trie,
     method: str = "advance",
-    width: int = 32,
     seed: int = 0,
-    force_python: bool = False,
     instruments=None,
 ) -> Shard:
     """Build (and certify) one replica worker's table slice.
@@ -146,9 +125,7 @@ def build_replica_shard(
         clue_slice,
         sender_trie,
         method=method,
-        width=width,
         seed=seed,
-        force_python=force_python,
         metrics=metrics,
     )
 
@@ -158,9 +135,7 @@ def build_replica_shards(
     receiver_entries,
     sender_trie,
     method: str = "advance",
-    width: int = 32,
     seed: int = 0,
-    force_python: bool = False,
     instruments=None,
 ) -> Tuple[List[List[Shard]], List[List[Tuple[object, object]]], List[List[object]]]:
     """Partition once, then build R certified workers per slice.
@@ -184,9 +159,7 @@ def build_replica_shards(
                     clue_slices[slice_id],
                     sender_trie,
                     method=method,
-                    width=width,
                     seed=seed,
-                    force_python=force_python,
                     instruments=instruments,
                 )
             )

@@ -11,7 +11,8 @@ with finite queues in front of every worker?  Six modules, one story:
   that refuse their overflow (the loop sheds or holds it).
 * :mod:`repro.serve.loadgen` — seeded Zipf + bursty arrivals.
 * :mod:`repro.serve.engine` — plain serving on the one tick loop
-  (:mod:`repro.resilience.engine`) plus a sampled never-wrong audit.
+  (:mod:`repro.resilience.engine`) plus a never-wrong audit of every
+  served answer.
 * :mod:`repro.serve.report` — exact latency percentiles and the
   ``BENCH_serve.json`` payload.
 

@@ -15,6 +15,9 @@ drops it (counted per shard — the report and the ``serve_shed_total``
 series account every drop), ``block`` holds it upstream in an ingress
 backlog, trading drops for latency.
 
+The queue lives in int64 numpy buffers and hands batches out as
+arrays, the one form the serving loop and the kernels use.
+
 Time is a caller-supplied integer tick, never a wall clock (RC103):
 the whole serving plane replays bit-identically from a seed.
 """
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.fastpath.backend import get_numpy
+import numpy as np
+
 from repro.lookup.hotpath import hot_path
 
 #: Backpressure policies for a refused tail: drop it vs. hold it upstream.
@@ -65,10 +69,11 @@ class BatchPolicy:
 class RequestBatcher:
     """A bounded coalescing queue in front of one shard.
 
-    Three parallel ``capacity``-slot list buffers (destination value,
+    Three parallel ``capacity``-slot int64 buffers (destination value,
     clue length, arrival tick), read at a head and written at a tail
     that moves the queue to the front when it would run off the end.
-    Requests go in and batches come out as slice copies.
+    Requests go in and batches come out as array slice copies, so the
+    serving loop's request indices never box into Python ints.
     """
 
     __slots__ = (
@@ -92,19 +97,11 @@ class RequestBatcher:
         #: accepted or refused.
         self.released = 0
         capacity = self.policy.capacity
-        self._values = self._buffer(capacity)
-        self._lens = self._buffer(capacity)
-        self._ticks = self._buffer(capacity)
+        self._values = np.zeros(capacity, dtype=np.int64)
+        self._lens = np.zeros(capacity, dtype=np.int64)
+        self._ticks = np.zeros(capacity, dtype=np.int64)
         self._head = 0
         self._tail = 0
-
-    @staticmethod
-    def _buffer(size: int):
-        return [0] * size
-
-    @staticmethod
-    def _stamps(tick: int, count: int):
-        return [tick] * count
 
     def __len__(self) -> int:
         return self._tail - self._head
@@ -135,9 +132,7 @@ class RequestBatcher:
             end = tail + take
             self._values[tail:end] = values[:take]
             self._lens[tail:end] = lens[:take]
-            self._ticks[tail:end] = (
-                self._stamps(tick, take) if arrivals is None else arrivals[:take]
-            )
+            self._ticks[tail:end] = tick if arrivals is None else arrivals[:take]
             self._tail = end
             self.accepted += take
         return take
@@ -163,7 +158,7 @@ class RequestBatcher:
             size = queued
         return self._pop(size)
 
-    def drain_all(self, tick: int) -> List[Tuple[list, list, list]]:
+    def drain_all(self, tick: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Flush everything queued as maximal batches (end-of-run drain)."""
         batches = []
         while len(self):
@@ -182,19 +177,3 @@ class RequestBatcher:
 
     def __repr__(self) -> str:
         return "%s(depth=%d, %r)" % (type(self).__name__, len(self), self.policy)
-
-
-class ArrayBatcher(RequestBatcher):
-    """The numpy twin: the same queue in int64 arrays, so array offers
-    and batches never box their elements into Python ints."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _buffer(size: int):
-        np = get_numpy()
-        return np.zeros(size, dtype=np.int64)
-
-    @staticmethod
-    def _stamps(tick: int, count: int):
-        return tick

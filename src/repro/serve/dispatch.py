@@ -16,23 +16,25 @@ shard.  No locality, but uniform load even when the popular prefixes
 all sit in one corner of the address space; every shard then serves the
 *full* table (``prefix_shards`` returns all of them).
 
-The numpy kernel :func:`route_batch` routes a whole destination batch
-with a handful of array ops; the pure-Python twin keeps numpy optional.
+:func:`route_batch` routes a whole destination batch with a handful of
+numpy array ops; :meth:`ShardPlan.shard_of` is the scalar definition it
+vectorizes.  Destinations are IPv4 addresses (``IPV4_WIDTH`` bits).
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.addressing import Prefix
-from repro.fastpath.backend import get_numpy, numpy_eligible
-from repro.lookup.hotpath import cold_path, hot_path
+import numpy as np
+
+from repro.addressing import IPV4_WIDTH, Prefix
+from repro.lookup.hotpath import hot_path
 
 PARTITION_MODES = ("range", "hash")
 
 #: splitmix64 multipliers (Steele et al.); the mix is its own spec —
 #: any fixed avalanche permutation of the destination works, it only
-#: has to be deterministic and identical across backends.
+#: has to be deterministic and identical in its scalar and array forms.
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,9 +58,9 @@ class ShardPlan:
     the whole value and reduces modulo ``shards``.
     """
 
-    __slots__ = ("shards", "mode", "width", "shard_bits", "shift", "_bounds")
+    __slots__ = ("shards", "mode", "shard_bits", "shift", "_bounds")
 
-    def __init__(self, shards: int, mode: str = "range", width: int = 32):
+    def __init__(self, shards: int, mode: str = "range"):
         if shards < 1:
             raise ValueError("need at least one shard, got %d" % shards)
         if mode not in PARTITION_MODES:
@@ -68,12 +70,11 @@ class ShardPlan:
             )
         self.shards = shards
         self.mode = mode
-        self.width = width
         bits = 0
         while (1 << bits) < shards:
             bits += 1
         self.shard_bits = bits
-        self.shift = width - bits
+        self.shift = IPV4_WIDTH - bits
         buckets = 1 << bits
         # Bucket boundaries per shard: shard s owns [bounds[s], bounds[s+1]).
         self._bounds = [
@@ -96,7 +97,7 @@ class ShardPlan:
         Only meaningful in range mode; hash mode owns the whole space.
         """
         if self.mode == "hash":
-            return 0, 1 << self.width
+            return 0, 1 << IPV4_WIDTH
         lo = self._bounds[shard] << self.shift
         hi = self._bounds[shard + 1] << self.shift
         return lo, hi
@@ -121,16 +122,12 @@ class ShardPlan:
         return owners
 
     def __repr__(self) -> str:
-        return "ShardPlan(shards=%d, mode=%r, width=%d)" % (
-            self.shards,
-            self.mode,
-            self.width,
-        )
+        return "ShardPlan(shards=%d, mode=%r)" % (self.shards, self.mode)
 
 
 @hot_path
-def _route_numpy(np, plan, dsts):
-    """Vectorized shard ids for a whole destination batch."""
+def route_batch(plan: ShardPlan, dsts):
+    """Shard id per lane of ``dsts`` (an int64 destination array)."""
     if plan.mode == "hash":
         h = (dsts.astype(np.uint64) + np.uint64(_GOLDEN)) & np.uint64(_MASK64)
         h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_1)
@@ -139,19 +136,3 @@ def _route_numpy(np, plan, dsts):
         return (h % np.uint64(plan.shards)).astype(np.int64)
     buckets = dsts >> plan.shift
     return (buckets * plan.shards) >> plan.shard_bits
-
-
-@cold_path
-def _route_python(plan, dsts):
-    """Per-element twin of :func:`_route_numpy` (numpy-free
-    deployments) — per-batch result list amortized across lanes."""
-    return [plan.shard_of(int(value)) for value in dsts]
-
-
-@hot_path
-def route_batch(plan: ShardPlan, dsts, force_python: bool = False):
-    """Shard id per lane of ``dsts`` (from ``as_destination_array``)."""
-    np = get_numpy()
-    if np is not None and not force_python and numpy_eligible(plan.width):
-        return _route_numpy(np, plan, dsts)
-    return _route_python(plan, dsts)

@@ -17,28 +17,22 @@ clock (RC103); ``run`` accepts an *injected* clock purely to convert
 the completed-request total into a sustained packets/sec figure, so the
 same seed and config always produce the same report counts.
 
-After the drain, a differential audit draws a seeded sample of *served*
-requests and decodes each recorded answer from the shard that served
-it; it must equal both the full-table scalar clue lookup and the
-receiver's own longest-prefix match — the paper's never-wrong
-forwarding property, re-proved end to end on the serving plane.  The
-helpers both engines share (fixture, scalar reference pair, config
-check, collector pause) live here too.
+After the drain, the loop's audit decodes *every* served answer from
+the shard that served it and checks it against the receiver's own
+longest-prefix match, looked up in a trie-free range table — the
+paper's never-wrong forwarding property, re-proved end to end on the
+serving plane.  The helpers both engines share (fixture, config check,
+collector pause) live here too.
 """
 
 from __future__ import annotations
 
 import gc
-import random
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.core.advance import AdvanceMethod
-from repro.core.lookup import ClueAssistedLookup
-from repro.core.receiver import ReceiverState
-from repro.core.simple import SimpleMethod
+from repro.addressing import IPV4_WIDTH
 from repro.fastpath.layouts import LAYOUTS
-from repro.lookup.regular import RegularTrieLookup
 from repro.serve.batcher import BACKPRESSURE_POLICIES
 from repro.serve.dispatch import PARTITION_MODES, ShardPlan
 from repro.serve.loadgen import LoadProfile, ZipfLoadGenerator
@@ -87,13 +81,11 @@ def settled_heap() -> Iterator[None]:
 def build_fixture(config):
     """``(sender_entries, receiver_entries, sender_trie, loadgen)`` of
     the §6 fixture for a :class:`ServeConfig` or ``ResilienceConfig``."""
-    sender_entries = generate_table(
-        config.table_size, seed=config.seed, width=config.width
-    )
+    sender_entries = generate_table(config.table_size, seed=config.seed)
     receiver_entries = derive_neighbor(
         sender_entries, NeighborProfile(), seed=config.seed + 1
     )
-    sender_trie = BinaryTrie(config.width)
+    sender_trie = BinaryTrie(IPV4_WIDTH)
     for prefix, next_hop in sender_entries:
         sender_trie.insert(prefix, next_hop)
     loadgen = ZipfLoadGenerator(
@@ -105,28 +97,18 @@ def build_fixture(config):
             rate=config.rate,
         ),
         seed=config.seed + 2,
-        width=config.width,
     )
     return sender_entries, receiver_entries, sender_trie, loadgen
 
 
-def build_reference(receiver_entries, sender_trie, method: str, width: int):
-    """``(reference, oracle)``: the full-table scalar clue lookup every
-    shard is certified against, and the receiver's LPM.  One read-only
-    trie is both: the audit's two checks differ in path, not table.
-    """
-    state = ReceiverState(receiver_entries, width)
-    if method == "advance":
-        builder = AdvanceMethod(sender_trie, state, "regular")
-    else:
-        builder = SimpleMethod(state, "regular")
-    table = builder.build_table(list(sender_trie.prefixes()))
-    oracle = RegularTrieLookup(receiver_entries, width)
-    return ClueAssistedLookup(oracle, table), oracle
-
-
 class ServeConfig:
-    """Everything a serving run depends on — echoed into the payload."""
+    """Everything a serving run depends on — echoed into the payload.
+
+    ``audit_samples`` is accepted and ignored: the audit checks every
+    served answer.  The keyword stays only because the repo benchmark
+    (``perfbench/``) still passes it, and goes with the next change to
+    that benchmark (ROADMAP item 1).
+    """
 
     __slots__ = (
         "shards",
@@ -141,10 +123,7 @@ class ServeConfig:
         "zipf_alpha",
         "universe",
         "rate",
-        "audit_samples",
         "seed",
-        "width",
-        "force_python",
         "layout",
     )
 
@@ -164,8 +143,6 @@ class ServeConfig:
         rate: float = 512.0,
         audit_samples: int = 2000,
         seed: int = 42,
-        width: int = 32,
-        force_python: bool = False,
         layout: str = "dense",
     ):
         if shards < 1:
@@ -174,8 +151,6 @@ class ServeConfig:
             raise ValueError("requests must be >= 1, got %d" % requests)
         if table_size < 1:
             raise ValueError("table_size must be >= 1, got %d" % table_size)
-        if audit_samples < 0:
-            raise ValueError("audit_samples must be >= 0")
         check_choices(policy, partition, method, layout)
         self.shards = shards
         self.partition = partition
@@ -189,10 +164,7 @@ class ServeConfig:
         self.zipf_alpha = zipf_alpha
         self.universe = universe
         self.rate = rate
-        self.audit_samples = audit_samples
         self.seed = seed
-        self.width = width
-        self.force_python = force_python
         self.layout = layout
 
     def as_dict(self) -> Dict[str, object]:
@@ -215,7 +187,7 @@ class ServeEngine:
             self.sender_entries, self.receiver_entries, self.sender_trie, self.loadgen = (
                 build_fixture(cfg)
             )
-            self.plan = ShardPlan(cfg.shards, cfg.partition, cfg.width)
+            self.plan = ShardPlan(cfg.shards, cfg.partition)
             # The certification gate lives inside each Shard constructor:
             # an uncertified slice raises CertificationError right here and
             # the engine never comes up.
@@ -224,9 +196,7 @@ class ServeEngine:
                 self.receiver_entries,
                 self.sender_trie,
                 method=cfg.method,
-                width=cfg.width,
                 seed=cfg.seed,
-                force_python=cfg.force_python,
                 instruments=instruments,
                 layout=cfg.layout,
             )
@@ -235,7 +205,12 @@ class ServeEngine:
         )
         grid = [[shard] for shard in self.shards]
         self._loop = ServingLoop(
-            cfg, ReplicaPlan(self.plan, 1), grid, self.loadgen, instruments
+            cfg,
+            ReplicaPlan(self.plan, 1),
+            grid,
+            self.loadgen,
+            self.receiver_entries,
+            instruments,
         )
 
     # ------------------------------------------------------------------
@@ -247,13 +222,14 @@ class ServeEngine:
         workload = loop.workload()
         offered = len(workload)
         completed = state.served
+        checked, wrong, details = loop.audit(state)
         payload: Dict[str, object] = {
             "bench": "serve",
             "config": cfg.as_dict(),
             "partition": cfg.partition,
             "seed": cfg.seed,
-            "width": cfg.width,
-            "backend": "numpy" if loop._use_numpy else "python",
+            "width": IPV4_WIDTH,
+            "backend": "numpy",
             "workload": {
                 "requests": offered,
                 "arrival_ticks": workload.ticks,
@@ -264,8 +240,8 @@ class ServeEngine:
                     "shard_id": shard.shard_id,
                     "prefixes": len(shard.entries),
                     "clues": len(shard.clue_universe),
-                    "requests": shard.requests,
-                    "batches": shard.batches,
+                    "requests": row[0].requests_run,
+                    "batches": row[0].batches_run,
                     "shed": row[0].shed,
                     "certified_lanes": shard.certified_lanes,
                 }
@@ -283,31 +259,15 @@ class ServeEngine:
                 ),
             },
             "latency": latency_summary(loop.latency_counts(state)),
-            "audit": self._audit_sample(state),
+            # Every served answer, decoded against the shard that served it.
+            "audit": {
+                "checked": checked,
+                "disagreements": wrong,
+                "details": details,
+            },
             "certification": {
                 "lanes": self.certified_lanes,
                 "disagreements": 0,
             },
         }
         return ServeReport(payload)
-
-    def _audit_sample(self, state) -> Dict[str, object]:
-        """Audit ``min(audit_samples, offered)`` served answers drawn by
-        ``Random(seed + 3)``, with replacement; the reference pair is
-        built here, after the serving window.
-        """
-        cfg = self.config
-        loop = self._loop
-        samples = min(cfg.audit_samples, len(state.status)) if state.served else 0
-        if samples == 0:
-            return {"checked": 0, "disagreements": 0, "details": []}
-        rng = random.Random(cfg.seed + 3)
-        ranks = [rng.randrange(state.served) for _ in range(samples)]
-        picks = loop._gather(loop.served_indices(state), ranks)
-        reference, oracle = build_reference(
-            self.receiver_entries, self.sender_trie, cfg.method, cfg.width
-        )
-        checked, wrong, _distinct, details = loop.audit(
-            state, picks, reference, oracle
-        )
-        return {"checked": checked, "disagreements": wrong, "details": details}

@@ -20,21 +20,20 @@ sender trie's BMP length for its destination, precomputed once per
 universe entry and gathered per request.
 
 The whole workload — destination values, clue lengths, per-tick arrival
-offsets — is materialized up front as flat arrays (numpy when available,
-lists otherwise), so generating millions of requests costs a handful of
-vectorized draws, and two generators with the same seed and profile
-produce bit-identical workloads.
+offsets — is materialized up front as flat int64 numpy arrays, so
+generating millions of requests costs a handful of vectorized draws,
+and two generators with the same seed and profile produce bit-identical
+workloads.  Destinations are IPv4 addresses.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left
 from typing import List, Optional
 
-from repro.addressing import Address
+import numpy as np
+
+from repro.addressing import IPV4_WIDTH, Address
 from repro.experiments.fastbench import sample_destination_values
-from repro.fastpath.backend import get_numpy, numpy_eligible
 
 
 class LoadProfile:
@@ -95,10 +94,8 @@ class LoadProfile:
 class Workload:
     """A materialized run: flat request arrays plus per-tick offsets.
 
-    Requests ``offsets[t]:offsets[t + 1]`` arrive on tick ``t``; the
-    arrays are numpy when the backend allows, plain lists otherwise
-    (the kernels accept either — same contract as
-    ``as_destination_array``).
+    Requests ``offsets[t]:offsets[t + 1]`` arrive on tick ``t``; all
+    three are int64 numpy arrays (the ``as_destination_array`` layout).
     """
 
     __slots__ = ("values", "clue_lens", "offsets", "burst_ticks")
@@ -135,19 +132,17 @@ class ZipfLoadGenerator:
         sender_trie,
         profile: Optional[LoadProfile] = None,
         seed: int = 0,
-        width: int = 32,
     ):
         self.profile = profile if profile is not None else LoadProfile()
         self.seed = seed
-        self.width = width
         self.universe_values = sample_destination_values(
-            sender_entries, self.profile.universe, seed=seed, width=width
+            sender_entries, self.profile.universe, seed=seed, width=IPV4_WIDTH
         )
         #: The clue a well-formed upstream stamps per universe entry:
         #: its sender-BMP length (−1 if the sender has no match).
         self.universe_lens: List[int] = []
         for value in self.universe_values:
-            bmp = sender_trie.best_prefix(Address(value, width))
+            bmp = sender_trie.best_prefix(Address(value, IPV4_WIDTH))
             self.universe_lens.append(bmp.length if bmp is not None else -1)
         # Zipf CDF over popularity ranks (rank = universe position; the
         # universe sample is already seed-shuffled across the space).
@@ -166,7 +161,8 @@ class ZipfLoadGenerator:
 
     # ------------------------------------------------------------------
     def _arrival_counts(self, total: int, rng) -> "tuple[list, int]":
-        """Per-tick arrival counts summing to exactly ``total``."""
+        """Per-tick arrival counts summing to exactly ``total``, drawn from
+        the numpy generator ``rng`` before the destination picks."""
         profile = self.profile
         counts: List[int] = []
         produced = 0
@@ -181,7 +177,7 @@ class ZipfLoadGenerator:
             elif rng.random() < profile.burst_prob:
                 bursting = True
             rate = profile.rate * (profile.burst_boost if bursting else 1.0)
-            count = _poisson(rng, rate)
+            count = int(rng.poisson(rate))
             if produced + count > total:
                 count = total - produced
             produced += count
@@ -192,70 +188,15 @@ class ZipfLoadGenerator:
         """Materialize ``total`` requests; same seed ⇒ identical workload."""
         if total < 1:
             raise ValueError("total must be >= 1, got %d" % total)
-        np = get_numpy()
-        if np is not None and numpy_eligible(self.width):
-            rng = np.random.default_rng(self.seed + 1)
-            counts, burst_ticks = self._arrival_counts(
-                total, _NumpyUniform(rng)
-            )
-            draws = rng.random(total)
-            cdf = np.asarray(self._cdf)
-            picks = np.minimum(
-                np.searchsorted(cdf, draws, side="right"), len(cdf) - 1
-            )
-            uni_values = np.asarray(self.universe_values, dtype=np.int64)
-            uni_lens = np.asarray(self.universe_lens, dtype=np.int64)
-            values = uni_values[picks]
-            clue_lens = uni_lens[picks]
-            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
-            return Workload(values, clue_lens, offsets, burst_ticks)
-        rng = random.Random(self.seed + 1)
+        rng = np.random.default_rng(self.seed + 1)
         counts, burst_ticks = self._arrival_counts(total, rng)
-        cdf = self._cdf
-        top = len(cdf) - 1
-        values: List[int] = []
-        clue_lens: List[int] = []
-        for _ in range(total):
-            pick = bisect_left(cdf, rng.random())
-            if pick > top:
-                pick = top
-            values.append(self.universe_values[pick])
-            clue_lens.append(self.universe_lens[pick])
-        offsets = [0]
-        for count in counts:
-            offsets.append(offsets[-1] + count)
-        return Workload(values, clue_lens, offsets, burst_ticks)
-
-
-class _NumpyUniform:
-    """Adapter giving ``numpy.random.Generator`` the ``random.Random``
-    scalar surface the arrival loop uses (``random()`` and Poisson)."""
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def random(self) -> float:
-        return float(self._rng.random())
-
-    def poisson(self, rate: float) -> int:
-        return int(self._rng.poisson(rate))
-
-
-def _poisson(rng, rate: float) -> int:
-    """A Poisson-ish arrival count from whichever RNG we were handed.
-
-    numpy draws real Poisson counts; the stdlib fallback uses the
-    integer part plus a Bernoulli fraction — deterministic, mean-exact,
-    and close enough for a load model that only needs burst structure.
-    """
-    draw = getattr(rng, "poisson", None)
-    if draw is not None:
-        return int(draw(rate))
-    base = int(rate)
-    frac = rate - base
-    if frac > 0.0 and rng.random() < frac:
-        base += 1
-    return base
+        draws = rng.random(total)
+        cdf = np.asarray(self._cdf)
+        picks = np.minimum(
+            np.searchsorted(cdf, draws, side="right"), len(cdf) - 1
+        )
+        uni_values = np.asarray(self.universe_values, dtype=np.int64)
+        uni_lens = np.asarray(self.universe_lens, dtype=np.int64)
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
+        return Workload(uni_values[picks], uni_lens[picks], offsets, burst_ticks)

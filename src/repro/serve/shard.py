@@ -7,21 +7,25 @@ than the shard grid are replicated, everything else lands on exactly
 one shard) and a clue table built over the sender prefixes overlapping
 the same range.  Because every prefix that can match a destination owned
 by the shard is present in the slice, the shard-local lookup returns the
-same ``(prefix, next_hop)`` decision as the full-table scalar path — the
-engine's differential audit re-verifies that end to end on live traffic.
+same ``(prefix, next_hop)`` decision as the receiver's full-table
+longest-prefix match — the serving loop's audit re-checks that for every
+served answer, decoded through the compiled pool.
 
 Building reuses the existing machinery unchanged: the slice becomes a
 ``ReceiverState``, the Simple/Advance builders produce the clue table,
 ``repro.fastpath.compile`` freezes both into flat arrays, and — the
-certification gate — ``certify_full``/``certify_clue`` must pass over a
-deterministic sweep before the shard is allowed to serve a single
-request.  An uncertified shard raises; the serving plane never starts.
+certification gate — ``certify_full``/``certify_clue`` must pass against
+the slice's scalar clue lookup over a deterministic sweep before the
+shard is allowed to serve a single request.  The scalar pair is a local
+of construction; only the compiled arrays outlive it.  An uncertified
+shard raises; the serving plane never starts.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.addressing import IPV4_WIDTH
 from repro.core.advance import AdvanceMethod
 from repro.core.lookup import ClueAssistedLookup
 from repro.core.receiver import ReceiverState
@@ -42,22 +46,16 @@ METHODS = ("simple", "advance")
 
 
 class Shard:
-    """One worker: a certified compiled table slice plus its counters."""
+    """One worker: a certified compiled table slice and its metrics view."""
 
     __slots__ = (
         "shard_id",
-        "width",
         "entries",
         "clue_universe",
-        "state",
         "ctrie",
         "ctable",
-        "scalar",
         "certified_lanes",
-        "force_python",
         "layout",
-        "requests",
-        "batches",
         "metrics",
     )
 
@@ -68,9 +66,7 @@ class Shard:
         clue_universe: List[object],
         sender_trie,
         method: str = "advance",
-        width: int = 32,
         seed: int = 0,
-        force_python: bool = False,
         metrics=None,
         layout: str = "dense",
     ):
@@ -81,34 +77,29 @@ class Shard:
                 "layout must be one of %s, got %r" % (", ".join(LAYOUTS), layout)
             )
         self.shard_id = shard_id
-        self.width = width
         self.entries = list(entries)
         self.clue_universe = list(clue_universe)
-        self.force_python = force_python
         self.layout = layout
-        self.requests = 0
-        self.batches = 0
         #: Pre-bound per-shard instrument view (``ShardInstruments``);
         #: ``None`` keeps the shard usable without telemetry.
         self.metrics = metrics
-        self.state = ReceiverState(self.entries, width)
+        state = ReceiverState(self.entries, IPV4_WIDTH)
         if method == "advance":
-            builder = AdvanceMethod(sender_trie, self.state, "regular")
+            builder = AdvanceMethod(sender_trie, state, "regular")
         else:
-            builder = SimpleMethod(self.state, "regular")
+            builder = SimpleMethod(state, "regular")
         table = builder.build_table(self.clue_universe)
         #: The compiled full-lookup layout this shard serves through.
-        self.ctrie = compile_layout(self.state.trie, layout)
+        self.ctrie = compile_layout(state.trie, layout)
         self.ctable = compile_clue_table(table, self.ctrie)
-        #: The shard-local scalar twin — certification target and the
-        #: per-request reference the engine's audit decodes against.
-        self.scalar = ClueAssistedLookup(
-            RegularTrieLookup(self.entries, width), table
+        scalar = ClueAssistedLookup(
+            RegularTrieLookup(self.entries, IPV4_WIDTH), table
         )
-        self.certified_lanes = self._certify(sender_trie, seed)
+        self.certified_lanes = self._certify(scalar, sender_trie, seed)
 
-    def _certify(self, sender_trie, seed: int) -> int:
-        """The gate: kernels must agree with the scalar slice, exactly.
+    def _certify(self, scalar, sender_trie, seed: int) -> int:
+        """The gate: kernels must agree with the slice's scalar clue
+        lookup ``scalar``, exactly.
 
         Raises :class:`repro.fastpath.certify.CertificationError` on the
         first divergence; the engine refuses to build a serving plane
@@ -119,24 +110,14 @@ class Shard:
         if not sweep:
             return 0
         dsts, lens = certification_batch(
-            sender_trie, sweep, width=self.width, seed=seed
+            sender_trie, sweep, width=IPV4_WIDTH, seed=seed
         )
-        base_lookup = self.scalar.base
-        checked = certify_full(
-            self.ctrie, base_lookup, dsts, force_python=self.force_python
-        )
+        checked = certify_full(self.ctrie, scalar.base, dsts)
         if self.ctrie is not self.ctable.trie:
             # Serving a stride layout: the resume walks still descend the
             # dense base, so certify it (memrefs included) as well.
-            checked += certify_full(
-                self.ctable.trie,
-                base_lookup,
-                dsts,
-                force_python=self.force_python,
-            )
-        checked += certify_clue(
-            self.ctable, self.scalar, dsts, lens, force_python=self.force_python
-        )
+            checked += certify_full(self.ctable.trie, scalar.base, dsts)
+        checked += certify_clue(self.ctable, scalar, dsts, lens)
         return checked
 
     @hot_path
@@ -149,11 +130,9 @@ class Shard:
         batch — no per-request Python.
         """
         methods, codes, new_clues, memrefs = lookup_batch(
-            self.ctable, dsts, clue_lens, force_python=self.force_python
+            self.ctable, dsts, clue_lens
         )
         lanes = len(dsts)
-        self.requests += lanes
-        self.batches += 1
         metrics = self.metrics
         if metrics is not None:
             metrics.requests.inc(lanes)
@@ -202,9 +181,7 @@ def build_shards(
     receiver_entries,
     sender_trie,
     method: str = "advance",
-    width: int = 32,
     seed: int = 0,
-    force_python: bool = False,
     instruments=None,
     layout: str = "dense",
 ) -> List[Shard]:
@@ -230,9 +207,7 @@ def build_shards(
                 clue_slices[shard_id],
                 sender_trie,
                 method=method,
-                width=width,
                 seed=seed,
-                force_python=force_python,
                 metrics=metrics,
                 layout=layout,
             )

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -65,14 +66,8 @@ class TestReplicaPlan:
         rplan = ReplicaPlan(ShardPlan(2, "range"), 3)
         values = [0, 1, 7, 255, 9999, 2**30, 2**32 - 1]
         expected = [rplan.rotation_of(value) for value in values]
-        python = replica_rotation(rplan, values, force_python=True)
-        assert list(python) == expected
-        fast = replica_rotation(
-            rplan,
-            __import__("repro.fastpath.kernels", fromlist=["x"])
-            .as_destination_array(values, 32),
-        )
-        assert [int(r) for r in fast] == expected
+        fast = replica_rotation(rplan, np.array(values, dtype=np.int64))
+        assert fast.tolist() == expected
 
 
 class TestBaselineRun:
@@ -196,15 +191,6 @@ class TestDeterminism:
         assert repr(one.crashes) == repr(two.crashes)
         other = shard_chaos_plan(2, 2, 100, crashes=2, seed=10)
         assert repr(one.crashes) != repr(other.crashes)
-
-    def test_force_python_parity_on_answers(self):
-        fast = ChaosEngine(small_config(requests=4000)).run()
-        slow = ChaosEngine(
-            small_config(requests=4000, force_python=True)
-        ).run()
-        for run in (fast, slow):
-            assert run["audit"]["wrong_answers"] == 0
-        assert fast["totals"]["served"] == slow["totals"]["served"]
 
 
 class TestTelemetry:

@@ -103,7 +103,6 @@ def test_blocked_backlog_preserves_arrival_order():
         queue_capacity=16,
         universe=256,
         rate=96.0,
-        audit_samples=0,
         seed=11,
     )
     engine = ServeEngine(config)

@@ -39,9 +39,9 @@ class TestCoalescing:
         batcher = RequestBatcher(BatchPolicy(max_batch=4, max_wait=10))
         batcher.offer([1, 2, 3, 4], [8, 8, 8, 8], tick=0)
         values, lens, ticks = batcher.take_batch(0)
-        assert values == [1, 2, 3, 4]
-        assert lens == [8, 8, 8, 8]
-        assert ticks == [0, 0, 0, 0]
+        assert values.tolist() == [1, 2, 3, 4]
+        assert lens.tolist() == [8, 8, 8, 8]
+        assert ticks.tolist() == [0, 0, 0, 0]
         assert batcher.take_batch(0) is None
 
     def test_partial_batch_waits_for_max_wait(self):
@@ -50,13 +50,13 @@ class TestCoalescing:
         assert batcher.take_batch(10) is None
         assert batcher.take_batch(12) is None
         values, lens, ticks = batcher.take_batch(13)
-        assert values == [7] and lens == [-1] and ticks == [10]
+        assert (values.tolist(), lens.tolist(), ticks.tolist()) == ([7], [-1], [10])
 
     def test_max_wait_zero_flushes_every_tick(self):
         batcher = RequestBatcher(BatchPolicy(max_batch=100, max_wait=0))
         batcher.offer([1, 2], [0, 0], tick=5)
         values, _lens, _ticks = batcher.take_batch(5)
-        assert values == [1, 2]
+        assert values.tolist() == [1, 2]
 
     def test_oversize_burst_releases_back_to_back_full_batches(self):
         batcher = RequestBatcher(BatchPolicy(max_batch=3, max_wait=5, capacity=16))
@@ -70,15 +70,15 @@ class TestCoalescing:
         assert sizes == [3, 3, 3]
         assert batcher.depth == 1
         values, _lens, _ticks = batcher.take_batch(5)
-        assert values == [9]
+        assert values.tolist() == [9]
 
     def test_fifo_order_preserved_across_offers(self):
         batcher = RequestBatcher(BatchPolicy(max_batch=4, max_wait=0))
         batcher.offer([1, 2], [0, 0], tick=0)
         batcher.offer([3, 4], [0, 0], tick=1)
         values, _lens, ticks = batcher.take_batch(1)
-        assert values == [1, 2, 3, 4]
-        assert ticks == [0, 0, 1, 1]
+        assert values.tolist() == [1, 2, 3, 4]
+        assert ticks.tolist() == [0, 0, 1, 1]
 
 
 class TestBackpressure:
@@ -95,7 +95,7 @@ class TestBackpressure:
         batcher = RequestBatcher(BatchPolicy(max_batch=8, max_wait=0))
         batcher.offer([5, 6], [0, 0], tick=9, arrivals=[2, 3])
         _values, _lens, ticks = batcher.take_batch(9)
-        assert ticks == [2, 3]
+        assert ticks.tolist() == [2, 3]
 
     def test_conservation_under_heavy_shed(self):
         batcher = RequestBatcher(BatchPolicy(max_batch=4, capacity=8))

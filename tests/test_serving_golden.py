@@ -5,9 +5,9 @@ payload with the copy stored in ``golden_serving.json`` beside this
 file, after dropping the two wall-clock fields (``elapsed_s`` and
 ``sustained_pps``) at every depth.  The cases cover the paths a change
 to the tick loop can silently move: shed and block backpressure, hash
-partitioning with the Simple method, a multibit layout, the fallback
-kernels, the degraded path, requests carried twice in one batch, deadline
-expiry and a replicated block-policy backlog.
+partitioning with the Simple method, a multibit layout, the degraded
+path, requests carried twice in one batch, deadline expiry and a
+replicated block-policy backlog.
 
 The stored payloads are the reference, not the code under test.  After
 a change that is *meant* to alter a payload, rewrite them with
@@ -35,7 +35,6 @@ def _serve(**overrides):
         requests=6000,
         universe=256,
         rate=256.0,
-        audit_samples=300,
         seed=7,
     )
     config.update(overrides)
@@ -80,7 +79,6 @@ CASES = {
     ),
     "serve-hash-simple": lambda: _serve(partition="hash", method="simple"),
     "serve-multibit8": lambda: _serve(layout="multibit8"),
-    "serve-force-python": lambda: _serve(force_python=True),
     "chaos-default-plan": lambda: _chaos(),
     "chaos-degraded": lambda: _chaos(
         ShardFaultPlan(seed=1, crashes=[ReplicaCrashEvent(3, 0, 0, duration=10)]),
@@ -101,7 +99,6 @@ CASES = {
         max_batch=64,
         rate=512.0,
     ),
-    "chaos-force-python": lambda: _chaos(force_python=True),
 }
 
 
