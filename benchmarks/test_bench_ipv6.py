@@ -3,13 +3,24 @@
 "The presented scheme is expected to give similar performances in IPv6
 while the Log W technique does not scale as good."  We measure both: at
 width 128 the clue-assisted lookup stays at ≈1 reference while every
-clue-less baseline pays substantially more than at width 32.
+clue-less baseline pays substantially more than at width 32.  The
+regular technique's Advance table also runs batched through the
+fastpath kernels on width-128 lanes: same memrefs as the scalar clue
+path, and its µs/lookup against the scalar loop is printed (not
+asserted — the CI host is noisy).
 """
 
 import random
+import time
 
 from repro.core import AdvanceMethod, ClueAssistedLookup, ReceiverState
 from repro.experiments import format_table
+from repro.fastpath import (
+    as_destination_array,
+    as_length_array,
+    compile_clue_table,
+    lookup_batch,
+)
 from repro.lookup import BASELINES, MemoryCounter
 from repro.tablegen import DEFAULT_IPV6_HISTOGRAM, generate_table
 from repro.trie import BinaryTrie
@@ -47,12 +58,13 @@ def test_ipv6_scaling(benchmark, scale, packets):
 
     rows = []
     results = {}
+    tables = {}
     for technique in ("regular", "patricia", "logw"):
         base = BASELINES[technique](receiver_entries, width=128)
-        assisted = ClueAssistedLookup(
-            base,
-            AdvanceMethod(sender_trie, receiver, technique).build_table(),
-        )
+        tables[technique] = AdvanceMethod(
+            sender_trie, receiver, technique
+        ).build_table()
+        assisted = ClueAssistedLookup(base, tables[technique])
 
         def run(assisted=assisted, base=base):
             common = MemoryCounter()
@@ -77,6 +89,34 @@ def test_ipv6_scaling(benchmark, scale, packets):
             title="IPv6: clue-less vs clue-assisted memory references",
         )
     )
+
+    # The regular Advance table, scalar clue loop vs one batched call.
+    scalar = ClueAssistedLookup(
+        BASELINES["regular"](receiver_entries, width=128), tables["regular"]
+    )
+    counter = MemoryCounter()
+    start = time.perf_counter()
+    for destination, clue in samples:
+        scalar.lookup(destination, clue, counter)
+    scalar_s = time.perf_counter() - start
+    ctable = compile_clue_table(tables["regular"], receiver.trie)
+    dsts = as_destination_array([d.value for d, _ in samples], 128)
+    lens = as_length_array([clue.length for _, clue in samples])
+    start = time.perf_counter()
+    memrefs = lookup_batch(ctable, dsts, lens)[3]
+    batched_s = time.perf_counter() - start
+    us = 1e6 / len(samples)
+    print(
+        format_table(
+            ["regular + advance (width 128)", "memrefs", "us/lookup"],
+            [
+                ["scalar", counter.accesses, round(scalar_s * us, 3)],
+                ["batched", int(memrefs.sum()), round(batched_s * us, 3)],
+            ],
+            title="IPv6: scalar vs batched clue lookups",
+        )
+    )
+    assert int(memrefs.sum()) == counter.accesses
 
     # The clue scheme is width-independent: ~1 reference at W=128 too.
     for technique, (common_avg, clued_avg) in results.items():

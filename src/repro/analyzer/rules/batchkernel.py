@@ -20,8 +20,9 @@ is a bare function parameter (or a trivial wrapper around one):
 Iterating anything else — ``range(width)``, attribute chains such as
 ``mtrie.level_shifts`` (compile-time structure, bounded by the layout,
 not by the batch), or locals derived inside the function — is fine;
-the rule deliberately stays narrow so the pure-Python *fallback*
-kernels, which are per-element by design, simply stay undecorated.
+the rule deliberately stays narrow, and the one per-lane walk the
+kernels keep on purpose (``kernels.resume_walks``, chosen for a batch
+that resumes only a few lanes) is ``@cold_path``, not ``@hot_path``.
 """
 
 from __future__ import annotations

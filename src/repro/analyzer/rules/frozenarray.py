@@ -41,7 +41,6 @@ FROZEN_FIELDS: Dict[str, FrozenSet[str]] = {
         {
             "probe_keys",
             "probe_recs",
-            "probe_index",
             "rec_fd",
             "rec_cont_node",
             "rec_cont_depth",

@@ -509,7 +509,6 @@ def _cmd_bench_fastpath(args) -> int:
             # CLI is the one place the real clock is injected, and passing
             # the callable is not a timing call on a library path.
             clock=time.perf_counter,
-            force_python=args.force_python,
             layouts=layouts,
         )
     except CertificationError as error:
@@ -914,8 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI mode: clamp to 2000 prefixes / 5000 packets")
     bench.add_argument("--output", default=None,
                        help="write the JSON payload here (default stdout)")
-    bench.add_argument("--force-python", action="store_true",
-                       help="time the pure-Python fallback kernels")
     bench.add_argument("--layout", action="append", dest="layouts",
                        choices=("dense", "multibit4", "multibit8"),
                        default=None,

@@ -19,15 +19,15 @@ deterministic columns (memrefs/packet, certification) are filled in.
 from __future__ import annotations
 
 import math
-import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.addressing import Address, Prefix
+import numpy as np
+
+from repro.addressing import IPV4_WIDTH, Address, Prefix
 from repro.core.advance import AdvanceMethod
 from repro.core.lookup import ClueAssistedLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
-from repro.fastpath.backend import HAVE_NUMPY, get_numpy
 from repro.fastpath.certify import (
     CertificationError,
     certification_batch,
@@ -52,49 +52,39 @@ Clock = Optional[Callable[[], float]]
 ALGORITHMS = ("regular", "simple", "advance")
 
 
-def sample_destination_values(
-    entries, count: int, seed: int = 0, width: int = 32
-) -> List[int]:
-    """Numpy-native round-batched destinations under the sender's prefixes.
+def sample_destination_values(entries, count: int, seed: int = 0) -> List[int]:
+    """Numpy-native round-batched IPv4 destinations under the sender's
+    prefixes.
 
     One RNG round draws every prefix index and every host-bit block at
-    once (no per-packet Python RNG calls); without numpy the stdlib RNG
-    draws the same distribution sequentially.
+    once (no per-packet Python RNG calls).
     """
     entries = list(entries)
     if not entries:
         raise ValueError("the sender table is empty")
-    np = get_numpy()
-    if np is not None and width <= 32:
-        rng = np.random.default_rng(seed)
-        bits = np.asarray([p.bits for p, _ in entries], dtype=np.int64)
-        lengths = np.asarray([p.length for p, _ in entries], dtype=np.int64)
-        picks = rng.integers(0, len(entries), size=count)
-        hosts = rng.integers(0, 1 << 32, size=count, dtype=np.uint32).astype(
-            np.int64
-        )
-        host_bits = width - lengths[picks]
-        values = (bits[picks] << host_bits) | (
-            hosts & ((np.int64(1) << host_bits) - 1)
-        )
-        return [int(value) for value in values]
-    rng = random.Random(seed)
-    values = []
-    for _ in range(count):
-        prefix, _hop = entries[rng.randrange(len(entries))]
-        values.append(prefix.random_address(rng).value)
-    return values
+    rng = np.random.default_rng(seed)
+    bits = np.asarray([p.bits for p, _ in entries], dtype=np.int64)
+    lengths = np.asarray([p.length for p, _ in entries], dtype=np.int64)
+    picks = rng.integers(0, len(entries), size=count)
+    hosts = rng.integers(0, 1 << 32, size=count, dtype=np.uint32).astype(
+        np.int64
+    )
+    host_bits = IPV4_WIDTH - lengths[picks]
+    values = (bits[picks] << host_bits) | (
+        hosts & ((np.int64(1) << host_bits) - 1)
+    )
+    return [int(value) for value in values]
 
 
-def _build_fixture(table_size: int, seed: int, width: int = 32):
-    sender_entries = generate_table(table_size, seed=seed, width=width)
+def _build_fixture(table_size: int, seed: int):
+    sender_entries = generate_table(table_size, seed=seed)
     receiver_entries = derive_neighbor(
         sender_entries, NeighborProfile(), seed=seed + 1
     )
-    sender_trie = BinaryTrie(width)
+    sender_trie = BinaryTrie(IPV4_WIDTH)
     for prefix, next_hop in sender_entries:
         sender_trie.insert(prefix, next_hop)
-    state = ReceiverState(receiver_entries, width)
+    state = ReceiverState(receiver_entries, IPV4_WIDTH)
     clue_universe = list(sender_trie.prefixes())
     tables = {
         "simple": SimpleMethod(state, "regular").build_table(clue_universe),
@@ -160,9 +150,7 @@ def run_fastpath_bench(
     table_size: int = 20000,
     packets: int = 50000,
     seed: int = 42,
-    width: int = 32,
     clock: Clock = None,
-    force_python: bool = False,
     repeats: int = 3,
     layouts: Sequence[str] = ("dense",),
 ) -> Dict[str, object]:
@@ -172,6 +160,7 @@ def run_fastpath_bench(
     space/throughput section (the ``"layouts"`` key of the payload); the
     scalar-vs-batched ``"algorithms"`` section always runs on the dense
     layout, whose memref accounting is bit-identical to the scalar path.
+    The fixture is an IPv4 pair.
     """
     for layout in layouts:
         if layout not in LAYOUTS:
@@ -185,16 +174,16 @@ def run_fastpath_bench(
         sender_trie,
         state,
         tables,
-    ) = _build_fixture(table_size, seed, width)
+    ) = _build_fixture(table_size, seed)
     ctrie = compile_trie(state.trie)
     compiled = {
         name: compile_clue_table(table, ctrie)
         for name, table in tables.items()
     }
-    base = RegularTrieLookup(receiver_entries, width)
+    base = RegularTrieLookup(receiver_entries, IPV4_WIDTH)
     scalars = {
         name: ClueAssistedLookup(
-            RegularTrieLookup(receiver_entries, width), table
+            RegularTrieLookup(receiver_entries, IPV4_WIDTH), table
         )
         for name, table in tables.items()
     }
@@ -203,29 +192,24 @@ def run_fastpath_bench(
     cert_dsts, cert_lens = certification_batch(
         sender_trie,
         list(receiver_entries) + list(sender_entries),
-        width=width,
         seed=seed,
     )
-    checked = certify_full(ctrie, base, cert_dsts, force_python=force_python)
+    checked = certify_full(ctrie, base, cert_dsts)
     for name in ("simple", "advance"):
         checked += certify_clue(
-            compiled[name],
-            scalars[name],
-            cert_dsts,
-            cert_lens,
-            force_python=force_python,
+            compiled[name], scalars[name], cert_dsts, cert_lens
         )
 
     values = sample_destination_values(sender_entries, packets, seed=seed + 2)
-    addresses = [Address(value, width) for value in values]
+    addresses = [Address(value, IPV4_WIDTH) for value in values]
     sender_bmps = [sender_trie.best_prefix(address) for address in addresses]
     clues: List[Optional[Prefix]] = [
         address.prefix(bmp.length) if bmp is not None else None
         for address, bmp in zip(addresses, sender_bmps)
     ]
     lens = [bmp.length if bmp is not None else -1 for bmp in sender_bmps]
-    dsts = as_destination_array(values, width)
-    clue_lens = as_length_array(lens, width)
+    dsts = as_destination_array(values, IPV4_WIDTH)
+    clue_lens = as_length_array(lens)
 
     algorithms: Dict[str, Dict[str, object]] = {}
     counter = MemoryCounter()
@@ -240,9 +224,7 @@ def run_fastpath_bench(
 
     scalar_refs, scalar_elapsed = _timed(clock, scalar_regular, repeats)
     batched, batched_elapsed = _timed(
-        clock,
-        lambda: full_lookup_batch(ctrie, dsts, force_python=force_python),
-        repeats,
+        clock, lambda: full_lookup_batch(ctrie, dsts), repeats
     )
     batched_refs = int(sum(batched[1]))
     if batched_refs != scalar_refs:
@@ -268,11 +250,7 @@ def run_fastpath_bench(
 
         scalar_refs, scalar_elapsed = _timed(clock, scalar_clue, repeats)
         batched, batched_elapsed = _timed(
-            clock,
-            lambda: lookup_batch(
-                ctable, dsts, clue_lens, force_python=force_python
-            ),
-            repeats,
+            clock, lambda: lookup_batch(ctable, dsts, clue_lens), repeats
         )
         batched_refs = int(sum(batched[3]))
         if batched_refs != scalar_refs:
@@ -287,11 +265,7 @@ def run_fastpath_bench(
     # Layout matrix: per-layout certified space and throughput numbers.
     # The dense full-lookup memref total anchors the memrefs_vs_dense
     # ratio whether or not "dense" was requested.
-    dense_full, _ = _timed(
-        clock,
-        lambda: full_lookup_batch(ctrie, dsts, force_python=force_python),
-        1,
-    )
+    dense_full, _ = _timed(clock, lambda: full_lookup_batch(ctrie, dsts), 1)
     dense_full_refs = int(sum(dense_full[1]))
     prefix_count = max(1, len(receiver_entries))
     entropy_bits = next_hop_entropy_bits(receiver_entries)
@@ -302,28 +276,18 @@ def run_fastpath_bench(
             compiled["advance"] if lay is ctrie
             else compile_clue_table(tables["advance"], lay)
         )
-        lanes = certify_full(lay, base, cert_dsts, force_python=force_python)
-        lanes += certify_clue(
-            ltable,
-            scalars["advance"],
-            cert_dsts,
-            cert_lens,
-            force_python=force_python,
-        )
+        lanes = certify_full(lay, base, cert_dsts)
+        lanes += certify_clue(ltable, scalars["advance"], cert_dsts, cert_lens)
         checked += lanes
         full_result, full_elapsed = _timed(
             clock,
-            lambda lay=lay: full_lookup_batch(
-                lay, dsts, force_python=force_python
-            ),
+            lambda lay=lay: full_lookup_batch(lay, dsts),
             repeats,
         )
         full_refs = int(sum(full_result[1]))
         clue_result, clue_elapsed = _timed(
             clock,
-            lambda ltable=ltable: lookup_batch(
-                ltable, dsts, clue_lens, force_python=force_python
-            ),
+            lambda ltable=ltable: lookup_batch(ltable, dsts, clue_lens),
             repeats,
         )
         clue_refs = int(sum(clue_result[3]))
@@ -357,11 +321,8 @@ def run_fastpath_bench(
         "table_size": table_size,
         "packets": packets,
         "seed": seed,
-        "width": width,
-        "backend": (
-            "numpy" if HAVE_NUMPY and width <= 32 and not force_python
-            else "python"
-        ),
+        "width": IPV4_WIDTH,
+        "backend": "numpy",
         "certification": {"checked": checked, "disagreements": 0},
         "algorithms": algorithms,
         "layouts": layout_sections,

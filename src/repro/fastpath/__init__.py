@@ -1,10 +1,10 @@
 """repro.fastpath — flat-array clue tables and vectorized batch lookup.
 
 Compiles built object-graph structures (`BinaryTrie`, `ClueTable`) into
-immutable contiguous arrays and batches whole destination vectors
-through numpy kernels — with a pure-Python fallback so numpy never
-becomes a hard dependency — while reproducing the paper's per-packet
-memory-reference accounting exactly (enforced by `certify`).
+immutable numpy arrays and batches whole destination vectors through
+one set of numpy kernels at every address width — int64 lanes for IPv4,
+object lanes of Python ints for IPv6 — while reproducing the paper's
+per-packet memory-reference accounting exactly (enforced by `certify`).
 """
 
 from repro.fastpath.backend import (
@@ -13,9 +13,6 @@ from repro.fastpath.backend import (
     CODE_FULL,
     CODE_RESUMED,
     CODE_TO_METHOD,
-    HAVE_NUMPY,
-    get_numpy,
-    numpy_eligible,
 )
 from repro.fastpath.certify import (
     CertificationError,
@@ -56,7 +53,6 @@ __all__ = [
     "CompiledMultibitTrie",
     "CompiledTrie",
     "FastpathUnsupported",
-    "HAVE_NUMPY",
     "LAYOUTS",
     "ResultPool",
     "STRIDES",
@@ -69,8 +65,6 @@ __all__ = [
     "compile_layout",
     "compile_trie",
     "full_lookup_batch",
-    "get_numpy",
     "layout_stride",
     "lookup_batch",
-    "numpy_eligible",
 ]

@@ -11,10 +11,10 @@ differential test suite drives the same functions with hypothesis.
 Any layout implementing the compiled-trie protocol certifies here, not
 just the dense :class:`CompiledTrie`.  For stride layouts
 (`repro.fastpath.layouts.CompiledMultibitTrie`) the memory-reference
-comparison is skipped by default — stride descent legitimately changes
-the count; that is the optimisation — while prefix, next hop, method
-and new clue stay bit-identical requirements.  Pass ``check_memrefs``
-explicitly to override the auto-detection either way.
+comparison is skipped — stride descent legitimately changes the count;
+that is the optimisation — while prefix, next hop, method and new clue
+stay bit-identical requirements.  Certification runs the same kernels
+at every width, IPv4 and IPv6 alike.
 
 The sweep covers, for every prefix of the deployed tables (senders and
 receivers alike, capped for very large tables): the network address,
@@ -47,7 +47,6 @@ class CertificationError(ValueError):
 def certification_batch(
     sender_trie,
     entries: Iterable[Tuple[object, object]],
-    width: int = 32,
     seed: int = 0,
     max_prefixes: int = 512,
     randoms_per_prefix: int = 1,
@@ -56,9 +55,11 @@ def certification_batch(
 
     ``entries`` seeds the destination set (pass receiver plus sender
     entries for full edge coverage); ``sender_trie`` supplies each
-    destination's true BMP length.  Every destination appears three
-    times: clueless (−1), clue length 0, and the sender-BMP length.
+    destination's true BMP length and the address width.  Every
+    destination appears three times: clueless (−1), clue length 0, and
+    the sender-BMP length.
     """
+    width = sender_trie.width
     rng = random.Random(seed)
     prefixes = []
     seen = set()
@@ -86,24 +87,17 @@ def certification_batch(
     return destinations, clue_lens
 
 
-def certify_full(
-    ctrie,
-    base,
-    destinations: Sequence[int],
-    force_python: bool = False,
-    check_memrefs: Optional[bool] = None,
-) -> int:
+def certify_full(ctrie, base, destinations: Sequence[int]) -> int:
     """Certify the clueless kernel against ``base.lookup``; count checked.
 
-    ``ctrie`` is any compiled layout; ``check_memrefs=None`` compares
-    reference counts only for the dense layout, whose cost model matches
-    the object graph step for step.
+    ``ctrie`` is any compiled layout; reference counts are compared only
+    for the dense layout, whose cost model matches the object graph step
+    for step.
     """
-    if check_memrefs is None:
-        check_memrefs = getattr(ctrie, "stride", 0) == 0
+    check_memrefs = getattr(ctrie, "stride", 0) == 0
     width = ctrie.width
     dsts = as_destination_array(destinations, width)
-    codes, memrefs = full_lookup_batch(ctrie, dsts, force_python=force_python)
+    codes, memrefs = full_lookup_batch(ctrie, dsts)
     pool = ctrie.pool
     for lane, value in enumerate(destinations):
         counter = MemoryCounter()
@@ -128,25 +122,20 @@ def certify_clue(
     scalar,
     destinations: Sequence[int],
     clue_lens: Sequence[int],
-    force_python: bool = False,
-    check_memrefs: Optional[bool] = None,
 ) -> int:
     """Certify the clue kernel against a scalar ``ClueAssistedLookup``.
 
     ``scalar`` must wrap the *same* table and a regular base over the
     same receiver entries, and must not learn (pass a preprocessed
-    table; learning would mutate the table mid-sweep).
-    ``check_memrefs=None`` compares reference counts only when the
-    table's full-lookup layout is the dense trie itself.
+    table; learning would mutate the table mid-sweep).  Reference
+    counts are compared only when the table's full-lookup layout is the
+    dense trie itself.
     """
-    if check_memrefs is None:
-        check_memrefs = ctable.layout is ctable.trie
+    check_memrefs = ctable.layout is ctable.trie
     width = ctable.width
     dsts = as_destination_array(destinations, width)
-    lens = as_length_array(clue_lens, width)
-    methods, codes, new_clues, memrefs = lookup_batch(
-        ctable, dsts, lens, force_python=force_python
-    )
+    lens = as_length_array(clue_lens)
+    methods, codes, new_clues, memrefs = lookup_batch(ctable, dsts, lens)
     pool = ctable.trie.pool
     for lane, value in enumerate(destinations):
         value = int(value)

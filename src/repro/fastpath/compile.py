@@ -20,6 +20,11 @@ the FD code, the Ptr continuation vertex and its depth, and per-record
 rows into a packed Claim-1 stop bitmask (Advance's "can any longer
 match exist below?" Booleans, one bit per trie vertex).
 
+Every array is numpy.  Trie ids, record columns and result codes are
+int64 at every width; the probe keys take the lane dtype of the width
+(:func:`lane_dtype`): int64 at width 32, and Python ints in an object
+array at width 128, where a key does not fit a 64-bit lane.
+
 Results are interned in a shared ``ResultPool`` so a lane's outcome is
 one int32 code; the pool decodes it back to ``(prefix, next_hop)`` and
 supplies the new clue length.  Only *active* table records compile —
@@ -35,10 +40,23 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.addressing import Prefix
-from repro.fastpath.backend import get_numpy, numpy_eligible
+import numpy as np
+
+from repro.addressing import IPV4_WIDTH, Prefix
 from repro.lookup.restricted import TrieContinuation
 from repro.trie.binary_trie import BinaryTrie
+
+
+def lane_dtype(width: int):
+    """The dtype of address lanes and probe keys at ``width``.
+
+    int64 at width 32.  At width 128 an address does not fit a 64-bit
+    lane, so lanes are object arrays of Python ints and run through the
+    same numpy kernels.  The dtype is chosen by width, never inferred
+    from the values: a width-128 table whose keys happen to fit int64
+    would otherwise overflow once a lane's key is shifted.
+    """
+    return np.int64 if width <= IPV4_WIDTH else object
 
 
 class FastpathUnsupported(ValueError):
@@ -82,14 +100,11 @@ class ResultPool:
         return code
 
     def lengths_array(self):
-        """Prefix lengths by code — numpy int64 when available.
+        """Prefix lengths by code, as an int64 array.
 
         Rebuilt lazily: the pool keeps growing while a ``CompiledTrie``
         and one or more ``CompiledClueTable``s intern into it.
         """
-        np = get_numpy()
-        if np is None:
-            return self.lengths
         if self._frozen is None or len(self._frozen) != len(self.lengths):
             self._frozen = np.asarray(self.lengths, dtype=np.int64)
         return self._frozen
@@ -113,7 +128,6 @@ class CompiledTrie:
     __slots__ = (
         "width",
         "size",
-        "backend",
         "child",
         "node_result",
         "node_index",
@@ -124,7 +138,6 @@ class CompiledTrie:
     def __init__(self, trie: BinaryTrie, pool: Optional[ResultPool] = None):
         self.width = trie.width
         self.pool = pool if pool is not None else ResultPool()
-        self.backend = "numpy" if numpy_eligible(trie.width) else "python"
         nodes = []
         index: Dict[Prefix, int] = {}
         stack = [trie.root]
@@ -150,21 +163,14 @@ class CompiledTrie:
         self.size = len(nodes)
         self.node_index = index
         self.root_result = result[0]
-        np = get_numpy()
-        if self.backend == "numpy":
-            self.child = np.asarray(child, dtype=np.int64)
-            self.node_result = np.asarray(result, dtype=np.int64)
-        else:
-            self.child = child
-            self.node_result = result
+        self.child = np.asarray(child, dtype=np.int64)
+        self.node_result = np.asarray(result, dtype=np.int64)
 
     def nbytes(self) -> int:
         """Data-plane footprint of the flat arrays, in bytes.
 
-        ``child`` plus ``node_result``, both int64 lanes (the python
-        backend is accounted at the same 8 bytes per element so the two
-        backends report comparable numbers); the ``node_index`` decode
-        dict is compile-time-only and excluded.
+        ``child`` plus ``node_result``, both int64; the ``node_index``
+        decode dict is compile-time-only and excluded.
         """
         return (len(self.child) + len(self.node_result)) * 8
 
@@ -184,11 +190,9 @@ class CompiledClueTable:
         "trie",
         "layout",
         "width",
-        "backend",
         "records",
         "probe_keys",
         "probe_recs",
-        "probe_index",
         "rec_fd",
         "rec_cont_node",
         "rec_cont_depth",
@@ -202,11 +206,9 @@ class CompiledClueTable:
         trie = getattr(trie, "base", trie)
         self.trie = trie
         self.width = trie.width
-        self.backend = trie.backend
         pool = trie.pool
         key_shift = trie.width + 1
         keys: List[int] = []
-        probe_index: Dict[Tuple[int, int], int] = {}
         rec_fd: List[int] = []
         rec_cont_node: List[int] = []
         rec_cont_depth: List[int] = []
@@ -224,7 +226,6 @@ class CompiledClueTable:
                 )
             record = len(rec_fd)
             keys.append((clue.length << key_shift) | clue.bits)
-            probe_index[(clue.length, clue.bits)] = record
             if entry.fd_prefix is not None:
                 rec_fd.append(pool.intern(entry.fd_prefix, entry.fd_next_hop))
             else:
@@ -259,7 +260,6 @@ class CompiledClueTable:
                     row_of[id(stops)] = row
                 rec_stop_row.append(row)
         self.records = len(rec_fd)
-        self.probe_index = probe_index
         self.has_stops = len(stop_dicts) > 1
         mask_bytes = (trie.size + 7) // 8
         mask_rows = []
@@ -273,45 +273,31 @@ class CompiledClueTable:
                     if node_id is not None:
                         row_bits[node_id >> 3] |= 1 << (node_id & 7)
             mask_rows.append(row_bits)
-        np = get_numpy()
-        if self.backend == "numpy":
-            # Record ids are allocation order, so the sort permutation of
-            # the keys *is* the parallel record array.
-            unsorted = np.asarray(keys, dtype=np.int64)
-            self.probe_recs = np.argsort(unsorted, kind="stable")
-            self.probe_keys = unsorted[self.probe_recs]
-            self.rec_fd = np.asarray(rec_fd, dtype=np.int64)
-            self.rec_cont_node = np.asarray(rec_cont_node, dtype=np.int64)
-            self.rec_cont_depth = np.asarray(rec_cont_depth, dtype=np.int64)
-            self.rec_stop_row = np.asarray(rec_stop_row, dtype=np.int64)
-            self.stop_masks = np.frombuffer(
-                bytes(b"".join(mask_rows)), dtype=np.uint8
-            ).reshape(len(mask_rows), mask_bytes)
-        else:
-            self.probe_recs = sorted(range(len(keys)), key=keys.__getitem__)
-            self.probe_keys = [keys[rec] for rec in self.probe_recs]
-            self.rec_fd = rec_fd
-            self.rec_cont_node = rec_cont_node
-            self.rec_cont_depth = rec_cont_depth
-            self.rec_stop_row = rec_stop_row
-            self.stop_masks = mask_rows
+        # Record ids are allocation order, so the sort permutation of the
+        # keys *is* the parallel record array.
+        unsorted = np.asarray(keys, dtype=lane_dtype(trie.width))
+        self.probe_recs = np.argsort(unsorted, kind="stable")
+        self.probe_keys = unsorted[self.probe_recs]
+        self.rec_fd = np.asarray(rec_fd, dtype=np.int64)
+        self.rec_cont_node = np.asarray(rec_cont_node, dtype=np.int64)
+        self.rec_cont_depth = np.asarray(rec_cont_depth, dtype=np.int64)
+        self.rec_stop_row = np.asarray(rec_stop_row, dtype=np.int64)
+        self.stop_masks = np.frombuffer(
+            bytes(b"".join(mask_rows)), dtype=np.uint8
+        ).reshape(len(mask_rows), mask_bytes)
 
     def nbytes(self) -> int:
         """Data-plane footprint of the probe and record arrays, in bytes.
 
         The merged sorted keys and their record ids, the four parallel
-        record columns (int64 lanes; the python backend is accounted the
-        same way for comparability) plus the packed stop bitmask rows.
-        The ``probe_index`` dict is the python backend's probe structure
-        but mirrors the probe arrays entry for entry, so the flat-array
-        accounting covers it.  Excludes the trie layout — report that
-        separately via the layout's own ``nbytes()``.
+        record columns (8 bytes per element each; a width-128 key is
+        counted as one int64 lane too) plus the packed stop bitmask rows.
+        Excludes the trie layout — report that separately via the
+        layout's own ``nbytes()``.
         """
         total = (len(self.probe_keys) + len(self.probe_recs)) * 8
         total += 4 * self.records * 8
-        for row in self.stop_masks:
-            total += len(row)
-        return total
+        return total + self.stop_masks.nbytes
 
 
 def compile_trie(trie: BinaryTrie, pool: Optional[ResultPool] = None) -> CompiledTrie:

@@ -2,7 +2,7 @@
 
 The clue probe of a whole batch is one ``searchsorted`` over the
 table's merged key array (`repro.fastpath.compile`): each lane's key is
-its clue length and leading bits packed into one int64, so lanes of
+its clue length and leading bits packed into one integer, so lanes of
 every clue length resolve in the same call, and a batch of FD hits —
 the paper's one-reference case — costs a fixed handful of array
 operations however many lengths it mixes.  Walks below the probe
@@ -12,8 +12,8 @@ every lane one level down from wherever it stands, so a batch pays for
 its longest walk rather than for the spread of its start depths, and
 boolean masks retire lanes whose walk ended (no child, or an Advance
 Claim-1 stop bit).  A batch that resumes only a few lanes walks them
-one by one in the pure-Python twin instead, since numpy's cost per
-array operation does not shrink with the lane count.  The dense
+one by one instead (`resume_walks`), since numpy's cost per array
+operation does not shrink with the lane count.  The dense
 kernels reproduce the object-graph memory-reference accounting *bit
 for bit* — `repro.fastpath.certify` enforces that — so the paper's
 counters stay exact while the wall-clock cost collapses.
@@ -26,83 +26,128 @@ the full-lookup side; the certifier compares those counts per layout
 instead of requiring equality.  Clue-table resume walks always descend
 the dense binary arrays — Claim-1 stop bits are per binary vertex.
 
-The public entry points (`full_lookup_batch`, `lookup_batch`) dispatch
-on the compiled structure's backend: numpy arrays when available and the
-width fits an int64 lane, otherwise the pure-Python twins in
-`repro.fastpath.fallback`.  ``force_python=True`` pins the fallback,
-which the differential tests use to certify the two implementations
-against each other and against the scalar path.
+The same kernels run at every width.  At width 32 a lane is an int64;
+at width 128 it is a Python int in an object array (`lane_dtype`), on
+which numpy's shifts, ``|``, ``searchsorted``, ``take`` and ``equal``
+work unchanged.  Only the bits and stride chunks a walk extracts are
+cast back to int64 before they index the trie arrays, a no-op at
+width 32.
 """
 
 from __future__ import annotations
 
-from repro.fastpath import fallback
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
 from repro.fastpath.backend import (
     CODE_CLUE_MISS,
     CODE_FD_IMMEDIATE,
     CODE_FULL,
     CODE_RESUMED,
-    get_numpy,
 )
-from repro.fastpath.compile import CompiledClueTable, CompiledTrie
+from repro.fastpath.compile import CompiledClueTable, lane_dtype
 from repro.fastpath.layouts import CompiledMultibitTrie
-from repro.lookup.hotpath import hot_path
+from repro.lookup.hotpath import cold_path, hot_path
 
 
-#: Resumed sets up to this size walk lane by lane in the pure-Python
-#: twin (`fallback.resume_walks`).  The vectorized walk costs ~25 numpy
-#: operations per trie level, about a microsecond each however few lanes
-#: they carry; one lane's scalar walk costs a few microseconds.  Serving
-#: batches resume one to three lanes; a whole-workload replay, hundreds.
+#: Resumed sets up to this size walk lane by lane (`resume_walks`).  The
+#: vectorized walk costs ~25 numpy operations per trie level, about a
+#: microsecond each however few lanes they carry; one lane's scalar walk
+#: costs a few microseconds.  Serving batches resume one to three lanes;
+#: a whole-workload replay, hundreds.
 SCALAR_RESUME_LANES = 16
 
 
 def as_destination_array(values, width: int = 32):
     """Pack destination address values for the kernels.
 
-    numpy int64 when the backend allows it for ``width``; otherwise the
-    values are returned as a plain list for the fallback kernels.  An
-    already-packed int64 ndarray passes through untouched — the serve
+    The array has the lane dtype of ``width`` (:func:`lane_dtype`).  An
+    ndarray already of that dtype passes through untouched — the serve
     loadgen materializes flat arrays up front, and re-boxing every
     element through a Python list each batch was pure hot-path overhead.
-    A list of plain ints converts in one ``np.array`` call; only a list
-    holding ``Address`` objects (alone or mixed with ints) is unwrapped
-    element by element.
+    At width 32 a list of plain ints converts in one ``np.array`` call;
+    a list holding ``Address`` objects (alone or mixed with ints), and
+    every list at width 128, is unwrapped element by element, so object
+    lanes hold Python ints only.
     """
-    np = get_numpy()
-    if np is not None and width <= 32:
-        if isinstance(values, np.ndarray):
-            if values.dtype == np.int64:
-                return values
-            return values.astype(np.int64)
+    dtype = lane_dtype(width)
+    if isinstance(values, np.ndarray) or dtype == np.int64:
         try:
-            return np.array(values, dtype=np.int64)
+            return np.asarray(values, dtype=dtype)
         except TypeError:  # Address objects, or a mix: unwrap each one
-            return np.array(
-                [int(getattr(value, "value", value)) for value in values],
-                dtype=np.int64,
-            )
-    return [int(getattr(value, "value", value)) for value in values]
+            pass
+    return np.array(
+        [int(getattr(value, "value", value)) for value in values], dtype=dtype
+    )
 
 
-def as_length_array(lengths, width: int = 32):
-    """Pack clue lengths (−1 = clueless) to match the destination array.
+def as_length_array(lengths):
+    """Pack clue lengths (−1 = clueless) as int64, at every width.
 
     Like :func:`as_destination_array`, an int64 ndarray is returned
-    as-is and a list converts in one ``np.array`` call.
+    as-is and a list converts in one call.
     """
-    np = get_numpy()
-    if np is not None and width <= 32:
-        if isinstance(lengths, np.ndarray):
-            if lengths.dtype == np.int64:
-                return lengths
-            return lengths.astype(np.int64)
-        return np.array(lengths, dtype=np.int64)
-    return [int(length) for length in lengths]
+    return np.asarray(lengths, dtype=np.int64)
+
+
+def _descend(ctrie, dst, node, depth, row, masks):
+    """One lane's restricted walk from ``node`` at ``depth``: (best, refs).
+
+    Mirrors ``TrieContinuation.search`` and :func:`_descend_lanes`: the
+    start vertex itself is neither charged nor eligible as a match; each
+    successful step costs one reference, updates the best marked code,
+    then checks the stop bit of the vertex just entered.
+    """
+    child = ctrie.child
+    node_result = ctrie.node_result
+    width = ctrie.width
+    best = -1
+    refs = 0
+    for index in range(depth, width):
+        bit = (dst >> (width - 1 - index)) & 1
+        branch = int(child[2 * node + bit])
+        if branch < 0:
+            break
+        node = branch
+        refs += 1
+        code = int(node_result[branch])
+        if code >= 0:
+            best = code
+        if masks is not None and (masks[row][branch >> 3] >> (branch & 7)) & 1:
+            break
+    return best, refs
+
+
+@cold_path
+def resume_walks(
+    ctrie,
+    dsts: Sequence[int],
+    nodes: Sequence[int],
+    depths: Sequence[int],
+    rows: Sequence[int],
+    masks,
+    fds: Sequence[int],
+) -> Tuple[List[int], List[int]]:
+    """Resumed walks lane by lane: (codes, refs), one per lane.
+
+    :func:`lookup_batch` hands over resumed sets too small to pay for
+    the vectorized walk's per-operation cost (:data:`SCALAR_RESUME_LANES`).
+    A lane keeps its FD code from ``fds`` when its walk enters no marked
+    vertex.  Marked ``@cold_path``: the per-lane loop is the method here,
+    and the hot-path rule treats the call as a sanctioned boundary.
+    """
+    codes: List[int] = []
+    refs: List[int] = []
+    for dst, node, depth, row, fd in zip(dsts, nodes, depths, rows, fds):
+        best, steps = _descend(ctrie, dst, node, depth, row, masks)
+        codes.append(best if best >= 0 else fd)
+        refs.append(steps)
+    return codes, refs
 
 
 @hot_path
-def _descend_numpy(np, ctrie, dsts, cur, depths, stop_masks, rows, best):
+def _descend_lanes(ctrie, dsts, cur, depths, stop_masks, rows, best):
     """Restricted descent for every lane: (best codes, refs).
 
     Every lane steps down from its own start depth, one level per
@@ -130,6 +175,7 @@ def _descend_numpy(np, ctrie, dsts, cur, depths, stop_masks, rows, best):
         if not alive.any():
             break
         bits = np.right_shift(dsts, np.maximum(shift, 0)) & 1
+        bits = bits.astype(np.int64, copy=False)
         branch = child[2 * cur + bits]
         alive &= branch >= 0
         cur = np.where(alive, branch, cur)
@@ -144,18 +190,18 @@ def _descend_numpy(np, ctrie, dsts, cur, depths, stop_masks, rows, best):
 
 
 @hot_path
-def _full_lookup_numpy(np, ctrie, dsts):
+def _full_lookup_dense(ctrie, dsts):
     """Clueless Regular baseline, batched: (codes, memrefs)."""
     lanes = dsts.shape[0]
     cur = np.zeros(lanes, dtype=np.int64)
     depths = np.zeros(lanes, dtype=np.int64)
     root = np.full(lanes, ctrie.root_result, dtype=np.int64)
-    best, refs = _descend_numpy(np, ctrie, dsts, cur, depths, None, None, root)
+    best, refs = _descend_lanes(ctrie, dsts, cur, depths, None, None, root)
     return best, refs + 1  # the root itself is always touched
 
 
 @hot_path
-def _full_lookup_multibit_numpy(np, mtrie, dsts):
+def _full_lookup_multibit(mtrie, dsts):
     """Leaf-pushed stride descent for every lane: (codes, memrefs).
 
     One gather per stride level, all lanes in lockstep; a lane retires
@@ -176,7 +222,7 @@ def _full_lookup_multibit_numpy(np, mtrie, dsts):
     for shift, mask in mtrie.level_shifts:
         if not alive.any():
             break
-        chunk = (dsts >> shift) & mask
+        chunk = ((dsts >> shift) & mask).astype(np.int64, copy=False)
         value = slots[cur * fanout + chunk].astype(np.int64)
         refs = refs + alive
         terminal = alive & (value < 0)
@@ -191,15 +237,7 @@ def _full_lookup_multibit_numpy(np, mtrie, dsts):
 
 
 @hot_path
-def _full_dispatch_numpy(np, layout, dsts):
-    """Full-lookup codes and memrefs through whichever layout compiled."""
-    if type(layout) is CompiledMultibitTrie:
-        return _full_lookup_multibit_numpy(np, layout, dsts)
-    return _full_lookup_numpy(np, layout, dsts)
-
-
-@hot_path
-def _probe_numpy(np, ctable, dsts, clue_lens, carrying):
+def _probe(ctable, dsts, clue_lens, carrying):
     """One merged-key clue probe for every lane: (hit mask, record ids).
 
     A lane's key is ``(clue_len << (width + 1)) | leading bits`` — the
@@ -208,11 +246,13 @@ def _probe_numpy(np, ctable, dsts, clue_lens, carrying):
     clue get an in-range shift and are masked out by ``carrying``; the
     record id of a lane that did not hit is in range but meaningless.
     Lane-sized temporaries are reused in place, so a large replay batch
-    costs three scratch arrays, not one per step.
+    costs three scratch arrays, not one per step.  The key scratch
+    arrays take the keys' dtype; the record ids go into the int64
+    ``position`` array, which numpy cannot cast into an object array.
     """
     width = ctable.width
     keys = ctable.probe_keys
-    wanted = np.maximum(clue_lens, 0, dtype=np.int64)
+    wanted = np.maximum(clue_lens, 0, dtype=keys.dtype)
     np.minimum(wanted, width, out=wanted)
     shift = np.subtract(width, wanted)
     np.left_shift(wanted, width + 1, out=wanted)
@@ -222,13 +262,34 @@ def _probe_numpy(np, ctable, dsts, clue_lens, carrying):
     found = keys.take(position, mode="clip", out=shift)
     hit = np.equal(found, wanted)
     hit &= carrying
-    record = ctable.probe_recs.take(position, mode="clip", out=wanted)
+    record = ctable.probe_recs.take(position, mode="clip", out=position)
     return hit, record
 
 
 @hot_path
-def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
-    """Clue-assisted lookup, batched: (methods, codes, new_clues, memrefs)."""
+def full_lookup_batch(ctrie, dsts):
+    """Batched clueless lookups: ``(codes, memrefs)``.
+
+    ``ctrie`` is any compiled layout — the dense :class:`CompiledTrie`
+    or a :class:`CompiledMultibitTrie`; ``dsts`` comes from
+    :func:`as_destination_array`; codes decode through ``ctrie.pool``.
+    """
+    if type(ctrie) is CompiledMultibitTrie:
+        return _full_lookup_multibit(ctrie, dsts)
+    return _full_lookup_dense(ctrie, dsts)
+
+
+@hot_path
+def lookup_batch(ctable: CompiledClueTable, dsts, clue_lens):
+    """Batched clue-assisted lookups over a compiled table.
+
+    Returns ``(methods, codes, new_clues, memrefs)`` — method codes from
+    `repro.fastpath.backend`, result codes into ``ctable.trie.pool``,
+    the outgoing clue length per lane (−1 for no match), and the exact
+    object-graph memory-reference count per lane.  ``dsts`` and
+    ``clue_lens`` come from :func:`as_destination_array` and
+    :func:`as_length_array`.
+    """
     ctrie = ctable.trie
     width = ctable.width
     lanes = dsts.shape[0]
@@ -239,7 +300,7 @@ def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
     codes = np.full(lanes, -1, dtype=np.int64)
     memrefs = carrying.astype(np.int64)  # every probe costs one reference
     if ctable.records:
-        hit, record = _probe_numpy(np, ctable, dsts, clue_lens, carrying)
+        hit, record = _probe(ctable, dsts, clue_lens, carrying)
         fd = ctable.rec_fd[record]
         cont = ctable.rec_cont_node[record]
         resumed = cont >= 0
@@ -251,8 +312,7 @@ def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
             recs = record[resumed]
             masks = ctable.stop_masks if ctable.has_stops else None
             if recs.shape[0] > SCALAR_RESUME_LANES:
-                best, refs = _descend_numpy(
-                    np,
+                best, refs = _descend_lanes(
                     ctrie,
                     dsts[resumed],
                     cont[resumed],
@@ -262,7 +322,7 @@ def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
                     codes[resumed],  # the FD code, unless the walk matches
                 )
             else:
-                best, refs = fallback.resume_walks(
+                best, refs = resume_walks(
                     ctrie,
                     dsts[resumed].tolist(),
                     cont[resumed].tolist(),
@@ -277,8 +337,8 @@ def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
     else:
         full_path = np.ones(lanes, dtype=bool)
     if full_path.any():
-        full_codes, full_refs = _full_dispatch_numpy(
-            np, ctable.layout, dsts[full_path]
+        full_codes, full_refs = full_lookup_batch(
+            ctable.layout, dsts[full_path]
         )
         codes[full_path] = full_codes
         memrefs[full_path] += full_refs
@@ -291,31 +351,3 @@ def _clue_lookup_numpy(np, ctable, dsts, clue_lens):
         new_clues = np.full(lanes, -1, dtype=np.int64)
     return methods, codes, new_clues, memrefs
 
-
-@hot_path
-def full_lookup_batch(ctrie, dsts, force_python: bool = False):
-    """Batched clueless lookups: ``(codes, memrefs)``.
-
-    ``ctrie`` is any compiled layout — the dense :class:`CompiledTrie`
-    or a :class:`CompiledMultibitTrie`; ``dsts`` comes from
-    :func:`as_destination_array`; codes decode through ``ctrie.pool``.
-    """
-    if ctrie.backend == "numpy" and not force_python:
-        return _full_dispatch_numpy(get_numpy(), ctrie, dsts)
-    return fallback.full_lookup_batch(ctrie, dsts)
-
-
-@hot_path
-def lookup_batch(
-    ctable: CompiledClueTable, dsts, clue_lens, force_python: bool = False
-):
-    """Batched clue-assisted lookups over a compiled table.
-
-    Returns ``(methods, codes, new_clues, memrefs)`` — method codes from
-    `repro.fastpath.backend`, result codes into ``ctable.trie.pool``,
-    the outgoing clue length per lane (−1 for no match), and the exact
-    object-graph memory-reference count per lane.
-    """
-    if ctable.backend == "numpy" and not force_python:
-        return _clue_lookup_numpy(get_numpy(), ctable, dsts, clue_lens)
-    return fallback.clue_lookup_batch(ctable, dsts, clue_lens)

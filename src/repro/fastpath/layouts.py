@@ -46,7 +46,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.fastpath.backend import get_numpy
+import numpy as np
+
 from repro.fastpath.compile import CompiledTrie, ResultPool
 from repro.trie.binary_trie import BinaryTrie
 
@@ -77,8 +78,8 @@ class CompiledMultibitTrie:
     Built *from* a :class:`CompiledTrie` (the dense arrays are the
     structural source of truth and stay available as :attr:`base` for
     clue-table resume walks).  Implements the compiled-trie protocol the
-    kernels and the certifier dispatch on: ``width``, ``backend``,
-    ``pool``, ``stride`` plus the stride arrays below.
+    kernels and the certifier dispatch on: ``width``, ``pool``,
+    ``stride`` plus the stride arrays below.
 
     * ``slots[node * fanout + chunk]`` — ``>= 0``: child stride-node id;
       ``< 0``: terminal, packed leaf index ``-(value + 1)``.
@@ -92,7 +93,6 @@ class CompiledMultibitTrie:
         "base",
         "pool",
         "width",
-        "backend",
         "stride",
         "fanout",
         "size",
@@ -113,7 +113,6 @@ class CompiledMultibitTrie:
         self.base = base
         self.pool: ResultPool = base.pool
         self.width = base.width
-        self.backend = base.backend
         self.stride = stride
         self.fanout = 1 << stride
         self.kind = "multibit%d" % stride
@@ -225,16 +224,11 @@ class CompiledMultibitTrie:
         hi = max(self.size - 1, 0)
         self.slot_bits = max(_bits_for(self.size), self.leaf_bits) + 1
         self.slot_bytes = _slot_dtype_bytes(-len(leaf_codes), hi)
-        np = get_numpy()
-        if self.backend == "numpy":
-            dtype = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}[
-                self.slot_bytes
-            ]
-            self.slots = np.asarray(slots, dtype=dtype)
-            self.leaf_codes = np.asarray(leaf_codes, dtype=np.int64)
-        else:
-            self.slots = slots
-            self.leaf_codes = leaf_codes
+        dtype = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}[
+            self.slot_bytes
+        ]
+        self.slots = np.asarray(slots, dtype=dtype)
+        self.leaf_codes = np.asarray(leaf_codes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def leaf_entropy_bits(self) -> float:
@@ -247,13 +241,8 @@ class CompiledMultibitTrie:
         """
         import math
 
-        np = get_numpy()
         counts: Dict[int, int] = {}
-        iterable = (
-            self.slots.tolist() if np is not None and self.backend == "numpy"
-            else self.slots
-        )
-        for value in iterable:
+        for value in self.slots.tolist():
             if value < 0:
                 counts[value] = counts.get(value, 0) + 1
         total = sum(counts.values())

@@ -22,8 +22,8 @@ Its counterpart :func:`cold_path` marks the *sanctioned exits*: a
 function a hot path may call whose cost is amortized off the per-packet
 budget — lazy lookup-structure construction on a clue miss (the Advance
 method allocates an entry precisely once per destination), or the
-pure-Python batch twins whose per-batch result buffers are the whole
-point of batching.  RC101's call-graph walk stops descending at a
+fastpath's lane-by-lane resume walk for a batch that resumes only a
+few lanes, whose per-batch result lists are amortized over the batch.  RC101's call-graph walk stops descending at a
 ``@cold_path`` boundary, so the decoration is the
 reviewable, greppable record of every place the per-packet path is
 allowed to step off the fast path.

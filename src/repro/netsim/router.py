@@ -403,7 +403,7 @@ class ClueRouter(Router):
             length = packet.clue.length
             lens.append(length if length is not None and 0 <= length <= width else -1)
         dsts = as_destination_array(values, width)
-        clue_lens = as_length_array(lens, width)
+        clue_lens = as_length_array(lens)
         methods, codes, new_clues, memrefs = lookup_batch(
             compiled, dsts, clue_lens
         )

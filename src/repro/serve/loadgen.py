@@ -136,7 +136,7 @@ class ZipfLoadGenerator:
         self.profile = profile if profile is not None else LoadProfile()
         self.seed = seed
         self.universe_values = sample_destination_values(
-            sender_entries, self.profile.universe, seed=seed, width=IPV4_WIDTH
+            sender_entries, self.profile.universe, seed=seed
         )
         #: The clue a well-formed upstream stamps per universe entry:
         #: its sender-BMP length (−1 if the sender has no match).

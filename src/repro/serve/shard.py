@@ -109,9 +109,7 @@ class Shard:
         sweep.extend((clue, None) for clue in self.clue_universe)
         if not sweep:
             return 0
-        dsts, lens = certification_batch(
-            sender_trie, sweep, width=IPV4_WIDTH, seed=seed
-        )
+        dsts, lens = certification_batch(sender_trie, sweep, seed=seed)
         checked = certify_full(self.ctrie, scalar.base, dsts)
         if self.ctrie is not self.ctable.trie:
             # Serving a stride layout: the resume walks still descend the

@@ -1,21 +1,23 @@
 """Compilation layer: object graph → flat arrays (repro.fastpath.compile)."""
 
+import numpy as np
 import pytest
 
 from repro.addressing import Prefix
 from repro.core.entry import ClueEntry
+from repro.core.lookup import ClueAssistedLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
 from repro.core.table import ClueTable
 from repro.fastpath import (
-    HAVE_NUMPY,
     CompiledTrie,
     FastpathUnsupported,
     ResultPool,
+    certify_clue,
     compile_clue_table,
     compile_trie,
-    numpy_eligible,
 )
+from repro.lookup.regular import RegularTrieLookup
 from repro.lookup.restricted import SetContinuation
 from repro.trie.binary_trie import BinaryTrie
 
@@ -111,14 +113,23 @@ def test_compiled_trie_empty_and_root_result():
     assert ctrie.pool.next_hops[ctrie.root_result] == "default"
 
 
-def test_backend_selection_follows_width():
-    assert compile_trie(small_trie()).backend == (
-        "numpy" if HAVE_NUMPY else "python"
-    )
-    wide = BinaryTrie(128)
-    wide.insert(Prefix(1, 8, 128), "w")
-    assert compile_trie(wide).backend == "python"
-    assert not numpy_eligible(128)
+def test_lane_dtype_follows_width():
+    """Trie arrays are int64 at every width; probe keys are int64 at
+    width 32 and object at width 128 — even for a table whose only clue
+    has length 0, whose key fits int64 while the lanes' keys do not."""
+    for width, key_dtype in ((32, np.int64), (128, object)):
+        entries = [(Prefix(0, 0, width), "d"), (Prefix(1, 8, width), "w")]
+        receiver = ReceiverState(entries, width)
+        table = SimpleMethod(receiver, "regular").build_table(
+            [Prefix(0, 0, width)]
+        )
+        ctable = compile_clue_table(table, receiver.trie)
+        assert ctable.trie.child.dtype == np.int64
+        assert ctable.trie.node_result.dtype == np.int64
+        assert ctable.probe_keys.dtype == key_dtype
+        scalar = ClueAssistedLookup(RegularTrieLookup(entries, width), table)
+        destinations = [1 << (width - 8), 0, (1 << width) - 1]
+        assert certify_clue(ctable, scalar, destinations, [0, 0, 0]) == 3
 
 
 def test_shared_pool_between_trie_and_tables():

@@ -1,4 +1,8 @@
-"""Batch kernels vs the scalar object-graph path on crafted tables."""
+"""Batch kernels vs the scalar object-graph path on crafted tables.
+
+Every test runs the same crafted pair at width 32 and, with ``ipv6``,
+at width 128, where the kernels run on object lanes of Python ints.
+"""
 
 import pytest
 
@@ -12,7 +16,6 @@ from repro.fastpath import (
     CODE_FD_IMMEDIATE,
     CODE_FULL,
     CODE_RESUMED,
-    HAVE_NUMPY,
     certification_batch,
     certify_clue,
     certify_full,
@@ -26,10 +29,26 @@ from repro.fastpath import (
 from repro.lookup.regular import RegularTrieLookup
 from repro.trie.binary_trie import BinaryTrie
 
-BACKENDS = [True] + ([False] if HAVE_NUMPY else [])
+IPV6 = [False, True]
 
 
-def build(sender_entries, receiver_entries, method, width=32):
+def width_of(ipv6):
+    return 128 if ipv6 else 32
+
+
+def lead(bits, count, width):
+    """The address whose leading ``count`` bits are ``bits``."""
+    return bits << (width - count)
+
+
+def at_width(spec, width):
+    """``(bits, length, next hop)`` triples as table entries at ``width``."""
+    return [(Prefix(bits, length, width), hop) for bits, length, hop in spec]
+
+
+def build(sender_spec, receiver_spec, method, width):
+    sender_entries = at_width(sender_spec, width)
+    receiver_entries = at_width(receiver_spec, width)
     sender_trie = BinaryTrie(width)
     for prefix, hop in sender_entries:
         sender_trie.insert(prefix, hop)
@@ -48,47 +67,50 @@ def build(sender_entries, receiver_entries, method, width=32):
 
 
 SENDER = [
-    (Prefix(0b0, 1, 32), "s0"),
-    (Prefix(0b10, 2, 32), "s1"),
-    (Prefix(0b1011, 4, 32), "s2"),
-    (Prefix(0b10110001, 8, 32), "s3"),
+    (0b0, 1, "s0"),
+    (0b10, 2, "s1"),
+    (0b1011, 4, "s2"),
+    (0b10110001, 8, "s3"),
 ]
 RECEIVER = [
-    (Prefix(0b10, 2, 32), "r1"),
-    (Prefix(0b1011, 4, 32), "r2"),
-    (Prefix(0b101100, 6, 32), "r3"),
-    (Prefix(0b0, 1, 32), "r0"),
+    (0b10, 2, "r1"),
+    (0b1011, 4, "r2"),
+    (0b101100, 6, "r3"),
+    (0b0, 1, "r0"),
 ]
 
 
-@pytest.mark.parametrize("force_python", BACKENDS)
+@pytest.mark.parametrize("ipv6", IPV6)
 @pytest.mark.parametrize("method", ["simple", "advance"])
-def test_kernels_certify_on_crafted_pair(method, force_python):
-    sender_trie, base, scalar, ctrie, ctable = build(SENDER, RECEIVER, method)
-    dsts, lens = certification_batch(
-        sender_trie, SENDER + RECEIVER, randoms_per_prefix=2
+def test_kernels_certify_on_crafted_pair(method, ipv6):
+    width = width_of(ipv6)
+    sender_trie, base, scalar, ctrie, ctable = build(
+        SENDER, RECEIVER, method, width
     )
-    assert certify_full(ctrie, base, dsts, force_python=force_python) > 0
-    assert certify_clue(
-        ctable, scalar, dsts, lens, force_python=force_python
-    ) == len(dsts)
+    dsts, lens = certification_batch(
+        sender_trie,
+        at_width(SENDER + RECEIVER, width),
+        randoms_per_prefix=2,
+    )
+    assert certify_full(ctrie, base, dsts) > 0
+    assert certify_clue(ctable, scalar, dsts, lens) == len(dsts)
 
 
-@pytest.mark.parametrize("force_python", BACKENDS)
-def test_every_method_code_is_exercised(force_python):
-    _trie, _base, _scalar, _ctrie, ctable = build(SENDER, RECEIVER, "advance")
+@pytest.mark.parametrize("ipv6", IPV6)
+def test_every_method_code_is_exercised(ipv6):
+    width = width_of(ipv6)
+    _trie, _base, _scalar, _ctrie, ctable = build(
+        SENDER, RECEIVER, "advance", width
+    )
     values = [
-        0b10110001 << 24,  # deep sender BMP, resumed below the clue
-        0b10 << 30,  # exact clue vertex hit
-        0b01 << 30,  # clueless lane
-        0b11 << 30,  # clue the table never built
+        lead(0b10110001, 8, width),  # deep sender BMP, resumed below the clue
+        lead(0b10, 2, width),  # exact clue vertex hit
+        lead(0b01, 2, width),  # clueless lane
+        lead(0b11, 2, width),  # clue the table never built
     ]
     lens = [8, 2, -1, 1]
     methods, codes, new_clues, memrefs = lookup_batch(
-        ctable,
-        as_destination_array(values),
-        as_length_array(lens),
-        force_python=force_python,
+        ctable, as_destination_array(values, width), as_length_array(lens)
     )
     seen = {int(code) for code in methods}
     assert CODE_FULL in seen
@@ -105,15 +127,20 @@ def test_every_method_code_is_exercised(force_python):
         assert int(new_clues[lane]) == expected
 
 
-@pytest.mark.parametrize("force_python", BACKENDS)
-def test_default_route_only_receiver(force_python):
-    receiver = [(Prefix(0, 0, 32), "default")]
-    sender_trie, base, scalar, ctrie, ctable = build(SENDER, receiver, "simple")
-    dsts, lens = certification_batch(sender_trie, SENDER + receiver)
-    certify_full(ctrie, base, dsts, force_python=force_python)
-    certify_clue(ctable, scalar, dsts, lens, force_python=force_python)
+@pytest.mark.parametrize("ipv6", IPV6)
+def test_default_route_only_receiver(ipv6):
+    width = width_of(ipv6)
+    receiver = [(0, 0, "default")]
+    sender_trie, base, scalar, ctrie, ctable = build(
+        SENDER, receiver, "simple", width
+    )
+    dsts, lens = certification_batch(
+        sender_trie, at_width(SENDER + receiver, width)
+    )
+    certify_full(ctrie, base, dsts)
+    certify_clue(ctable, scalar, dsts, lens)
     codes, memrefs = full_lookup_batch(
-        ctrie, as_destination_array([0, 2**32 - 1]), force_python=force_python
+        ctrie, as_destination_array([0, (1 << width) - 1], width)
     )
     pool = ctrie.pool
     for lane in (0, 1):
@@ -121,35 +148,36 @@ def test_default_route_only_receiver(force_python):
         assert int(memrefs[lane]) == 1  # the root is the whole walk
 
 
-@pytest.mark.parametrize("force_python", BACKENDS)
-def test_empty_receiver_and_empty_clue_table(force_python):
-    sender_trie, base, scalar, ctrie, ctable = build(SENDER, [], "simple")
+@pytest.mark.parametrize("ipv6", IPV6)
+def test_empty_receiver_and_empty_clue_table(ipv6):
+    width = width_of(ipv6)
+    sender_trie, base, scalar, ctrie, ctable = build(SENDER, [], "simple", width)
     # Simple builds records pointing at the receiver trie; with no
     # receiver routes the compiled table still certifies (every lane is
     # a no-match full walk or an FD-of-None hit).
-    dsts, lens = certification_batch(sender_trie, SENDER)
-    certify_full(ctrie, base, dsts, force_python=force_python)
-    certify_clue(ctable, scalar, dsts, lens, force_python=force_python)
+    dsts, lens = certification_batch(sender_trie, at_width(SENDER, width))
+    certify_full(ctrie, base, dsts)
+    certify_clue(ctable, scalar, dsts, lens)
 
 
-@pytest.mark.parametrize("force_python", BACKENDS)
-def test_clue_zero_resolves_like_scalar(force_python):
-    sender = [(Prefix(0, 0, 32), "origin")] + SENDER
-    sender_trie, base, scalar, ctrie, ctable = build(sender, RECEIVER, "advance")
-    values = [0b1011 << 28, 0b01 << 30, 123456789]
+@pytest.mark.parametrize("ipv6", IPV6)
+def test_clue_zero_resolves_like_scalar(ipv6):
+    width = width_of(ipv6)
+    sender = [(0, 0, "origin")] + SENDER
+    sender_trie, base, scalar, ctrie, ctable = build(
+        sender, RECEIVER, "advance", width
+    )
+    values = [lead(0b1011, 4, width), lead(0b01, 2, width), 123456789]
     lens = [0, 0, 0]
     methods, codes, _new, memrefs = lookup_batch(
-        ctable,
-        as_destination_array(values),
-        as_length_array(lens),
-        force_python=force_python,
+        ctable, as_destination_array(values, width), as_length_array(lens)
     )
     for lane, value in enumerate(values):
         from repro.lookup.counters import MemoryCounter
 
         counter = MemoryCounter()
         expected = scalar.lookup(
-            Address(value, 32), Address(value, 32).prefix(0), counter
+            Address(value, width), Address(value, width).prefix(0), counter
         )
         assert int(memrefs[lane]) == counter.accesses
         pool = ctable.trie.pool
@@ -158,37 +186,15 @@ def test_clue_zero_resolves_like_scalar(force_python):
         assert got == expected.next_hop
 
 
-@pytest.mark.parametrize("force_python", BACKENDS)
-def test_empty_batch(force_python):
-    _trie, _base, _scalar, ctrie, ctable = build(SENDER, RECEIVER, "simple")
-    codes, memrefs = full_lookup_batch(
-        ctrie, as_destination_array([]), force_python=force_python
+@pytest.mark.parametrize("ipv6", IPV6)
+def test_empty_batch(ipv6):
+    width = width_of(ipv6)
+    _trie, _base, _scalar, ctrie, ctable = build(
+        SENDER, RECEIVER, "simple", width
     )
+    codes, memrefs = full_lookup_batch(ctrie, as_destination_array([], width))
     assert len(codes) == 0 and len(memrefs) == 0
     methods, codes, new_clues, memrefs = lookup_batch(
-        ctable,
-        as_destination_array([]),
-        as_length_array([]),
-        force_python=force_python,
+        ctable, as_destination_array([], width), as_length_array([])
     )
     assert len(methods) == 0
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs both backends")
-@pytest.mark.parametrize("method", ["simple", "advance"])
-def test_numpy_and_fallback_agree(method):
-    sender_trie, _base, _scalar, ctrie, ctable = build(SENDER, RECEIVER, method)
-    dsts, lens = certification_batch(sender_trie, SENDER + RECEIVER)
-    fast = lookup_batch(
-        ctable, as_destination_array(dsts), as_length_array(lens)
-    )
-    slow = lookup_batch(
-        ctable,
-        as_destination_array(dsts),
-        as_length_array(lens),
-        force_python=True,
-    )
-    for fast_column, slow_column in zip(fast, slow):
-        assert [int(value) for value in fast_column] == [
-            int(value) for value in slow_column
-        ]

@@ -1,15 +1,14 @@
 """Differential and structural tests for the compiled layout family.
 
-Random sender/receiver pairs — including empty receivers, default-route-
-only tables, and clue=0 edges — are compiled into every layout (dense,
-multibit4, multibit8) and certified against the scalar object-graph
-path on both backends: prefix, next hop, method and new clue must be
-bit-identical; memrefs are compared only for the dense layout, whose
+Random sender/receiver pairs at width 32 or 128 — including empty
+receivers, default-route-only tables, and clue=0 edges — are compiled
+into every layout (dense, multibit4, multibit8) and certified against
+the scalar object-graph path: prefix, next hop, method and new clue must
+be bit-identical; memrefs are compared only for the dense layout, whose
 cost model matches the scalar walk step for step.
 
 The leaf-pushing property is pinned structurally: a stride descent must
-terminate within ``ceil(width / stride)`` probes on *every* input, and
-the numpy and pure-Python stride kernels must agree lane for lane.
+terminate within ``ceil(width / stride)`` probes on *every* input.
 """
 
 import math
@@ -22,12 +21,10 @@ from repro.core.lookup import ClueAssistedLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
 from repro.fastpath import (
-    HAVE_NUMPY,
     LAYOUTS,
     STRIDES,
     CompiledMultibitTrie,
     as_destination_array,
-    as_length_array,
     certify_clue,
     certify_full,
     compile_clue_table,
@@ -35,33 +32,37 @@ from repro.fastpath import (
     compile_trie,
     full_lookup_batch,
     layout_stride,
-    lookup_batch,
 )
 from repro.lookup.regular import RegularTrieLookup
 from repro.trie.binary_trie import BinaryTrie
 
 WIDTH = 32
 
-addresses = st.integers(min_value=0, max_value=(1 << WIDTH) - 1)
 layout_names = st.sampled_from(LAYOUTS)
+
+
+def addresses(width):
+    return st.integers(min_value=0, max_value=(1 << width) - 1)
 
 
 @st.composite
 def random_pairs(draw):
-    """(sender entries, receiver entries): possibly empty, possibly just
-    a default route, usually overlapping so clues resolve both ways."""
+    """(width, sender entries, receiver entries): IPv4 or IPv6, possibly
+    empty, possibly just a default route, usually overlapping so clues
+    resolve both ways."""
+    width = draw(st.sampled_from([32, 128]))
     size = draw(st.integers(min_value=1, max_value=12))
     prefixes = set()
     for _ in range(size):
         length = draw(st.integers(min_value=0, max_value=12))
         bits = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
-        prefixes.add(Prefix(bits, length, WIDTH))
+        prefixes.add(Prefix(bits, length, width))
     sender = [(prefix, "s%d" % i) for i, prefix in enumerate(sorted(prefixes))]
     shape = draw(st.integers(min_value=0, max_value=3))
     if shape == 0:
         receiver = []
     elif shape == 1:
-        receiver = [(Prefix(0, 0, WIDTH), "default")]
+        receiver = [(Prefix(0, 0, width), "default")]
     else:
         keep = draw(
             st.sets(st.integers(min_value=0, max_value=len(sender) - 1))
@@ -71,21 +72,21 @@ def random_pairs(draw):
             for i, (prefix, _hop) in enumerate(sender)
             if i not in keep
         ]
-    return sender, receiver
+    return width, sender, receiver
 
 
-def build(sender, receiver, method, layout):
-    sender_trie = BinaryTrie(WIDTH)
+def build(width, sender, receiver, method, layout):
+    sender_trie = BinaryTrie(width)
     for prefix, hop in sender:
         sender_trie.insert(prefix, hop)
-    state = ReceiverState(receiver, WIDTH)
+    state = ReceiverState(receiver, width)
     if method == "simple":
         builder = SimpleMethod(state, "regular")
     else:
         builder = AdvanceMethod(sender_trie, state, "regular")
     table = builder.build_table(list(sender_trie.prefixes()))
-    base = RegularTrieLookup(receiver, WIDTH)
-    scalar = ClueAssistedLookup(RegularTrieLookup(receiver, WIDTH), table)
+    base = RegularTrieLookup(receiver, width)
+    scalar = ClueAssistedLookup(RegularTrieLookup(receiver, width), table)
     lay = compile_layout(state.trie, layout)
     return sender_trie, base, scalar, lay, compile_clue_table(table, lay)
 
@@ -93,7 +94,7 @@ def build(sender, receiver, method, layout):
 def sweep(sender_trie, values, extra_lens):
     destinations, lens = [], []
     for i, value in enumerate(values):
-        bmp = sender_trie.best_prefix(Address(value, WIDTH))
+        bmp = sender_trie.best_prefix(Address(value, sender_trie.width))
         for length in (-1, 0, bmp.length if bmp else 0, extra_lens[i]):
             destinations.append(value)
             lens.append(length)
@@ -103,85 +104,54 @@ def sweep(sender_trie, values, extra_lens):
 # ----------------------------------------------------------------------
 # differential: every layout certifies against the scalar path
 # ----------------------------------------------------------------------
-@given(
-    random_pairs(),
-    st.lists(addresses, min_size=1, max_size=8),
-    layout_names,
-)
+@given(random_pairs(), st.data(), layout_names)
 @settings(max_examples=60, deadline=None)
-def test_full_lookup_certifies_on_every_layout(pair, values, layout):
-    sender, receiver = pair
-    _trie, base, _scalar, lay, _ctable = build(sender, receiver, "simple", layout)
+def test_full_lookup_certifies_on_every_layout(pair, data, layout):
+    width, sender, receiver = pair
+    values = data.draw(st.lists(addresses(width), min_size=1, max_size=8))
+    _trie, base, _scalar, lay, _ctable = build(
+        width, sender, receiver, "simple", layout
+    )
     assert certify_full(lay, base, values) == len(values)
-    if HAVE_NUMPY:
-        certify_full(lay, base, values, force_python=True)
 
 
 @given(
     random_pairs(),
-    st.lists(addresses, min_size=1, max_size=6),
-    st.lists(st.integers(min_value=0, max_value=WIDTH), min_size=6, max_size=6),
+    st.data(),
     st.sampled_from(["simple", "advance"]),
     st.sampled_from(sorted(STRIDES)),
 )
 @settings(max_examples=80, deadline=None)
-def test_clue_lookup_certifies_on_multibit_layouts(
-    pair, values, extra_lens, method, layout
-):
-    sender, receiver = pair
+def test_clue_lookup_certifies_on_multibit_layouts(pair, data, method, layout):
+    width, sender, receiver = pair
+    values = data.draw(st.lists(addresses(width), min_size=1, max_size=6))
+    extra_lens = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=width), min_size=6, max_size=6
+        )
+    )
     sender_trie, _base, scalar, _lay, ctable = build(
-        sender, receiver, method, layout
+        width, sender, receiver, method, layout
     )
     destinations, lens = sweep(sender_trie, values, extra_lens)
     assert certify_clue(ctable, scalar, destinations, lens) == len(destinations)
-    if HAVE_NUMPY:
-        certify_clue(ctable, scalar, destinations, lens, force_python=True)
-
-
-@given(
-    random_pairs(),
-    st.lists(addresses, min_size=1, max_size=6),
-    st.lists(st.integers(min_value=0, max_value=WIDTH), min_size=6, max_size=6),
-    st.sampled_from(sorted(STRIDES)),
-)
-@settings(max_examples=60, deadline=None)
-def test_numpy_and_fallback_stride_lanes_agree(pair, values, extra_lens, layout):
-    if not HAVE_NUMPY:
-        return
-    sender, receiver = pair
-    sender_trie, _base, _scalar, _lay, ctable = build(
-        sender, receiver, "advance", layout
-    )
-    destinations, lens = sweep(sender_trie, values, extra_lens)
-    dsts = as_destination_array(destinations, WIDTH)
-    clue_lens = as_length_array(lens, WIDTH)
-    fast = lookup_batch(ctable, dsts, clue_lens)
-    slow = lookup_batch(ctable, dsts, clue_lens, force_python=True)
-    for fast_column, slow_column in zip(fast, slow):
-        assert [int(v) for v in fast_column] == [int(v) for v in slow_column]
 
 
 # ----------------------------------------------------------------------
 # leaf pushing: descent terminates within ceil(width / stride) probes
 # ----------------------------------------------------------------------
-@given(
-    random_pairs(),
-    st.lists(addresses, min_size=1, max_size=12),
-    st.sampled_from(sorted(STRIDES)),
-)
+@given(random_pairs(), st.data(), st.sampled_from(sorted(STRIDES)))
 @settings(max_examples=60, deadline=None)
-def test_stride_descent_is_probe_bounded(pair, values, layout):
-    _sender, receiver = pair
-    state = ReceiverState(receiver, WIDTH)
+def test_stride_descent_is_probe_bounded(pair, data, layout):
+    width, _sender, receiver = pair
+    values = data.draw(st.lists(addresses(width), min_size=1, max_size=12))
+    state = ReceiverState(receiver, width)
     lay = compile_layout(state.trie, layout)
-    bound = math.ceil(WIDTH / lay.stride)
+    bound = math.ceil(width / lay.stride)
     assert len(lay.level_shifts) == bound
-    dsts = as_destination_array(values, WIDTH)
+    dsts = as_destination_array(values, width)
     _codes, refs = full_lookup_batch(lay, dsts)
     assert all(1 <= int(r) <= bound for r in refs)
-    if HAVE_NUMPY:
-        _codes, refs = full_lookup_batch(lay, dsts, force_python=True)
-        assert all(1 <= int(r) <= bound for r in refs)
 
 
 # ----------------------------------------------------------------------
@@ -228,11 +198,8 @@ def test_compile_layout_rejects_unknown_names_and_inputs():
 def test_leaf_pool_is_frequency_ranked():
     state = small_state()
     mtrie = compile_layout(state.trie, "multibit4")
-    slots = (
-        mtrie.slots.tolist() if HAVE_NUMPY else list(mtrie.slots)
-    )
     counts = {}
-    for value in slots:
+    for value in mtrie.slots.tolist():
         if value < 0:
             packed = -(value + 1)
             counts[packed] = counts.get(packed, 0) + 1
@@ -259,9 +226,10 @@ def test_nbytes_accounting_is_consistent():
 
 
 def test_empty_and_default_only_tables_compile_everywhere():
-    for entries in ([], [(Prefix(0, 0, WIDTH), "default")]):
-        state = ReceiverState(entries, WIDTH)
-        base = RegularTrieLookup(entries, WIDTH)
-        for layout in LAYOUTS:
-            lay = compile_layout(state.trie, layout)
-            certify_full(lay, base, [0, 1, (1 << WIDTH) - 1, 0xDEADBEEF])
+    for width in (32, 128):
+        for entries in ([], [(Prefix(0, 0, width), "default")]):
+            state = ReceiverState(entries, width)
+            base = RegularTrieLookup(entries, width)
+            for layout in LAYOUTS:
+                lay = compile_layout(state.trie, layout)
+                certify_full(lay, base, [0, 1, (1 << width) - 1, 0xDEADBEEF])

@@ -5,6 +5,7 @@ IPv6 while the Log W technique does not scale as good"; these tests
 exercise every layer at width 128.
 """
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,12 @@ from repro.core import (
     SimpleMethod,
     encode_clue,
 )
+from repro.fastpath import LAYOUTS, STRIDES
+from repro.fastpath.kernels import SCALAR_RESUME_LANES
 from repro.lookup import BASELINES, MemoryCounter, reference_lookup
+from repro.lookup.counters import METHOD_RESUMED
+from repro.netsim import Packet
+from repro.netsim.router import ClueRouter, LegacyRouter
 from repro.tablegen import DEFAULT_IPV6_HISTOGRAM, generate_table
 from repro.trie import BinaryTrie, TrieOverlay
 
@@ -119,3 +125,100 @@ class TestIPv6Lookups:
             measured += 1
         assert common_total / measured > 20  # deep V6 walks
         assert clue_total / measured < 2
+
+
+def stamped_packets(sender, count=600, seed=63):
+    """Packets under the sender's prefixes, each carrying the clue a
+    well-formed upstream stamps: its sender-BMP length."""
+    sender_trie = BinaryTrie.from_prefixes(sender, 128)
+    rng = random.Random(seed)
+    packets = []
+    for _ in range(count):
+        prefix, _hop = sender[rng.randrange(len(sender))]
+        packet = Packet(prefix.random_address(rng))
+        packet.clue.length = sender_trie.best_prefix(packet.destination).length
+        packets.append(packet)
+    return packets
+
+
+def hop_records(packet):
+    return [
+        (hop.router, hop.accesses, hop.bmp, hop.incoming_clue_length, hop.method)
+        for hop in packet.trace
+    ] + [packet.clue.length]
+
+
+class TestIPv6Batches:
+    """Routers batch width-128 packets through the numpy kernels on
+    object lanes and answer exactly as their per-packet path does."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("method", ["simple", "advance"])
+    def test_clue_router_batches_match_scalar(self, v6_pair, method, layout):
+        sender, receiver = v6_pair
+        routers = []
+        for _ in range(2):
+            router = ClueRouter(
+                "r",
+                receiver,
+                technique="regular",
+                method=method,
+                width=128,
+                preprocess=True,
+                layout=layout,
+            )
+            router.register_neighbor("up", sender)
+            routers.append(router)
+        batched, scalar = stamped_packets(sender), stamped_packets(sender)
+        hops = routers[0].process_batch(batched, "up")
+        assert hops == [routers[1].process(packet, "up") for packet in scalar]
+        assert [hop_records(p) for p in batched] == [
+            hop_records(p) for p in scalar
+        ]
+        # Simple resumes enough lanes that the walk below the clue
+        # vectorizes; Advance resumes a few, walked one by one.
+        resumed = sum(p.trace[0].method == METHOD_RESUMED for p in batched)
+        if method == "simple":
+            assert resumed > SCALAR_RESUME_LANES
+        else:
+            assert 0 < resumed <= SCALAR_RESUME_LANES
+
+    def test_learning_batches_forward_like_scalar(self, v6_pair):
+        # The table is frozen per batch, so methods may differ inside a
+        # batch (same-clue packets share the miss); answers may not.
+        sender, receiver = v6_pair
+        routers = []
+        for _ in range(2):
+            router = ClueRouter("r", receiver, technique="regular", width=128)
+            router.register_neighbor("up", sender)
+            routers.append(router)
+        batched, scalar = stamped_packets(sender), stamped_packets(sender)
+        hops = []
+        for start in range(0, len(batched), 200):
+            hops += routers[0].process_batch(batched[start:start + 200], "up")
+        assert hops == [routers[1].process(packet, "up") for packet in scalar]
+        assert [p.trace[0].bmp for p in batched] == [
+            p.trace[0].bmp for p in scalar
+        ]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_legacy_router_batches_match_scalar(self, v6_pair, layout):
+        sender, receiver = v6_pair
+        rng = random.Random(64)
+        values = [p.destination.value for p in stamped_packets(sender, 300)]
+        values += [rng.getrandbits(128) for _ in range(100)]  # mostly no match
+        batched_router = LegacyRouter(
+            "l", receiver, technique="regular", width=128, layout=layout
+        )
+        scalar_router = LegacyRouter("l", receiver, technique="regular", width=128)
+        batched = [Packet(Address(value, 128)) for value in values]
+        scalar = [Packet(Address(value, 128)) for value in values]
+        hops = batched_router.process_batch(batched, None)
+        assert hops == [scalar_router.process(packet, None) for packet in scalar]
+        bound = math.ceil(128 / STRIDES[layout]) if layout in STRIDES else None
+        for fast, slow in zip(batched, scalar):
+            assert fast.trace[0].bmp == slow.trace[0].bmp
+            if bound is None:
+                assert hop_records(fast) == hop_records(slow)
+            else:  # stride descent changes the count; that is the point
+                assert 1 <= fast.trace[0].accesses <= bound

@@ -67,7 +67,7 @@ modes = st.sampled_from(("range", "hash"))
 def _serve_one(plan, worker_shards, value, clue_len):
     shard = worker_shards[plan.shard_of(value)]
     dsts = as_destination_array([value], 32)
-    lens = as_length_array([clue_len], 32)
+    lens = as_length_array([clue_len])
     _methods, codes, _new, _refs = lookup_batch(shard.ctable, dsts, lens)
     return shard.decode(int(codes[0]))
 
