@@ -1,10 +1,13 @@
 """Receiver-side state shared by the Simple and Advance builders.
 
-A router that receives clues keeps its ordinary forwarding structures —
-one binary trie and one Patricia trie over its own table — and the clue
-builders derive entries against them.  Building both once and sharing them
-across methods mirrors a real router, where the clue machinery sits next
-to whatever lookup structure is already deployed.
+A router that receives clues keeps its ordinary forwarding structures
+over its own table — a binary trie, plus the Patricia and multibit tries
+the ``patricia`` and ``multibit`` continuation techniques resume in — and
+the clue builders derive entries against them.  Building them once and
+sharing them across methods mirrors a real router, where the clue
+machinery sits next to whatever lookup structure is already deployed.
+Only the binary trie is built up front: the other two are built from the
+current entries on first read, since most states never read them.
 """
 
 from __future__ import annotations
@@ -31,8 +34,16 @@ class ReceiverState:
         self.width = width
         self.entries: List[Tuple[Prefix, object]] = sorted_entries(entries)
         self.trie = BinaryTrie.from_prefixes(self.entries, width)
-        self.patricia = PatriciaTrie.from_prefixes(self.entries, width)
+        self._patricia: Optional[PatriciaTrie] = None
         self._multibit = None
+
+    @property
+    def patricia(self) -> PatriciaTrie:
+        """The Patricia trie, built from the current entries on first
+        read and patched in place by :meth:`apply_update` after that."""
+        if self._patricia is None:
+            self._patricia = PatriciaTrie.from_prefixes(self.entries, self.width)
+        return self._patricia
 
     @property
     def multibit(self):
@@ -76,17 +87,21 @@ class ReceiverState:
     ) -> None:
         """Apply a route change to every derived structure.
 
-        The binary and Patricia tries update in place; the multibit trie
-        (which has no cheap delete) is dropped and lazily rebuilt.
+        The binary trie, and the Patricia trie once it has been built,
+        update in place; the multibit trie (which has no cheap delete) is
+        dropped and lazily rebuilt.
         """
         removed = list(remove)
         added = list(add)
+        patricia = self._patricia
         for prefix in removed:
             self.trie.remove(prefix)
-            self.patricia.remove(prefix)
+            if patricia is not None:
+                patricia.remove(prefix)
         for prefix, next_hop in added:
             self.trie.insert(prefix, next_hop)
-            self.patricia.insert(prefix, next_hop)
+            if patricia is not None:
+                patricia.insert(prefix, next_hop)
         self.entries = merge_entries(self.entries, added, removed)
         self._multibit = None
 

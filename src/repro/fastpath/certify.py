@@ -13,8 +13,17 @@ just the dense :class:`CompiledTrie`.  For stride layouts
 (`repro.fastpath.layouts.CompiledMultibitTrie`) the memory-reference
 comparison is skipped — stride descent legitimately changes the count;
 that is the optimisation — while prefix, next hop, method and new clue
-stay bit-identical requirements.  Certification runs the same kernels
+stay bit-identical requirements.  A stride layout certifies together
+with the dense base it carries, memrefs included there, since its clue
+resume walks descend that base.  Certification runs the same kernels
 at every width, IPv4 and IPv6 alike.
+
+The full-lookup reference is the scalar object-graph walk, taken once
+per distinct destination of a call and shared by every lane and every
+layout certified in it: the sweep below visits each destination three
+times and the full-lookup kernel ignores the clue.  The reference lives
+only as long as the call, so a base patched between calls is walked
+afresh.  Kernel lanes are never deduplicated; each one is compared.
 
 The sweep covers, for every prefix of the deployed tables (senders and
 receivers alike, capped for very large tables): the network address,
@@ -90,31 +99,47 @@ def certification_batch(
 def certify_full(ctrie, base, destinations: Sequence[int]) -> int:
     """Certify the clueless kernel against ``base.lookup``; count checked.
 
-    ``ctrie`` is any compiled layout; reference counts are compared only
-    for the dense layout, whose cost model matches the object graph step
-    for step.
+    ``ctrie`` is any compiled layout.  A stride layout is certified
+    together with the dense ``base`` trie it carries, which its clue
+    resume walks descend, so it counts two lanes per destination (the
+    base's lanes numbered after the layout's).  The scalar reference is
+    walked once per distinct destination and every lane of every layout
+    is compared against it; reference counts are compared only for the
+    dense layout, whose cost model matches the object graph step for
+    step.
     """
-    check_memrefs = getattr(ctrie, "stride", 0) == 0
     width = ctrie.width
+    values = [int(value) for value in destinations]
+    expected = {}
+    for value in values:
+        if value not in expected:
+            counter = MemoryCounter()
+            result = base.lookup(Address(value, width), counter)
+            expected[value] = (result.prefix, result.next_hop, result.accesses)
+    layouts = [ctrie]
+    if getattr(ctrie, "stride", 0):
+        layouts.append(ctrie.base)
     dsts = as_destination_array(destinations, width)
-    codes, memrefs = full_lookup_batch(ctrie, dsts)
-    pool = ctrie.pool
-    for lane, value in enumerate(destinations):
-        counter = MemoryCounter()
-        expected = base.lookup(Address(int(value), width), counter)
-        code = int(codes[lane])
-        got_prefix = pool.prefixes[code] if code >= 0 else None
-        got_hop = pool.next_hops[code] if code >= 0 else None
-        got_refs = int(memrefs[lane]) if check_memrefs else None
-        want_refs = expected.accesses if check_memrefs else None
-        _require(
-            lane,
-            int(value),
-            None,
-            (got_prefix, got_hop, METHOD_FULL, got_refs),
-            (expected.prefix, expected.next_hop, METHOD_FULL, want_refs),
-        )
-    return len(destinations)
+    first = 0
+    for layout in layouts:
+        check_memrefs = getattr(layout, "stride", 0) == 0
+        codes, memrefs = full_lookup_batch(layout, dsts)
+        pool = layout.pool
+        for lane, (value, code, refs) in enumerate(
+            zip(values, codes.tolist(), memrefs.tolist()), first
+        ):
+            prefix, next_hop, accesses = expected[value]
+            got_prefix = pool.prefixes[code] if code >= 0 else None
+            got_hop = pool.next_hops[code] if code >= 0 else None
+            _require(
+                lane,
+                value,
+                None,
+                (got_prefix, got_hop, METHOD_FULL, refs if check_memrefs else None),
+                (prefix, next_hop, METHOD_FULL, accesses if check_memrefs else None),
+            )
+        first += len(values)
+    return first
 
 
 def certify_clue(

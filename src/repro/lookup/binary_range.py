@@ -7,16 +7,23 @@ for the segment containing the destination (O(log N) memory references,
 one per probe; the answer rides in the final probed record for free).
 
 The same :class:`RangeTable` also powers the 6-way variant (baseline (4)),
-the clue-restricted searches over a potential set ``P(s, R1)``, and the
-serving plane's audit oracle (``repro.resilience.engine``).  It builds
-its segments from the entry list with a sort and a stack sweep, never a
-trie, so the oracle shares no code with the tries it checks.
+the clue-restricted searches over a potential set ``P(s, R1)``, and, on
+the serving plane, both the audit oracle (``repro.resilience.engine``)
+and the load generator's clue stamps (``repro.serve.loadgen``).  It
+builds its segments from the entry list with a sort and a stack sweep,
+never a trie, so the oracle shares no code with the tries it checks.
+The serving plane locates whole int64 arrays of IPv4 addresses at once
+with :meth:`RangeTable.locate_batch`, one ``searchsorted`` per array and
+the same "rightmost start not above the address" rule as the scalar
+:meth:`RangeTable.locate_binary`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.addressing import Address, Prefix
 from repro.lookup.base import LookupAlgorithm, TableEntries
@@ -48,6 +55,8 @@ class RangeTable:
         self.answers: List[Tuple[Optional[Prefix], Optional[object]]] = [
             (None, None)
         ]
+        #: ``starts`` as int64, packed by the first :meth:`locate_batch`.
+        self._start_array: Optional[np.ndarray] = None
         # (high, answer) of every prefix holding the sweep point, deepest
         # last; the sentinel at ``top`` closes whatever is still open.
         holding: List[Tuple[int, Tuple[Prefix, object]]] = []
@@ -95,6 +104,18 @@ class RangeTable:
             else:
                 hi = mid - 1
         return self.answers[lo]
+
+    def locate_batch(self, values: np.ndarray) -> np.ndarray:
+        """Segment index of every address in the int64 array ``values``.
+
+        The batch twin of :meth:`locate_binary`: the rightmost segment
+        start not exceeding each address, found by one ``searchsorted``
+        over the starts (packed into int64 once, on first use, so IPv4
+        only); ``answers[i]`` is the BMP of an address in segment ``i``.
+        """
+        if self._start_array is None:
+            self._start_array = np.array(self.starts, dtype=np.int64)
+        return np.searchsorted(self._start_array, values, side="right") - 1
 
     def locate_multiway(
         self, address: Address, counter: MemoryCounter, branching: int = 6

@@ -82,6 +82,7 @@ from repro.resilience.report import ResilienceReport
 from repro.serve.batcher import BatchPolicy, RequestBatcher
 from repro.serve.dispatch import ShardPlan, route_batch
 from repro.serve.engine import build_fixture, check_choices, settled_heap
+from repro.serve.loadgen import LoadProfile
 from repro.serve.report import latency_summary
 
 Clock = Optional[Callable[[], float]]
@@ -188,6 +189,10 @@ class ResilienceConfig:
         if rebuild_ticks < 1:
             raise ValueError("rebuild_ticks must be >= 1")
         check_choices(policy, partition, method)
+        # The batcher's and the load generator's own checks, run here so
+        # a bad knob fails before any replica is built and certified.
+        BatchPolicy(max_batch, max_wait, queue_capacity)
+        LoadProfile(zipf_alpha, universe, rate)
         self.shards = shards
         self.replication = replication
         self.partition = partition
@@ -871,13 +876,14 @@ class ServingLoop:
 
         Each answer, decoded from the table epoch that served it (−1 =
         the degraded path), must be the receiver's longest matching
-        prefix with its next hop: one ``searchsorted`` over the range
-        segments of the receiver table finds it.  Answers compare as
+        prefix with its next hop: :meth:`RangeTable.locate_batch` over
+        the range segments of the receiver table finds it, one
+        ``searchsorted`` per chunk.  Answers compare as
         receiver-entry ids, so a wrong prefix and a wrong next hop are
         both caught.  Returns ``(checked, wrong, details)``, with at
         most five detail rows.
         """
-        starts, segment_ids, answers = self._ranges()
+        ranges, segment_ids = self._ranges()
         # Per epoch, pool code + 1 -> answer id (slot 0 is code −1).
         maps = [
             [NO_ROUTE]
@@ -901,7 +907,7 @@ class ServingLoop:
             got[valid] = flat[bases[epoch[valid]] + slot[valid]]
             for k in np.flatnonzero(src == -1).tolist():
                 got[k] = self._answer_id(self._recorded(state, int(idxs[k])))
-            segment = np.searchsorted(starts, self._values[idxs], side="right") - 1
+            segment = ranges.locate_batch(self._values[idxs])
             bad = np.flatnonzero(got != segment_ids[segment])
             checked += len(idxs)
             wrong += len(bad)
@@ -913,24 +919,23 @@ class ServingLoop:
                         "clue_len": int(self._lens[i]),
                         "table_epoch": int(state.result_src[i]),
                         "got": repr(self._recorded(state, i)),
-                        "want": repr(answers[int(segment[k])]),
+                        "want": repr(ranges.answers[int(segment[k])]),
                     }
                 )
         return checked, wrong, details
 
     def _ranges(self):
-        """``(starts, answer id per segment, answers)`` of the receiver
-        table's range segments, built once per engine with no trie, so
-        the audit shares no code with what it checks."""
+        """``(range table, answer id per segment)`` of the receiver
+        table, built once per engine with no trie, so the audit shares
+        no code with what it checks."""
         if self._oracle is None:
             table = RangeTable(self.receiver_entries, IPV4_WIDTH)
             for answer in table.answers:
                 if answer[0] is not None:
                     self._entry_ids.setdefault(answer, len(self._entry_ids))
             self._oracle = (
-                np.array(table.starts, dtype=np.int64),
+                table,
                 np.array([self._answer_id(a) for a in table.answers], dtype=np.int64),
-                table.answers,
             )
         return self._oracle
 

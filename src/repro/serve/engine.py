@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.addressing import IPV4_WIDTH
 from repro.fastpath.layouts import LAYOUTS
-from repro.serve.batcher import BACKPRESSURE_POLICIES
+from repro.serve.batcher import BACKPRESSURE_POLICIES, BatchPolicy
 from repro.serve.dispatch import PARTITION_MODES, ShardPlan
 from repro.serve.loadgen import LoadProfile, ZipfLoadGenerator
 from repro.serve.report import ServeReport, latency_summary
@@ -90,7 +90,6 @@ def build_fixture(config):
         sender_trie.insert(prefix, next_hop)
     loadgen = ZipfLoadGenerator(
         sender_entries,
-        sender_trie,
         LoadProfile(
             zipf_alpha=config.zipf_alpha,
             universe=config.universe,
@@ -152,6 +151,10 @@ class ServeConfig:
         if table_size < 1:
             raise ValueError("table_size must be >= 1, got %d" % table_size)
         check_choices(policy, partition, method, layout)
+        # The batcher's and the load generator's own checks, run here so
+        # a bad knob fails before any shard is built and certified.
+        BatchPolicy(max_batch, max_wait, queue_capacity)
+        LoadProfile(zipf_alpha, universe, rate)
         self.shards = shards
         self.partition = partition
         self.method = method

@@ -16,8 +16,11 @@ two seeded knobs:
   tick and end with probability ``1 / burst_mean`` per burst tick.
 
 Every request carries the clue a well-formed upstream would stamp: the
-sender trie's BMP length for its destination, precomputed once per
-universe entry and gathered per request.
+sender's BMP length for its destination.  The stamps come from the
+sender table's range segments (:class:`~repro.lookup.binary_range.RangeTable`,
+built with a sort and a sweep, no trie): one ``searchsorted`` locates
+every universe entry's segment, the segment's answer gives its length,
+and each request gathers its entry's stamp.
 
 The whole workload — destination values, clue lengths, per-tick arrival
 offsets — is materialized up front as flat int64 numpy arrays, so
@@ -32,8 +35,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.addressing import IPV4_WIDTH, Address
+from repro.addressing import IPV4_WIDTH
 from repro.experiments.fastbench import sample_destination_values
+from repro.lookup.binary_range import RangeTable
 
 
 class LoadProfile:
@@ -129,21 +133,26 @@ class ZipfLoadGenerator:
     def __init__(
         self,
         sender_entries,
-        sender_trie,
         profile: Optional[LoadProfile] = None,
         seed: int = 0,
     ):
         self.profile = profile if profile is not None else LoadProfile()
         self.seed = seed
-        self.universe_values = sample_destination_values(
-            sender_entries, self.profile.universe, seed=seed
+        self.universe_values = np.array(
+            sample_destination_values(
+                sender_entries, self.profile.universe, seed=seed
+            ),
+            dtype=np.int64,
         )
         #: The clue a well-formed upstream stamps per universe entry:
-        #: its sender-BMP length (−1 if the sender has no match).
-        self.universe_lens: List[int] = []
-        for value in self.universe_values:
-            bmp = sender_trie.best_prefix(Address(value, IPV4_WIDTH))
-            self.universe_lens.append(bmp.length if bmp is not None else -1)
+        #: its sender-BMP length (−1 if the sender has no match), read
+        #: off the answer of the sender segment holding it.
+        ranges = RangeTable(sender_entries, IPV4_WIDTH)
+        segment_lens = np.array(
+            [-1 if prefix is None else prefix.length for prefix, _ in ranges.answers],
+            dtype=np.int64,
+        )
+        self.universe_lens = segment_lens[ranges.locate_batch(self.universe_values)]
         # Zipf CDF over popularity ranks (rank = universe position; the
         # universe sample is already seed-shuffled across the space).
         alpha = self.profile.zipf_alpha
@@ -157,7 +166,7 @@ class ZipfLoadGenerator:
             running += weight
             cumulative.append(running / total)
         cumulative[-1] = 1.0
-        self._cdf = cumulative
+        self._cdf = np.array(cumulative)
 
     # ------------------------------------------------------------------
     def _arrival_counts(self, total: int, rng) -> "tuple[list, int]":
@@ -191,12 +200,14 @@ class ZipfLoadGenerator:
         rng = np.random.default_rng(self.seed + 1)
         counts, burst_ticks = self._arrival_counts(total, rng)
         draws = rng.random(total)
-        cdf = np.asarray(self._cdf)
         picks = np.minimum(
-            np.searchsorted(cdf, draws, side="right"), len(cdf) - 1
+            np.searchsorted(self._cdf, draws, side="right"), len(self._cdf) - 1
         )
-        uni_values = np.asarray(self.universe_values, dtype=np.int64)
-        uni_lens = np.asarray(self.universe_lens, dtype=np.int64)
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
-        return Workload(uni_values[picks], uni_lens[picks], offsets, burst_ticks)
+        return Workload(
+            self.universe_values[picks],
+            self.universe_lens[picks],
+            offsets,
+            burst_ticks,
+        )

@@ -110,11 +110,9 @@ class Shard:
         if not sweep:
             return 0
         dsts, lens = certification_batch(sender_trie, sweep, seed=seed)
+        # A stride layout certifies with the dense base its resume walks
+        # descend (memrefs included there), in the same call.
         checked = certify_full(self.ctrie, scalar.base, dsts)
-        if self.ctrie is not self.ctable.trie:
-            # Serving a stride layout: the resume walks still descend the
-            # dense base, so certify it (memrefs included) as well.
-            checked += certify_full(self.ctable.trie, scalar.base, dsts)
         checked += certify_clue(self.ctable, scalar, dsts, lens)
         return checked
 

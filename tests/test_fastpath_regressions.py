@@ -12,11 +12,15 @@
   key must keep records that share ``bits`` across clue lengths apart.
 * Resumed walks step from each lane's own continuation depth, and a
   Claim-1 stop bit still ends a walk where the receiver trie goes on.
+* ``certify_full`` walks the scalar reference once per destination but
+  still compares every lane, and a stride layout certifies together
+  with the dense base it carries: a fault in either fails the call.
 """
 
 import random
 
 import numpy as np
+import pytest
 
 from repro.addressing import Address
 from repro.experiments import (
@@ -280,3 +284,72 @@ def test_resumed_walks_start_at_their_own_depths():
     for copies in (1, SCALAR_RESUME_LANES // len(starts) + 1):
         batch, batch_lengths = destinations * copies, lengths * copies
         assert certify_clue(ctable, scalar, batch, batch_lengths) == len(batch)
+
+
+# ----------------------------------------------------------------------
+# certify_full: one reference walk per destination, every lane compared
+# ----------------------------------------------------------------------
+def full_certification_fixture(layout):
+    """``(compiled layout, scalar base, sweep destinations)`` of a pair."""
+    from repro.core import ReceiverState
+    from repro.fastpath import certification_batch, compile_layout
+    from repro.lookup import RegularTrieLookup
+    from repro.tablegen import NeighborProfile, derive_neighbor
+
+    sender = generate_table(200, seed=11)
+    receiver = derive_neighbor(sender, NeighborProfile(), seed=12)
+    sender_trie = BinaryTrie.from_prefixes(sender)
+    lay = compile_layout(ReceiverState(receiver, 32).trie, layout)
+    destinations, _lengths = certification_batch(
+        sender_trie, receiver + sender, seed=11
+    )
+    return lay, RegularTrieLookup(receiver, 32), destinations
+
+
+def failing_lane(error) -> int:
+    return int(str(error.value).split()[1])
+
+
+@pytest.mark.parametrize("layout", ["dense", "multibit8"])
+def test_certify_full_compares_the_third_lane_of_a_triple(monkeypatch, layout):
+    """The sweep visits each destination three times and the reference is
+    walked once per destination; a kernel wrong only on the third visit
+    of one destination must still fail certification."""
+    from repro.fastpath import certify
+
+    lay, base, destinations = full_certification_fixture(layout)
+    lane = 3 * (len(destinations) // 6) + 2
+    assert len(set(destinations[lane - 2:lane + 1])) == 1
+    layouts = 2 if layout != "dense" else 1
+    assert certify.certify_full(lay, base, destinations) == len(destinations) * layouts
+    kernel = certify.full_lookup_batch
+
+    def wrong_on_one_lane(ctrie, dsts):
+        codes, memrefs = kernel(ctrie, dsts)
+        codes = codes.copy()
+        codes[lane] = -1 if codes[lane] >= 0 else 0
+        return codes, memrefs
+
+    monkeypatch.setattr(certify, "full_lookup_batch", wrong_on_one_lane)
+    with pytest.raises(certify.CertificationError) as error:
+        certify.certify_full(lay, base, destinations)
+    assert failing_lane(error) == lane
+
+
+def test_a_stride_layout_and_its_base_certify_together():
+    """One call certifies a stride layout and the dense base its resume
+    walks descend: corrupting either one, the other intact, fails it."""
+    from repro.fastpath import CertificationError, certify_full
+
+    lay, base, destinations = full_certification_fixture("multibit8")
+    leaf_codes = lay.leaf_codes.copy()
+    lay.leaf_codes[:] = -1
+    with pytest.raises(CertificationError) as error:
+        certify_full(lay, base, destinations)
+    assert failing_lane(error) < len(destinations)  # a stride lane
+    lay.leaf_codes[:] = leaf_codes
+    assert certify_full(lay, base, destinations) == 2 * len(destinations)
+    lay.base.node_result[:] = -1
+    with pytest.raises(CertificationError) as error:
+        certify_full(lay, base, destinations)
+    assert failing_lane(error) >= len(destinations)  # a base lane

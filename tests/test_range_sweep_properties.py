@@ -7,13 +7,16 @@ what it checks.  Here a :class:`~repro.trie.BinaryTrie` is the test's
 own reference: at every segment start the table's answer must be the
 trie's longest-prefix match, the segments must be exactly the ones a
 trie-built table has (one per prefix low end and one past each high
-end), and the binary and 6-way searches must answer with the same
-prefixes, next hops and memory references as over a trie-built table.
+end), the binary and 6-way searches must answer with the same
+prefixes, next hops and memory references as over a trie-built table,
+and the batch locate must pick, for a whole array of addresses, the
+segment whose answer is the scalar binary search's and the trie's.
 Tables nest prefixes around a few anchor addresses, the top of the
 address space among them, with and without a default route, with /32s
 and duplicate prefixes (the last entry wins), and may be empty.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Address, Prefix
@@ -104,6 +107,26 @@ def test_range_searches_match_a_trie_built_table(entries, extra):
             result = lookup.lookup(address)
             assert (result.prefix, result.next_hop) == want
             assert result.accesses == counter.accesses
+
+
+@given(entry_lists(), st.lists(addresses, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_batch_locate_matches_locate_binary_and_the_trie(entries, extra):
+    table = RangeTable(entries, 32)
+    trie = trie_of(entries)
+    probes = set(extra) | {0, TOP}
+    for start in table.starts:
+        probes.update((start, max(0, start - 1)))
+    values = list(probes)
+    segments = table.locate_batch(np.array(values, dtype=np.int64))
+    assert segments.shape == (len(values),)
+    for value, segment in zip(values, segments.tolist()):
+        address = Address(value, 32)
+        answer = table.answers[segment]
+        assert answer == table.locate_binary(address, MemoryCounter())
+        # Without a default route, an address outside every prefix is
+        # in a (None, None) segment.
+        assert answer == lpm(trie, value)
 
 
 def test_a_duplicate_prefix_resolves_to_its_last_entry():

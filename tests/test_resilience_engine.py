@@ -264,6 +264,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             config(**{field: "bogus"})
 
+    @pytest.mark.parametrize("config", [ServeConfig, ResilienceConfig])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_batch": 0}, "max_batch"),
+            ({"max_wait": -1}, "max_wait"),
+            ({"queue_capacity": 8, "max_batch": 16}, "capacity"),
+            ({"rate": 0}, "rate"),
+            ({"universe": 0}, "universe"),
+            ({"zipf_alpha": -1}, "zipf_alpha"),
+        ],
+    )
+    def test_rejects_bad_batch_and_load_knobs(self, config, kwargs, message):
+        # Each used to pass construction and fail only once run() built
+        # the batchers, after every shard was built and certified.
+        with pytest.raises(ValueError, match=message):
+            config(**kwargs)
+
     def test_as_dict_round_trips(self):
         config = small_config()
         snapshot = config.as_dict()

@@ -6,7 +6,10 @@ routers' tables (as :func:`repro.churn.feed.build_adjacency_pairs` wires
 it) patches only its overlay, its live stop booleans and its clue
 records.  Random bursts — announces, withdrawals, next-hop changes and
 withdrawals of absent prefixes, on both sides — must leave every patched
-structure equal to a fresh build over the same tables.
+structure equal to a fresh build over the same tables.  The receiver's
+Patricia trie is built only when first read: read before a burst or
+first read after it, it must be the Patricia trie of the current
+entries.
 """
 
 import random
@@ -15,10 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Address, Prefix
-from repro.core import MaintainedClueTable
+from repro.core import AdvanceMethod, MaintainedClueTable, ReceiverState, SimpleMethod
 from repro.lookup import BASELINES, MemoryCounter
 from repro.netsim.router import ClueRouter
-from repro.trie import TrieOverlay
+from repro.trie import PatriciaTrie, TrieOverlay
 
 HOPS = ("a", "b", "c")
 
@@ -139,3 +142,49 @@ def test_apply_update_rejects_another_width(technique):
     with pytest.raises(ValueError):
         base.apply_update([], [Prefix(0, 8, 128)])
     assert base.table() == [(Prefix(0b1, 1, 32), "a")]
+
+
+def patricia_records(state, sender_trie):
+    """Every Patricia-technique clue record, Simple and Advance, over
+    the sender's clues: clue, final decision and where the Ptr resumes."""
+    clues = list(sender_trie.prefixes())
+    records = []
+    for method in (SimpleMethod(state, "patricia"), AdvanceMethod(sender_trie, state, "patricia")):
+        table = method.build_table(clues)
+        for clue in clues:
+            entry = table.probe(clue)
+            ptr = entry.continuation
+            records.append(
+                (
+                    method.method_name,
+                    clue,
+                    entry.final_decision(),
+                    None if ptr is None else (ptr.entry.prefix, ptr.entry_is_clue_vertex),
+                )
+            )
+    return records
+
+
+@given(
+    sender_table=tables,
+    receiver_table=tables,
+    burst=st.lists(updates, min_size=1, max_size=16),
+)
+@settings(max_examples=60, deadline=None)
+def test_lazy_patricia_is_the_trie_of_the_current_entries(sender_table, receiver_table, burst):
+    sender = ClueRouter("s", sender_table, technique="patricia")
+    read_before = ClueRouter("b", receiver_table, technique="patricia")
+    read_after = ClueRouter("a", receiver_table, technique="patricia")
+    read_before.receiver.patricia  # built now, so the burst patches it
+    sender.apply_update(*side_delta(burst, "sender"))
+    for router in (read_before, read_after):
+        router.apply_update(*side_delta(burst, "receiver"))
+    eager = ReceiverState(read_after.receiver.entries, 32)
+    eager.patricia  # built before anything else reads the state
+    fresh = shape(PatriciaTrie.from_prefixes(eager.entries, 32))
+    for state in (read_before.receiver, read_after.receiver, eager):
+        assert state.entries == eager.entries
+        assert shape(state.patricia) == fresh
+    want = patricia_records(eager, sender.receiver.trie)
+    assert patricia_records(read_before.receiver, sender.receiver.trie) == want
+    assert patricia_records(read_after.receiver, sender.receiver.trie) == want
