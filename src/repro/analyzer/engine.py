@@ -1,8 +1,8 @@
 """The AST-walking rule engine behind ``repro-clue lint``.
 
 The repo's correctness story rests on hand-maintained invariants — the
-one-memory-reference hot path, seeded-RNG discipline, the canonical
-telemetry catalogue, the never-wrong-forwarding oracles.  This engine
+one-memory-reference hot path, seeded-RNG discipline, the public API
+surface, the never-wrong-forwarding oracles.  This engine
 makes them machine-checked: it parses every file once, hands the parse
 to a registry of :class:`Rule` objects, and reconciles their findings
 against per-line suppressions and a committed baseline so legacy debt

@@ -5,8 +5,7 @@ to know about one file, extracted in a single AST walk: the module's
 dotted name, its import table, its functions and classes with raw
 call-site references, lightweight type hints (``x =
 CompiledTrie(...)``, ``self.trie = trie`` where ``trie`` is an
-annotated parameter), rule-local facts (:mod:`facts`), and the
-telemetry registrations RC104 reconciles.
+annotated parameter), and rule-local facts (:mod:`facts`).
 
 Name references are stored *raw* as attribute chains (``("self",
 "_probe")``, ``("random", "random")``) — resolution to qualified names
@@ -16,19 +15,10 @@ happens later in :mod:`callgraph`, where the full project is visible.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analyzer.graph import facts as _facts
 from repro.analyzer.purity import is_cold_path_function, is_hot_path_function
-
-#: Metric-registration method names RC104 reconciles.
-_METRIC_KINDS = ("counter", "gauge", "histogram")
-
-#: One docstring table row: ``clue_hits_total``  counter  router
-_TABLE_ROW = re.compile(
-    r"^``(?P<name>[a-z_][a-z0-9_]*)``\s+(?P<kind>counter|gauge|histogram)\b"
-)
 
 FunctionDefs = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -149,8 +139,6 @@ class ModuleSummary:
         "imports",
         "functions",
         "classes",
-        "metric_calls",
-        "metric_table",
     )
 
     def __init__(
@@ -161,8 +149,6 @@ class ModuleSummary:
         imports: Dict[str, str],
         functions: List[FunctionSummary],
         classes: List[ClassSummary],
-        metric_calls: List[List[Any]],
-        metric_table: List[List[Any]],
     ):
         self.path = path
         self.module = module
@@ -170,11 +156,6 @@ class ModuleSummary:
         self.imports = imports
         self.functions = functions
         self.classes = classes
-        #: ``[name, kind, line, col]`` of every literal metric
-        #: registration (``reg.counter("x", ...)``) in the file.
-        self.metric_calls = metric_calls
-        #: ``[name, kind, line]`` docstring-table rows (catalogue only).
-        self.metric_table = metric_table
 
     def __repr__(self) -> str:
         return "ModuleSummary(%s, %d functions)" % (
@@ -203,17 +184,8 @@ def summarize_source(source) -> ModuleSummary:
                 klass, methods = _summarize_class(node)
                 classes.append(klass)
                 functions.extend(methods)
-    metric_calls = _metric_calls(tree) if tree is not None else []
-    metric_table = _metric_table(source)
     return ModuleSummary(
-        source.path,
-        module,
-        package,
-        imports,
-        functions,
-        classes,
-        metric_calls,
-        metric_table,
+        source.path, module, package, imports, functions, classes
     )
 
 
@@ -388,32 +360,3 @@ def _collect_calls(
     for child in ast.iter_child_nodes(node):
         _collect_calls(child, depth, calls, local_types)
 
-
-def _metric_calls(tree: ast.AST) -> List[List[Any]]:
-    calls: List[List[Any]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if (
-            not isinstance(callee, ast.Attribute)
-            or callee.attr not in _METRIC_KINDS
-        ):
-            continue
-        if not node.args:
-            continue
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            calls.append(
-                [first.value, callee.attr, node.lineno, node.col_offset + 1]
-            )
-    return calls
-
-
-def _metric_table(source) -> List[List[Any]]:
-    rows: List[List[Any]] = []
-    for number, line in enumerate(getattr(source, "lines", ()), start=1):
-        match = _TABLE_ROW.match(line.strip())
-        if match is not None:
-            rows.append([match.group("name"), match.group("kind"), number])
-    return rows

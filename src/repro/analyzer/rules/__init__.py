@@ -15,7 +15,6 @@ from repro.analyzer.rules.hotpath import HotPathPurityRule
 from repro.analyzer.rules.loops import UnboundedLoopRule
 from repro.analyzer.rules.retry import BoundedRetryRule
 from repro.analyzer.rules.rng import SeededRngRule
-from repro.analyzer.rules.telemetry_catalogue import TelemetryCatalogueRule
 from repro.analyzer.rules.todo import StrayTodoRule
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "PublicApiRule",
     "SeededRngRule",
     "StrayTodoRule",
-    "TelemetryCatalogueRule",
     "UnboundedLoopRule",
     "WallClockRule",
 ]

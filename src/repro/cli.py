@@ -87,6 +87,15 @@ def _load_pair(args) -> Tuple[List[Entry], List[Entry]]:
     return parse_rib_file(args.sender), parse_rib_file(args.receiver)
 
 
+def _config(args, factory, **values):
+    """``factory(**values)``; a value the config rejects ends the run
+    like an argparse error: usage, one ``error:`` line, exit status 2."""
+    try:
+        return factory(**values)
+    except ValueError as error:
+        args.parser.error(str(error))
+
+
 def _cmd_generate(args) -> int:
     entries = generate_table(args.count, seed=args.seed)
     if args.output:
@@ -568,7 +577,9 @@ def _cmd_serve(args) -> int:
         args.table_size = min(args.table_size, 2000)
         args.requests = min(args.requests, 120000)
         args.universe = min(args.universe, 2048)
-    config = ServeConfig(
+    config = _config(
+        args,
+        ServeConfig,
         shards=args.shards,
         partition=args.partition,
         method=args.method,
@@ -618,7 +629,9 @@ def _cmd_chaos(args) -> int:
         args.table_size = min(args.table_size, 2000)
         args.requests = min(args.requests, 120000)
         args.universe = min(args.universe, 2048)
-    config = ResilienceConfig(
+    config = _config(
+        args,
+        ResilienceConfig,
         shards=args.shards,
         replication=args.replication,
         partition=args.partition,
@@ -960,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="dense",
                        help="compiled trie layout the shards serve through "
                             "(default dense)")
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_cmd_serve, parser=serve)
 
     chaos = sub.add_parser(
         "chaos",
@@ -1016,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--output", default=None,
                        help="write BENCH_resilience.json here "
                             "(default stdout)")
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.set_defaults(func=_cmd_chaos, parser=chaos)
 
     space = sub.add_parser("space", help="§3.5 clue-table space model")
     space.add_argument("--entries", type=int, default=60000)

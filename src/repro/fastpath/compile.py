@@ -38,6 +38,7 @@ stays on the scalar path.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -290,13 +291,16 @@ class CompiledClueTable:
         """Data-plane footprint of the probe and record arrays, in bytes.
 
         The merged sorted keys and their record ids, the four parallel
-        record columns (8 bytes per element each; a width-128 key is
-        counted as one int64 lane too) plus the packed stop bitmask rows.
-        Excludes the trie layout — report that separately via the
-        layout's own ``nbytes()``.
+        int64 record columns and the packed stop bitmask rows.  A
+        width-128 key lives in an object array, so it costs its 8-byte
+        pointer plus the Python int it points to.  Excludes the trie
+        layout — report that separately via the layout's own
+        ``nbytes()``.
         """
-        total = (len(self.probe_keys) + len(self.probe_recs)) * 8
-        total += 4 * self.records * 8
+        keys = self.probe_keys
+        total = keys.nbytes + self.probe_recs.nbytes + 4 * self.records * 8
+        if keys.dtype == object:
+            total += sum(sys.getsizeof(key) for key in keys)
         return total + self.stop_masks.nbytes
 
 

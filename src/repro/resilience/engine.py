@@ -548,7 +548,7 @@ class ServingLoop:
                 if worker.replica != rotation:
                     state.failovers += taken
                     if worker.res_metrics is not None:
-                        worker.res_metrics.failovers.inc(taken)
+                        worker.res_metrics.serve_failovers.inc(taken)
                 placed += taken
             if placed == len(idxs):
                 break
@@ -573,7 +573,7 @@ class ServingLoop:
             primary.shed += len(remaining)
             metrics = primary.shard.metrics
             if metrics is not None:
-                metrics.shed.inc(len(remaining))
+                metrics.serve_shed.inc(len(remaining))
             state.status[remaining] = SHED
             state.shed += len(remaining)
         else:
@@ -648,7 +648,7 @@ class ServingLoop:
                 state.hedged[i] = 1
                 state.hedges += 1
                 if worker.res_metrics is not None:
-                    worker.res_metrics.hedges.inc()
+                    worker.res_metrics.serve_hedges.inc()
                 return
 
     # -- failure recovery -----------------------------------------------
@@ -665,7 +665,7 @@ class ServingLoop:
             state.attempts[i] = used + 1
             state.retries += 1
             if worker.res_metrics is not None:
-                worker.res_metrics.retries.inc()
+                worker.res_metrics.serve_retries.inc()
             delay = cfg.retry_backoff << used
             state.retry_due.setdefault(now + delay, []).append(i)
 
@@ -858,9 +858,9 @@ class ServingLoop:
             for worker in row:
                 metrics = worker.shard.metrics
                 if metrics is not None:
-                    metrics.queue_depth.set(worker.batcher.depth)
+                    metrics.serve_queue_depth.set(worker.batcher.depth)
                 if worker.res_metrics is not None:
-                    worker.res_metrics.health_state.set(
+                    worker.res_metrics.shard_health_state.set(
                         worker.health.state_code()
                     )
 

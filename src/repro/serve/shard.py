@@ -131,9 +131,9 @@ class Shard:
         lanes = len(dsts)
         metrics = self.metrics
         if metrics is not None:
-            metrics.requests.inc(lanes)
-            metrics.batches.inc()
-            metrics.batch_size.observe(lanes)
+            metrics.serve_requests.inc(lanes)
+            metrics.serve_batches.inc()
+            metrics.serve_batch_size.observe(lanes)
         return codes, memrefs
 
     def decode(self, code: int) -> Tuple[Optional[object], Optional[object]]:

@@ -7,7 +7,8 @@ Three layers, smallest surface first:
 * :mod:`repro.telemetry.trace` — per-packet :class:`TraceSpan` records
   behind a deterministically sampling :class:`Tracer`;
 * :mod:`repro.telemetry.instruments` — the canonical metric catalogue
-  (:class:`LookupInstruments`) the lookup hot path and the netsim
+  (``CATALOGUE``, one row per series, registered and bound by
+  :class:`LookupInstruments`) the lookup hot path and the netsim
   fabric report through;
 * :mod:`repro.telemetry.export` — JSON and Prometheus text renderings.
 

@@ -7,47 +7,14 @@ those quantities down as named metrics, once, so the lookup hot path,
 the netsim fabric, and the experiment harnesses all report through the
 same series instead of each keeping private tallies.
 
-Catalogue (all living in one :class:`MetricsRegistry`):
-
-====================================  =========  =====================
-metric                                kind       labels
-====================================  =========  =====================
-``clue_hits_total``                   counter    router
-``clue_misses_total``                 counter    router
-``fd_immediate_total``                counter    router
-``resumed_search_total``              counter    router
-``full_lookups_total``                counter    router
-``clue_entries_built_total``          counter    router, method
-``problematic_clues_total``           counter    router
-``memory_accesses``                   histogram  router
-``resumed_search_depth``              histogram  router
-``clue_table_size``                   gauge      router, upstream
-``packets_forwarded_total``           counter    result
-``traced_packets_total``              counter    (none)
-``updates_applied_total``             counter    kind
-``clues_rebuilt_total``               counter    router
-``epochs_converged_total``            counter    (none)
-``clue_table_staleness``              histogram  (none)
-``faults_injected_total``             counter    kind
-``clue_guard_rejections_total``       counter    router, reason
-``neighbors_quarantined_total``       counter    router
-``degraded_lookup_accesses``          histogram  router
-``serve_requests_total``              counter    shard
-``serve_batches_total``               counter    shard
-``serve_shed_total``                  counter    shard
-``serve_queue_depth``                 gauge      shard
-``serve_batch_size``                  histogram  shard
-``serve_retries_total``               counter    shard
-``serve_hedges_total``                counter    shard
-``serve_failovers_total``             counter    shard
-``serve_deadline_expired_total``      counter    (none)
-``shard_health_state``                gauge      shard
-``control_lsas_flooded_total``        counter    router
-``control_spf_runs_total``            counter    router
-``control_adjacency_transitions_total``  counter  router, state
-``control_table_updates_total``       counter    router
-``control_convergence_ticks``         histogram  (none)
-====================================  =========  =====================
+:data:`CATALOGUE` declares every series exactly once: its name, kind,
+labels, help text, histogram buckets, and the bound view that pre-binds
+it.  :class:`LookupInstruments` registers the rows in table order (the
+Prometheus export order) and exposes each one as a handle named after
+the series without its ``_total`` suffix (:attr:`Series.handle`); each
+bound view binds its own one-label rows to its owner under the same
+names.  DESIGN.md §6 renders the table as prose, checked row for row by
+the test suite.
 
 Identities the series satisfy by construction (and the end-to-end tests
 assert): ``clue_hits_total = fd_immediate_total + resumed_search_total``,
@@ -61,7 +28,7 @@ per-router series, so the per-lookup cost is a handful of dict stores.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.lookup.counters import (
     METHOD_CLUE_MISS,
@@ -71,7 +38,13 @@ from repro.lookup.counters import (
 from repro.lookup.hotpath import hot_path
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
+    _BoundCounter,
+    _BoundGauge,
+    _BoundHistogram,
     get_registry,
 )
 from repro.telemetry.trace import Tracer
@@ -108,36 +81,168 @@ CONVERGENCE_BUCKETS = (
 ADJACENCY_STATES = ("down", "init", "full")
 
 
-class RouterInstruments:
-    """Per-router bound view over the canonical series (the hot handle)."""
+class Series(NamedTuple):
+    """One catalogue row: a series and the view that pre-binds it."""
 
-    __slots__ = (
-        "owner",
-        "clue_hits",
-        "clue_misses",
-        "fd_immediate",
-        "resumed_search",
-        "full_lookups",
-        "memory_accesses",
-        "resumed_depth",
-        "entries_built",
-        "problematic_clues",
+    name: str
+    #: ``"counter"``, ``"gauge"`` or ``"histogram"``.
+    kind: str
+    labels: Tuple[str, ...]
+    #: The bound view whose owner fills the first label (``"router"``,
+    #: ``"guard"``, ``"shard"``, ``"resilience"``, ``"control"``), or
+    #: None for series recorded through :class:`LookupInstruments`.
+    view: Optional[str]
+    help: str
+    #: Histogram bucket upper bounds; empty for counters and gauges.
+    buckets: Tuple[float, ...] = ()
+
+    @property
+    def handle(self) -> str:
+        """The attribute holding the series: its name minus ``_total``."""
+        if self.name.endswith("_total"):
+            return self.name[: -len("_total")]
+        return self.name
+
+
+#: Every series, in registration (and Prometheus export) order.
+CATALOGUE: Tuple[Series, ...] = (
+    # -- the paper's lookup accounting (repro.core, repro.netsim) --------
+    Series("clue_hits_total", "counter", ("router",), "router",
+           "Lookups resolved off a clue-table hit (FD or resumed search)"),
+    Series("clue_misses_total", "counter", ("router",), "router",
+           "Clue-carrying lookups whose clue table had no record"),
+    Series("fd_immediate_total", "counter", ("router",), "router",
+           "Clue hits short-circuited by the precomputed final decision"),
+    Series("resumed_search_total", "counter", ("router",), "router",
+           "Clue hits that ran the restricted resumed search"),
+    Series("full_lookups_total", "counter", ("router",), "router",
+           "Lookups answered by the base algorithm (no clue, or clue miss)"),
+    Series("clue_entries_built_total", "counter", ("router", "method"), "router",
+           "Clue-table records constructed, by building method"),
+    Series("problematic_clues_total", "counter", ("router",), "router",
+           "Built records for clues violating Claim 1 (non-empty Ptr)"),
+    Series("memory_accesses", "histogram", ("router",), "router",
+           "Memory references charged per lookup", DEFAULT_BUCKETS),
+    Series("resumed_search_depth", "histogram", ("router",), "router",
+           "References spent in the resumed search beyond the table probe",
+           DEPTH_BUCKETS),
+    Series("clue_table_size", "gauge", ("router", "upstream"), None,
+           "Learned clue-table records per (router, upstream) pair"),
+    Series("packets_forwarded_total", "counter", ("result",), None,
+           "Packets forwarded end-to-end, by exit reason"),
+    Series("traced_packets_total", "counter", (), None,
+           "Packets selected by the trace sampler"),
+    # -- churn (repro.churn) ---------------------------------------------
+    Series("updates_applied_total", "counter", ("kind",), None,
+           "Route updates applied to the fabric, by event kind"),
+    Series("clues_rebuilt_total", "counter", ("router",), None,
+           "Clue-table records rebuilt by incremental maintenance"),
+    Series("epochs_converged_total", "counter", (), None,
+           "Churn epochs that ended with every pair's backlog empty"),
+    Series("clue_table_staleness", "histogram", (), None,
+           "Per-pair deferred-rebuild backlog at each epoch boundary",
+           STALENESS_BUCKETS),
+    # -- faults and the guarded data path (repro.faults) -----------------
+    Series("faults_injected_total", "counter", ("kind",), None,
+           "Adversarial faults injected into the fabric, by kind"),
+    Series("clue_guard_rejections_total", "counter", ("router", "reason"), "guard",
+           "Clue consultations rejected by the guarded data path"),
+    Series("neighbors_quarantined_total", "counter", ("router",), "guard",
+           "Guard quarantine transitions (an upstream lost trust)"),
+    Series("degraded_lookup_accesses", "histogram", ("router",), "guard",
+           "Memory references of lookups the guard degraded to full",
+           DEFAULT_BUCKETS),
+    # -- the sharded serving plane (repro.serve) -------------------------
+    Series("serve_requests_total", "counter", ("shard",), "shard",
+           "Lookup requests served through the batched shard plane"),
+    Series("serve_batches_total", "counter", ("shard",), "shard",
+           "Coalesced batches released to the shard kernels"),
+    Series("serve_shed_total", "counter", ("shard",), "shard",
+           "Requests dropped by shed backpressure at a full shard queue"),
+    Series("serve_queue_depth", "gauge", ("shard",), "shard",
+           "Pending requests in a shard's batcher queue (end of tick)"),
+    Series("serve_batch_size", "histogram", ("shard",), "shard",
+           "Requests per released batch (max-size vs max-wait mix)",
+           BATCH_SIZE_BUCKETS),
+    # -- replicated serving (repro.resilience) ---------------------------
+    Series("serve_retries_total", "counter", ("shard",), "resilience",
+           "Requests re-dispatched after a crash or a dropped batch"),
+    Series("serve_hedges_total", "counter", ("shard",), "resilience",
+           "Requests duplicated to another replica after hedge_ticks"),
+    Series("serve_failovers_total", "counter", ("shard",), "resilience",
+           "Requests placed on a replica other than their preferred one"),
+    Series("serve_deadline_expired_total", "counter", (), None,
+           "Requests whose deadline budget ran out before completion"),
+    Series("shard_health_state", "gauge", ("shard",), "resilience",
+           "Health FSM state code per replica worker (end of tick)"),
+    # -- the link-state control plane (repro.control) --------------------
+    Series("control_lsas_flooded_total", "counter", ("router",), "control",
+           "LSAs sent in LsUpdate messages (fresh floods + retransmissions)"),
+    Series("control_spf_runs_total", "counter", ("router",), "control",
+           "Shortest-path-first recomputations triggered by LSDB changes"),
+    Series("control_adjacency_transitions_total", "counter", ("router", "state"),
+           "control", "Neighbour state-machine transitions, by state entered"),
+    Series("control_table_updates_total", "counter", ("router",), "control",
+           "Prefix-level routing-table deltas the SPF feed applied"),
+    Series("control_convergence_ticks", "histogram", (), None,
+           "Ticks from losing control-plane convergence to regaining it",
+           CONVERGENCE_BUCKETS),
+)
+
+
+def _bound_handles(view: str) -> Tuple[str, ...]:
+    """The handles a view pre-binds: its rows whose one label is the owner.
+
+    A two-label row of the view is bound per second-label value by the
+    view itself; a histogram row gets its (zero) series here, because
+    binding a histogram creates it.
+    """
+    return tuple(
+        row.handle
+        for row in CATALOGUE
+        if row.view == view and len(row.labels) == 1
     )
+
+
+class _BoundView:
+    """A per-owner view with every one-label row of :attr:`view` bound.
+
+    Recording through a view never calls ``labels(...)``: the children
+    are cached at construction, so an increment is one dict store.
+    """
+
+    __slots__ = ("owner",)
+    view = ""
 
     def __init__(self, instruments: "LookupInstruments", owner: str):
         self.owner = owner
-        self.clue_hits = instruments.clue_hits.labels(owner)
-        self.clue_misses = instruments.clue_misses.labels(owner)
-        self.fd_immediate = instruments.fd_immediate.labels(owner)
-        self.resumed_search = instruments.resumed_search.labels(owner)
-        self.full_lookups = instruments.full_lookups.labels(owner)
-        self.memory_accesses = instruments.memory_accesses.labels(owner)
-        self.resumed_depth = instruments.resumed_depth.labels(owner)
-        self.entries_built = {
+        for handle in _bound_handles(self.view):
+            setattr(self, handle, getattr(instruments, handle).labels(owner))
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, self.owner)
+
+
+class RouterInstruments(_BoundView):
+    """Per-router bound view over the canonical series (the hot handle)."""
+
+    view = "router"
+    __slots__ = _bound_handles(view) + ("clue_entries_built",)
+    clue_hits: _BoundCounter
+    clue_misses: _BoundCounter
+    fd_immediate: _BoundCounter
+    resumed_search: _BoundCounter
+    full_lookups: _BoundCounter
+    problematic_clues: _BoundCounter
+    memory_accesses: _BoundHistogram
+    resumed_search_depth: _BoundHistogram
+
+    def __init__(self, instruments: "LookupInstruments", owner: str):
+        super().__init__(instruments, owner)
+        self.clue_entries_built = {
             method: instruments.clue_entries_built.labels(owner, method)
             for method in ("simple", "advance")
         }
-        self.problematic_clues = instruments.problematic_clues.labels(owner)
 
     @hot_path
     def record_lookup(self, method: Optional[str], accesses: int) -> None:
@@ -150,7 +255,7 @@ class RouterInstruments:
             self.clue_hits.inc()
             self.resumed_search.inc()
             # Depth = work beyond the single clue-table probe.
-            self.resumed_depth.observe(accesses - 1)
+            self.resumed_search_depth.observe(accesses - 1)
         elif method == METHOD_CLUE_MISS:
             self.clue_misses.inc()
             self.full_lookups.inc()
@@ -182,7 +287,7 @@ class RouterInstruments:
             self.fd_immediate.inc(fd)
         if resumed:
             self.resumed_search.inc(resumed)
-            self.resumed_depth.observe_many(
+            self.resumed_search_depth.observe_many(
                 [value - 1 for value in resumed_accesses]
             )
         if misses:
@@ -192,17 +297,14 @@ class RouterInstruments:
 
     def record_entry_built(self, method_name: str, problematic: bool) -> None:
         """Account one clue-table record construction (off the fast path)."""
-        bound = self.entries_built.get(method_name)
+        bound = self.clue_entries_built.get(method_name)
         if bound is not None:
             bound.inc()
         if problematic:
             self.problematic_clues.inc()
 
-    def __repr__(self) -> str:
-        return "RouterInstruments(%r)" % self.owner
 
-
-class GuardInstruments:
+class GuardInstruments(_BoundView):
     """Per-router bound view of the guard series (the GuardedLookup sink).
 
     Matches the monitor protocol of :class:`repro.faults.guard
@@ -211,35 +313,33 @@ class GuardInstruments:
     (the reason set is small and stable).
     """
 
-    __slots__ = ("owner", "_instruments", "_rejections", "quarantined", "degraded")
+    view = "guard"
+    __slots__ = _bound_handles(view) + ("_instruments", "clue_guard_rejections")
+    neighbors_quarantined: _BoundCounter
+    degraded_lookup_accesses: _BoundHistogram
 
     def __init__(self, instruments: "LookupInstruments", owner: str):
-        self.owner = owner
+        super().__init__(instruments, owner)
         self._instruments = instruments
-        self._rejections: Dict[str, object] = {}
-        self.quarantined = instruments.neighbors_quarantined.labels(owner)
-        self.degraded = instruments.degraded_lookups.labels(owner)
+        self.clue_guard_rejections: Dict[str, _BoundCounter] = {}
 
     def record_rejection(self, reason: str) -> None:
-        bound = self._rejections.get(reason)
+        bound = self.clue_guard_rejections.get(reason)
         if bound is None:
             bound = self._instruments.clue_guard_rejections.labels(
                 self.owner, reason
             )
-            self._rejections[reason] = bound
+            self.clue_guard_rejections[reason] = bound
         bound.inc()
 
     def record_quarantine(self) -> None:
-        self.quarantined.inc()
+        self.neighbors_quarantined.inc()
 
     def record_degraded(self, accesses: int) -> None:
-        self.degraded.observe(accesses)
-
-    def __repr__(self) -> str:
-        return "GuardInstruments(%r)" % self.owner
+        self.degraded_lookup_accesses.observe(accesses)
 
 
-class ShardInstruments:
+class ShardInstruments(_BoundView):
     """Per-shard bound view of the serving-plane series (repro.serve).
 
     Every handle is pre-bound at shard construction so the batch path
@@ -248,21 +348,16 @@ class ShardInstruments:
     :class:`RouterInstruments`.
     """
 
-    __slots__ = ("owner", "requests", "batches", "shed", "queue_depth", "batch_size")
-
-    def __init__(self, instruments: "LookupInstruments", owner: str):
-        self.owner = owner
-        self.requests = instruments.serve_requests.labels(owner)
-        self.batches = instruments.serve_batches.labels(owner)
-        self.shed = instruments.serve_shed.labels(owner)
-        self.queue_depth = instruments.serve_queue_depth.labels(owner)
-        self.batch_size = instruments.serve_batch_size.labels(owner)
-
-    def __repr__(self) -> str:
-        return "ShardInstruments(%r)" % self.owner
+    view = "shard"
+    __slots__ = _bound_handles(view)
+    serve_requests: _BoundCounter
+    serve_batches: _BoundCounter
+    serve_shed: _BoundCounter
+    serve_queue_depth: _BoundGauge
+    serve_batch_size: _BoundHistogram
 
 
-class ResilienceInstruments:
+class ResilienceInstruments(_BoundView):
     """Per-replica-worker bound view of the resilience series.
 
     One per ``slice.replica`` worker of the chaos engine's replicated
@@ -271,20 +366,15 @@ class ResilienceInstruments:
     zero-allocation discipline as :class:`ShardInstruments`.
     """
 
-    __slots__ = ("owner", "retries", "hedges", "failovers", "health_state")
-
-    def __init__(self, instruments: "LookupInstruments", owner: str):
-        self.owner = owner
-        self.retries = instruments.serve_retries.labels(owner)
-        self.hedges = instruments.serve_hedges.labels(owner)
-        self.failovers = instruments.serve_failovers.labels(owner)
-        self.health_state = instruments.shard_health_state.labels(owner)
-
-    def __repr__(self) -> str:
-        return "ResilienceInstruments(%r)" % self.owner
+    view = "resilience"
+    __slots__ = _bound_handles(view)
+    serve_retries: _BoundCounter
+    serve_hedges: _BoundCounter
+    serve_failovers: _BoundCounter
+    shard_health_state: _BoundGauge
 
 
-class ControlInstruments:
+class ControlInstruments(_BoundView):
     """Per-router bound view of the control-plane series (repro.control).
 
     Every handle — including one transition counter per adjacency
@@ -292,14 +382,15 @@ class ControlInstruments:
     protocol loop records without a single ``labels(...)`` call.
     """
 
-    __slots__ = ("owner", "lsas_flooded", "spf_runs", "table_updates", "_transitions")
+    view = "control"
+    __slots__ = _bound_handles(view) + ("control_adjacency_transitions",)
+    control_lsas_flooded: _BoundCounter
+    control_spf_runs: _BoundCounter
+    control_table_updates: _BoundCounter
 
     def __init__(self, instruments: "LookupInstruments", owner: str):
-        self.owner = owner
-        self.lsas_flooded = instruments.control_lsas_flooded.labels(owner)
-        self.spf_runs = instruments.control_spf_runs.labels(owner)
-        self.table_updates = instruments.control_table_updates.labels(owner)
-        self._transitions = {
+        super().__init__(instruments, owner)
+        self.control_adjacency_transitions = {
             state: instruments.control_adjacency_transitions.labels(
                 owner, state
             )
@@ -308,24 +399,62 @@ class ControlInstruments:
 
     def record_flood(self, count: int = 1) -> None:
         if count:
-            self.lsas_flooded.inc(count)
+            self.control_lsas_flooded.inc(count)
 
     def record_spf(self) -> None:
-        self.spf_runs.inc()
+        self.control_spf_runs.inc()
 
     def record_transition(self, state: str) -> None:
-        self._transitions[state].inc()
+        self.control_adjacency_transitions[state].inc()
 
     def record_table_updates(self, count: int) -> None:
         if count:
-            self.table_updates.inc(count)
-
-    def __repr__(self) -> str:
-        return "ControlInstruments(%r)" % self.owner
+            self.control_table_updates.inc(count)
 
 
 class LookupInstruments:
-    """The canonical metric set over one registry, plus an optional tracer."""
+    """The canonical metric set over one registry, plus an optional tracer.
+
+    Each :data:`CATALOGUE` row is registered in ``__init__`` and held
+    under its :attr:`Series.handle`; the annotations below declare those
+    handles for type checkers.
+    """
+
+    clue_hits: Counter
+    clue_misses: Counter
+    fd_immediate: Counter
+    resumed_search: Counter
+    full_lookups: Counter
+    clue_entries_built: Counter
+    problematic_clues: Counter
+    memory_accesses: Histogram
+    resumed_search_depth: Histogram
+    clue_table_size: Gauge
+    packets_forwarded: Counter
+    traced_packets: Counter
+    updates_applied: Counter
+    clues_rebuilt: Counter
+    epochs_converged: Counter
+    clue_table_staleness: Histogram
+    faults_injected: Counter
+    clue_guard_rejections: Counter
+    neighbors_quarantined: Counter
+    degraded_lookup_accesses: Histogram
+    serve_requests: Counter
+    serve_batches: Counter
+    serve_shed: Counter
+    serve_queue_depth: Gauge
+    serve_batch_size: Histogram
+    serve_retries: Counter
+    serve_hedges: Counter
+    serve_failovers: Counter
+    serve_deadline_expired: Counter
+    shard_health_state: Gauge
+    control_lsas_flooded: Counter
+    control_spf_runs: Counter
+    control_adjacency_transitions: Counter
+    control_table_updates: Counter
+    control_convergence_ticks: Histogram
 
     def __init__(
         self,
@@ -336,187 +465,15 @@ class LookupInstruments:
         #: Per-packet trace sampling; None disables tracing entirely.
         self.tracer = tracer
         reg = self.registry
-        self.clue_hits = reg.counter(
-            "clue_hits_total",
-            "Lookups resolved off a clue-table hit (FD or resumed search)",
-            labels=("router",),
-        )
-        self.clue_misses = reg.counter(
-            "clue_misses_total",
-            "Clue-carrying lookups whose clue table had no record",
-            labels=("router",),
-        )
-        self.fd_immediate = reg.counter(
-            "fd_immediate_total",
-            "Clue hits short-circuited by the precomputed final decision",
-            labels=("router",),
-        )
-        self.resumed_search = reg.counter(
-            "resumed_search_total",
-            "Clue hits that ran the restricted resumed search",
-            labels=("router",),
-        )
-        self.full_lookups = reg.counter(
-            "full_lookups_total",
-            "Lookups answered by the base algorithm (no clue, or clue miss)",
-            labels=("router",),
-        )
-        self.clue_entries_built = reg.counter(
-            "clue_entries_built_total",
-            "Clue-table records constructed, by building method",
-            labels=("router", "method"),
-        )
-        self.problematic_clues = reg.counter(
-            "problematic_clues_total",
-            "Built records for clues violating Claim 1 (non-empty Ptr)",
-            labels=("router",),
-        )
-        self.memory_accesses = reg.histogram(
-            "memory_accesses",
-            "Memory references charged per lookup",
-            labels=("router",),
-            buckets=DEFAULT_BUCKETS,
-        )
-        self.resumed_depth = reg.histogram(
-            "resumed_search_depth",
-            "References spent in the resumed search beyond the table probe",
-            labels=("router",),
-            buckets=DEPTH_BUCKETS,
-        )
-        self.clue_table_size = reg.gauge(
-            "clue_table_size",
-            "Learned clue-table records per (router, upstream) pair",
-            labels=("router", "upstream"),
-        )
-        self.packets_forwarded = reg.counter(
-            "packets_forwarded_total",
-            "Packets forwarded end-to-end, by exit reason",
-            labels=("result",),
-        )
-        self.traced_packets = reg.counter(
-            "traced_packets_total",
-            "Packets selected by the trace sampler",
-        )
-        # -- churn series (repro.churn) ---------------------------------
-        self.updates_applied = reg.counter(
-            "updates_applied_total",
-            "Route updates applied to the fabric, by event kind",
-            labels=("kind",),
-        )
-        self.clues_rebuilt = reg.counter(
-            "clues_rebuilt_total",
-            "Clue-table records rebuilt by incremental maintenance",
-            labels=("router",),
-        )
-        self.epochs_converged = reg.counter(
-            "epochs_converged_total",
-            "Churn epochs that ended with every pair's backlog empty",
-        )
-        self.clue_table_staleness = reg.histogram(
-            "clue_table_staleness",
-            "Per-pair deferred-rebuild backlog at each epoch boundary",
-            buckets=STALENESS_BUCKETS,
-        )
-        # -- fault/guard series (repro.faults) ---------------------------
-        self.faults_injected = reg.counter(
-            "faults_injected_total",
-            "Adversarial faults injected into the fabric, by kind",
-            labels=("kind",),
-        )
-        self.clue_guard_rejections = reg.counter(
-            "clue_guard_rejections_total",
-            "Clue consultations rejected by the guarded data path",
-            labels=("router", "reason"),
-        )
-        self.neighbors_quarantined = reg.counter(
-            "neighbors_quarantined_total",
-            "Guard quarantine transitions (an upstream lost trust)",
-            labels=("router",),
-        )
-        self.degraded_lookups = reg.histogram(
-            "degraded_lookup_accesses",
-            "Memory references of lookups the guard degraded to full",
-            labels=("router",),
-            buckets=DEFAULT_BUCKETS,
-        )
-        # -- serving-plane series (repro.serve) ---------------------------
-        self.serve_requests = reg.counter(
-            "serve_requests_total",
-            "Lookup requests served through the batched shard plane",
-            labels=("shard",),
-        )
-        self.serve_batches = reg.counter(
-            "serve_batches_total",
-            "Coalesced batches released to the shard kernels",
-            labels=("shard",),
-        )
-        self.serve_shed = reg.counter(
-            "serve_shed_total",
-            "Requests dropped by shed backpressure at a full shard queue",
-            labels=("shard",),
-        )
-        self.serve_queue_depth = reg.gauge(
-            "serve_queue_depth",
-            "Pending requests in a shard's batcher queue (end of tick)",
-            labels=("shard",),
-        )
-        self.serve_batch_size = reg.histogram(
-            "serve_batch_size",
-            "Requests per released batch (max-size vs max-wait mix)",
-            labels=("shard",),
-            buckets=BATCH_SIZE_BUCKETS,
-        )
-        # -- resilience series (repro.resilience) --------------------------
-        self.serve_retries = reg.counter(
-            "serve_retries_total",
-            "Requests re-dispatched after a crash or a dropped batch",
-            labels=("shard",),
-        )
-        self.serve_hedges = reg.counter(
-            "serve_hedges_total",
-            "Requests duplicated to another replica after hedge_ticks",
-            labels=("shard",),
-        )
-        self.serve_failovers = reg.counter(
-            "serve_failovers_total",
-            "Requests placed on a replica other than their preferred one",
-            labels=("shard",),
-        )
-        self.serve_deadline_expired = reg.counter(
-            "serve_deadline_expired_total",
-            "Requests whose deadline budget ran out before completion",
-        )
-        self.shard_health_state = reg.gauge(
-            "shard_health_state",
-            "Health FSM state code per replica worker (end of tick)",
-            labels=("shard",),
-        )
-        # -- control-plane series (repro.control) --------------------------
-        self.control_lsas_flooded = reg.counter(
-            "control_lsas_flooded_total",
-            "LSAs sent in LsUpdate messages (fresh floods + retransmissions)",
-            labels=("router",),
-        )
-        self.control_spf_runs = reg.counter(
-            "control_spf_runs_total",
-            "Shortest-path-first recomputations triggered by LSDB changes",
-            labels=("router",),
-        )
-        self.control_adjacency_transitions = reg.counter(
-            "control_adjacency_transitions_total",
-            "Neighbour state-machine transitions, by state entered",
-            labels=("router", "state"),
-        )
-        self.control_table_updates = reg.counter(
-            "control_table_updates_total",
-            "Prefix-level routing-table deltas the SPF feed applied",
-            labels=("router",),
-        )
-        self.control_convergence_ticks = reg.histogram(
-            "control_convergence_ticks",
-            "Ticks from losing control-plane convergence to regaining it",
-            buckets=CONVERGENCE_BUCKETS,
-        )
+        for row in CATALOGUE:
+            metric: object
+            if row.kind == "histogram":
+                metric = reg.histogram(row.name, row.help, row.labels, row.buckets)
+            elif row.kind == "gauge":
+                metric = reg.gauge(row.name, row.help, row.labels)
+            else:
+                metric = reg.counter(row.name, row.help, row.labels)
+            setattr(self, row.handle, metric)
 
     # -- binding --------------------------------------------------------
     def bind_router(self, owner: str) -> RouterInstruments:

@@ -8,7 +8,6 @@ from repro.analyzer.rules import (
     PublicApiRule,
     SeededRngRule,
     StrayTodoRule,
-    TelemetryCatalogueRule,
     UnboundedLoopRule,
     WallClockRule,
 )
@@ -18,7 +17,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "analyzer_fixtures"
 
 def load(name, path=None):
     """A fixture as a SourceFile; ``path`` overrides the analysis path
-    for rules that key on path suffixes (catalogue, __init__)."""
+    for rules that key on path suffixes (``__init__``)."""
     text = (FIXTURES / name).read_text(encoding="utf-8")
     return SourceFile(path or name, text)
 
@@ -130,37 +129,6 @@ def test_wall_clock_rule_flags_clocks_and_entropy():
     ):
         assert any(needle in m for m in messages), needle
     assert len(messages) == 5
-
-
-# ----------------------------------------------------------------------
-# RC104 telemetry catalogue
-# ----------------------------------------------------------------------
-def test_catalogue_rule_reconciles_table_and_registrations():
-    catalogue = load(
-        "bad_telemetry/telemetry/instruments.py",
-        path="bad_telemetry/telemetry/instruments.py",
-    )
-    uses = load("bad_telemetry/uses.py", path="bad_telemetry/uses.py")
-    result = run(TelemetryCatalogueRule(), catalogue, uses)
-    messages = [f.message for f in result.findings]
-    assert all(f.code == "RC104" for f in result.findings)
-    assert any("phantom instrument 'phantom_total'" in m for m in messages)
-    assert any(
-        "'lookup_depth' registered as gauge but catalogued as histogram"
-        in m for m in messages
-    )
-    assert any("orphan instrument 'ghost_series_total'" in m for m in messages)
-    assert any("'rogue_series_total'" in m and "not in the canonical" in m
-               for m in messages)
-    assert len(messages) == 4
-
-
-def test_catalogue_rule_silent_without_a_catalogue_file():
-    result = run(
-        TelemetryCatalogueRule(),
-        load("bad_telemetry/uses.py", path="bad_telemetry/uses.py"),
-    )
-    assert result.findings == []
 
 
 # ----------------------------------------------------------------------

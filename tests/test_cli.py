@@ -159,3 +159,49 @@ class TestParser:
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestConfigErrors:
+    """A value the serve/chaos config rejects is a usage error, like an
+    argparse one: status 2 and one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["serve", "--table-size", "300", "--requests", "2000",
+                 "--universe", "128", "--shards", "0"],
+                "repro-clue serve: error: need at least one shard, got 0",
+            ),
+            (
+                ["serve", "--batch-max", "0"],
+                "repro-clue serve: error: max_batch must be >= 1, got 0",
+            ),
+            (
+                ["chaos", "--shards", "0"],
+                "repro-clue chaos: error: need at least one shard, got 0",
+            ),
+            (
+                ["chaos", "--batch-max", "0"],
+                "repro-clue chaos: error: max_batch must be >= 1, got 0",
+            ),
+        ],
+        ids=["serve-shards", "serve-batch-max", "chaos-shards", "chaos-batch-max"],
+    )
+    def test_rejected_value_exits_2_with_one_error_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [message]
+
+    def test_value_error_after_construction_propagates(self, monkeypatch):
+        import repro.serve
+
+        def broken_engine(config):
+            raise ValueError("raised by the engine, not the config")
+
+        monkeypatch.setattr(repro.serve, "ServeEngine", broken_engine)
+        with pytest.raises(ValueError, match="raised by the engine"):
+            main(["serve", "--quick"])

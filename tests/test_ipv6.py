@@ -7,6 +7,7 @@ exercise every layer at width 128.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core import (
     SimpleMethod,
     encode_clue,
 )
-from repro.fastpath import LAYOUTS, STRIDES
+from repro.fastpath import LAYOUTS, STRIDES, compile_clue_table, compile_trie
 from repro.fastpath.kernels import SCALAR_RESUME_LANES
 from repro.lookup import BASELINES, MemoryCounter, reference_lookup
 from repro.lookup.counters import METHOD_RESUMED
@@ -222,3 +223,25 @@ class TestIPv6Batches:
                 assert hop_records(fast) == hop_records(slow)
             else:  # stride descent changes the count; that is the point
                 assert 1 <= fast.trace[0].accesses <= bound
+
+
+class TestIPv6Footprint:
+    def test_clue_table_nbytes_counts_each_key_object(self, v6_pair):
+        # Width-128 probe keys live in an object array: an 8-byte pointer
+        # per key plus the Python int it points to.
+        sender, receiver = v6_pair
+        sender_trie = BinaryTrie.from_prefixes(sender, 128)
+        state = ReceiverState(receiver, 128)
+        table = AdvanceMethod(sender_trie, state, "regular").build_table(
+            list(sender_trie.prefixes())
+        )
+        ctable = compile_clue_table(table, compile_trie(state.trie))
+        keys = ctable.probe_keys
+        assert keys.dtype == object and len(keys) > 0
+        assert ctable.nbytes() == (
+            8 * len(keys)
+            + sum(sys.getsizeof(key) for key in keys)
+            + 8 * len(ctable.probe_recs)
+            + 4 * 8 * ctable.records
+            + ctable.stop_masks.nbytes
+        )
