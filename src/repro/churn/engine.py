@@ -13,11 +13,12 @@ the fabric through *epochs*.  Each epoch:
    fold the control plane uses too: the dirty records are *deactivated*
    immediately (the routing update message carries enough information
    for that) while the expensive entry recomputation is queued;
-3. forwards interleaved traffic.  A deactivated record probes as a miss,
-   so packets in the staleness window degrade to full lookups — the
-   §5.3 robustness semantics: never wrong-forwarding, only a degraded
-   speedup.  Misses also repair records on demand through the live
-   Advance builder (the paper's ``new-clue(c)`` procedure);
+3. forwards interleaved traffic through the audited step of
+   :mod:`repro.netsim.invariant`.  A deactivated record probes as a
+   miss, so packets in the staleness window degrade to full lookups —
+   the §5.3 robustness semantics: never wrong-forwarding, only a
+   degraded speedup.  Misses also repair records on demand through the
+   live Advance builder (the paper's ``new-clue(c)`` procedure);
 4. rebuilds queued records under the per-epoch ``rebuild_budget``.  An
    epoch whose backlog drains to zero everywhere is *converged*; bursts
    larger than the budget leave a backlog that later epochs inherit.
@@ -39,12 +40,12 @@ from repro.core.maintenance import MaintainedClueTable
 from repro.churn.audit import AuditReport, ConsistencyAuditor
 from repro.churn.feed import TableDeltaFeed
 from repro.churn.stream import ANNOUNCE, UpdateStream
-from repro.netsim.invariant import wrong_hops
-from repro.netsim.packet import Packet
+from repro.netsim.invariant import Traffic, forward_audited, total_traffic
+from repro.netsim.network import Network
 from repro.netsim.router import ClueRouter
 
 
-class EpochReport:
+class EpochReport(Traffic):
     """What one epoch did: updates in, dirty marked, backlog, traffic."""
 
     __slots__ = (
@@ -55,13 +56,10 @@ class EpochReport:
         "rebuilt",
         "pending_after",
         "converged",
-        "packets",
-        "delivered",
-        "wrong_hops",
-        "accesses",
     )
 
     def __init__(self, epoch: int):
+        super().__init__()
         self.epoch = epoch
         self.announces = 0
         self.withdraws = 0
@@ -69,17 +67,9 @@ class EpochReport:
         self.rebuilt = 0
         self.pending_after = 0
         self.converged = False
-        self.packets = 0
-        self.delivered = 0
-        self.wrong_hops = 0
-        self.accesses = 0
 
     def updates(self) -> int:
         return self.announces + self.withdraws
-
-    def avg_accesses(self) -> float:
-        """Memory references per forwarded packet this epoch."""
-        return self.accesses / self.packets if self.packets else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -119,6 +109,15 @@ class ChurnReport:
         self.audits: List[AuditReport] = []
 
     # -- aggregates ------------------------------------------------------
+    def traffic(self) -> Traffic:
+        return total_traffic(self.epochs)
+
+    def packets(self) -> int:
+        return self.traffic().packets
+
+    def wrong_hops(self) -> int:
+        return self.traffic().wrong_hops
+
     def updates_applied(self) -> int:
         return sum(epoch.updates() for epoch in self.epochs)
 
@@ -128,20 +127,8 @@ class ChurnReport:
     def dirty_marked(self) -> int:
         return sum(epoch.dirty_marked for epoch in self.epochs)
 
-    def packets(self) -> int:
-        return sum(epoch.packets for epoch in self.epochs)
-
-    def wrong_hops(self) -> int:
-        return sum(epoch.wrong_hops for epoch in self.epochs)
-
     def epochs_converged(self) -> int:
         return sum(1 for epoch in self.epochs if epoch.converged)
-
-    def avg_accesses_per_packet(self) -> float:
-        packets = self.packets()
-        if not packets:
-            return 0.0
-        return sum(epoch.accesses for epoch in self.epochs) / packets
 
     def amortised_rebuilt_per_update(self) -> float:
         """Entries rebuilt per (update, pair) — the §3.4 quantity.
@@ -192,6 +179,7 @@ class ChurnReport:
         )
 
     def summary(self) -> Dict[str, object]:
+        traffic = self.traffic()
         return {
             "pairs": self.pairs,
             "avg_table_entries": round(self.avg_table_entries, 2),
@@ -204,9 +192,9 @@ class ChurnReport:
                 self.amortised_rebuilt_per_update(), 4
             ),
             "rebuild_advantage": round(self.rebuild_advantage(), 1),
-            "packets": self.packets(),
-            "avg_accesses_per_packet": round(self.avg_accesses_per_packet(), 4),
-            "wrong_hops": self.wrong_hops(),
+            "packets": traffic.packets,
+            "avg_accesses_per_packet": round(traffic.avg_accesses(), 4),
+            "wrong_hops": traffic.wrong_hops,
             "audits": len(self.audits),
             "audit_divergences": self.divergences(),
             "passed": self.passed(),
@@ -313,33 +301,15 @@ class ChurnEngine:
             instruments.record_update(update.kind)
         report.dirty_marked += self.feed.apply(per_add, per_remove)
 
-    def _forward_traffic(self, count: int, report: EpochReport) -> None:
-        """Interleaved data-plane load, verified hop-by-hop."""
-        if count <= 0:
-            return
-        live = sorted(self.stream.live)
-        if not live:
-            return
-        for _ in range(count):
-            prefix = live[self.rng.randrange(len(live))]
-            destination = prefix.random_address(self.rng)
-            start = self._router_names[
-                self.rng.randrange(len(self._router_names))
-            ]
-            delivery = self.network.forward(Packet(destination), start)
-            report.packets += 1
-            report.delivered += 1 if delivery.delivered else 0
-            report.accesses += delivery.total_accesses()
-            report.wrong_hops += wrong_hops(self.network, delivery.packet)
-
     # ------------------------------------------------------------------
     def run_epoch(self, traffic: int = 0) -> EpochReport:
         """One epoch: updates in, traffic through, backlog drained."""
         self.epoch += 1
         report = EpochReport(self.epoch)
-        batch = self.stream.next_batch()
-        self._apply_batch(batch, report)
-        self._forward_traffic(traffic, report)
+        self._apply_batch(self.stream.next_batch(), report)
+        forward_audited(
+            self.network, report, traffic, self.rng, sorted(self.stream.live), self._router_names
+        )
         report.rebuilt = self.feed.flush(self.rebuild_budget)
         backlogs = self.feed.backlogs()
         report.pending_after = sum(backlogs)
@@ -388,31 +358,12 @@ def build_churn_scenario(
 ):
     """A ready-to-churn (network, stream) pair — the CLI/experiment entry.
 
-    Builds a mesh, originates prefixes, converges path-vector routing,
-    assembles the clue-router fabric over a private metrics registry, and
-    wires an :class:`UpdateStream` whose origins are the originating
-    routers — so announced prefixes propagate from a real node and the
-    stream's live set starts equal to the routed table.
+    Builds the :meth:`Network.mesh` fabric and wires an
+    :class:`UpdateStream` whose origins are the originating routers —
+    so announced prefixes propagate from a real node and the stream's
+    live set starts equal to the routed table.
     """
-    from repro.netsim.network import Network
-    from repro.routing.topology import mesh_topology, originate_prefixes
-    from repro.routing.pathvector import PathVectorRouting
-    from repro.telemetry.instruments import LookupInstruments
-    from repro.telemetry.registry import MetricsRegistry
-
-    if routers < 2:
-        raise ValueError("a churn scenario needs at least two routers")
-    graph = mesh_topology(routers, degree=min(3, routers - 1), seed=seed)
-    assignment = originate_prefixes(
-        graph, per_node=per_node, seed=seed + 1, nesting=nesting
-    )
-    routing = PathVectorRouting(graph)
-    routing.run()
-    network = Network.from_pathvector(
-        routing,
-        technique=technique,
-        instruments=LookupInstruments(MetricsRegistry()),
-    )
+    network, assignment = Network.mesh(routers, per_node, seed, technique, nesting)
     origins = {
         prefix: name
         for name, prefixes in sorted(assignment.items())

@@ -261,12 +261,16 @@ def _cmd_churn(args) -> int:
     from repro.churn import ChurnEngine, ChurnProfile, build_churn_scenario
     from repro.telemetry.export import render_prometheus
 
-    profile = ChurnProfile(
+    profile = _config(
+        args,
+        ChurnProfile,
         burst_mean=args.updates,
         locality=args.locality,
         flap_fraction=args.flap,
     )
-    network, stream = build_churn_scenario(
+    network, stream = _config(
+        args,
+        build_churn_scenario,
         routers=args.routers,
         per_node=args.per_node,
         seed=args.seed,
@@ -304,11 +308,8 @@ def _cmd_churn(args) -> int:
 def _cmd_faults(args) -> int:
     import json
 
-    from repro.faults import (
-        FaultInvariantError,
-        GuardPolicy,
-        build_fault_scenario,
-    )
+    from repro.faults import FaultEngine, GuardPolicy, build_fault_scenario
+    from repro.netsim import InvariantError
     from repro.telemetry.export import render_prometheus
 
     guard_policy = None
@@ -316,7 +317,9 @@ def _cmd_faults(args) -> int:
         guard_policy = GuardPolicy(
             quarantine_enabled=(args.guard == "quarantine")
         )
-    network, plan = build_fault_scenario(
+    network, plan = _config(
+        args,
+        build_fault_scenario,
         routers=args.routers,
         per_node=args.per_node,
         seed=args.seed,
@@ -331,15 +334,14 @@ def _cmd_faults(args) -> int:
         rounds=args.rounds,
     )
     try:
-        report = network.run_with_faults(
+        report = FaultEngine(
+            network,
             plan,
-            rounds=args.rounds,
-            traffic_per_round=args.traffic,
             guard_policy=guard_policy,
             seed=args.seed,
             hard_invariant=False if args.soft_invariant else None,
-        )
-    except FaultInvariantError as error:
+        ).run(args.rounds, args.traffic)
+    except InvariantError as error:
         print("FAULT INVARIANT VIOLATED: %s" % error, file=sys.stderr)
         return 2
     if args.format == "prom":
@@ -368,9 +370,10 @@ def _cmd_control(args) -> int:
 
     from repro.control import (
         ControlConvergenceError,
-        ControlInvariantError,
+        ControlEngine,
         build_control_scenario,
     )
+    from repro.netsim import InvariantError
     from repro.telemetry.export import render_prometheus
 
     if args.quick:
@@ -378,7 +381,9 @@ def _cmd_control(args) -> int:
         args.ticks = min(args.ticks, 80)
         args.traffic = min(args.traffic, 6)
     try:
-        scenario = build_control_scenario(
+        scenario = _config(
+            args,
+            build_control_scenario,
             routers=args.routers,
             per_node=args.per_node,
             seed=args.seed,
@@ -395,17 +400,16 @@ def _cmd_control(args) -> int:
         print("WARMUP NEVER CONVERGED: %s" % error, file=sys.stderr)
         return 2
     try:
-        report = scenario.network.run_with_control(
+        report = ControlEngine(
+            scenario.network,
             scenario.plane,
             scenario.plan,
-            ticks=args.ticks,
-            traffic_per_tick=args.traffic,
             cost_changes=scenario.cost_changes,
             rebuild_budget=args.rebuild_budget,
             seed=args.seed,
             hard_invariant=not args.soft_invariant,
-        )
-    except ControlInvariantError as error:
+        ).run(args.ticks, args.traffic)
+    except InvariantError as error:
         print("CONTROL INVARIANT VIOLATED: %s" % error, file=sys.stderr)
         return 2
     if args.format == "prom":
@@ -799,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--seed", type=int, default=0)
     churn.add_argument("--format", choices=("json", "prom"), default="json",
                        help="report format (default json)")
-    churn.set_defaults(func=_cmd_churn)
+    churn.set_defaults(func=_cmd_churn, parser=churn)
 
     faults = sub.add_parser(
         "faults",
@@ -835,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--seed", type=int, default=0)
     faults.add_argument("--format", choices=("json", "prom"), default="json",
                         help="report format (default json)")
-    faults.set_defaults(func=_cmd_faults)
+    faults.set_defaults(func=_cmd_faults, parser=faults)
 
     control = sub.add_parser(
         "control",
@@ -877,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write BENCH_control.json here (default stdout)")
     control.add_argument("--format", choices=("json", "prom"), default="json",
                          help="report format (default json)")
-    control.set_defaults(func=_cmd_control)
+    control.set_defaults(func=_cmd_control, parser=control)
 
     lint = sub.add_parser(
         "lint",

@@ -29,7 +29,6 @@ genuinely mid-convergence.
 
 from repro.control.engine import (
     ControlEngine,
-    ControlInvariantError,
     ControlReport,
     ControlScenario,
     TickReport,
@@ -64,7 +63,6 @@ __all__ = [
     "Adjacency",
     "ControlConvergenceError",
     "ControlEngine",
-    "ControlInvariantError",
     "ControlPlane",
     "ControlProcess",
     "ControlReport",

@@ -13,11 +13,15 @@ The :class:`ControlEngine` couples three existing planes tick by tick:
   (:class:`~repro.churn.feed.TableDeltaFeed`), exactly the §3.4
   incremental-maintenance path the synthetic churn streams exercised.
 
-Every tick: apply scheduled topology/cost events, advance the IGP one
-tick, diff each live router's SPF routes against what its forwarding
-table last received and fold the delta through the feed, forward seeded
-traffic (each packet audited hop-by-hop against the never-wrong
-oracle), then drain the budgeted rebuild backlog.  A tick is
+The engine composes pieces the churn and fault engines use too.  Every
+tick: the plan's :meth:`~repro.faults.inject.FaultPlan.apply_schedule`
+crashes, restarts and fails links (mirrored onto the IGP) and the cost
+schedule fires; the IGP advances one tick; each live router's SPF
+routes are diffed against what its forwarding table last received and
+the delta folds through the feed; the audited traffic step of
+:mod:`repro.netsim.invariant` forwards seeded packets, checking every
+hop against the never-wrong oracle; then the feed drains the budgeted
+rebuild backlog.  A tick is
 *converged* when the control plane is quiescent and correct and no
 clue-table rebuild is pending; contiguous non-converged ticks form a
 *disruption episode* whose length lands in the
@@ -43,32 +47,14 @@ from repro.control.spf import (
     brute_force_distances,
     certify_next_hops,
 )
-from repro.faults.inject import (
-    KIND_CRASH,
-    KIND_LINK_DOWN,
-    KIND_RESTART,
-)
-from repro.netsim.invariant import wrong_hop_details
-from repro.netsim.packet import Packet
-
-
-class ControlInvariantError(AssertionError):
-    """A forwarding decision diverged from the oracle mid-convergence."""
-
-    def __init__(self, tick: int, violations):
-        self.tick = tick
-        self.violations = list(violations)
-        super().__init__(
-            "never-wrong-forwarding violated at tick %d: %r"
-            % (tick, self.violations)
-        )
+from repro.netsim.invariant import Traffic, forward_audited, total_traffic
 
 
 #: A scheduled link-cost change: (tick, router_a, router_b, new_cost).
 CostChange = Tuple[int, str, str, int]
 
 
-class TickReport:
+class TickReport(Traffic):
     """What one tick did: events, deltas, traffic, backlog."""
 
     __slots__ = (
@@ -82,13 +68,10 @@ class TickReport:
         "dirty_marked",
         "rebuilt",
         "pending_after",
-        "packets",
-        "delivered",
-        "wrong_hops",
-        "accesses",
     )
 
     def __init__(self, tick: int):
+        super().__init__()
         self.tick = tick
         self.converged = False
         self.events = 0
@@ -99,10 +82,6 @@ class TickReport:
         self.dirty_marked = 0
         self.rebuilt = 0
         self.pending_after = 0
-        self.packets = 0
-        self.delivered = 0
-        self.wrong_hops = 0
-        self.accesses = 0
 
     def updates(self) -> int:
         return self.announces + self.withdraws
@@ -202,14 +181,14 @@ class ControlReport:
         self.events_applied: Dict[str, int] = {}
 
     # -- aggregates ------------------------------------------------------
-    def packets(self) -> int:
-        return sum(t.packets for t in self.ticks)
+    def traffic(self) -> Traffic:
+        return total_traffic(self.ticks)
 
-    def delivered(self) -> int:
-        return sum(t.delivered for t in self.ticks)
+    def packets(self) -> int:
+        return self.traffic().packets
 
     def wrong_hops(self) -> int:
-        return sum(t.wrong_hops for t in self.ticks)
+        return self.traffic().wrong_hops
 
     def updates_applied(self) -> int:
         return sum(t.updates() for t in self.ticks)
@@ -261,6 +240,7 @@ class ControlReport:
         )
 
     def summary(self) -> Dict[str, object]:
+        traffic = self.traffic()
         return {
             "routers": self.routers,
             "pairs": self.pairs,
@@ -276,9 +256,9 @@ class ControlReport:
             "entries_rebuilt": self.entries_rebuilt(),
             "lsas_flooded": self.lsas_flooded,
             "spf_runs": self.spf_runs,
-            "packets": self.packets(),
-            "delivered": self.delivered(),
-            "wrong_hops": self.wrong_hops(),
+            "packets": traffic.packets,
+            "delivered": traffic.delivered,
+            "wrong_hops": traffic.wrong_hops,
             "next_hop_divergences": len(self.next_hop_divergences),
             "table_divergences": len(self.table_divergences),
             "passed": self.passed(),
@@ -382,7 +362,14 @@ class ControlEngine:
             )
             self._track_episode(tick_report.converged, report)
             before = self._clue_totals()
-            self._forward_traffic(traffic_per_tick, tick_report)
+            starts = [
+                name for name, router in sorted(self.network.routers.items()) if router.up
+            ]
+            forward_audited(
+                self.network, tick_report, traffic_per_tick, self._rng,
+                self._origin_prefixes, starts,
+                where="tick %d" % self.tick_index, hard=self.hard_invariant,
+            )
             after = self._clue_totals()
             deltas = {
                 key: after[key] - before[key] for key in after
@@ -401,29 +388,17 @@ class ControlEngine:
         return report
 
     def _apply_topology(self, tick_report: TickReport) -> None:
+        """The plan's schedule on the fabric, mirrored onto the IGP."""
         if self.plan is not None:
-            tick = self.tick_index
-            for name in self.plan.restarts_at(tick):
-                router = self.network.routers[name]
-                if not router.up:
-                    router.restart()
-                    self.plane.restart(name)
-                    self.plan.count_event(KIND_RESTART)
-                    tick_report.events += 1
-            for name in self.plan.routers_down_at(tick):
-                router = self.network.routers[name]
-                if router.up:
-                    router.crash()
-                    self.plane.crash(name)
-                    self.plan.count_event(KIND_CRASH)
-                    tick_report.events += 1
-            links = set(self.plan.links_down_at(tick))
-            newly_down = links - self.network.down_links
-            if newly_down:
-                self.plan.count_event(KIND_LINK_DOWN, len(newly_down))
-                tick_report.events += len(newly_down)
-            self.network.down_links = set(links)
-            self.plane.set_down_links(links)
+            restarted, crashed, failed = self.plan.apply_schedule(
+                self.network, self.tick_index
+            )
+            for name in restarted:
+                self.plane.restart(name)
+            for name in crashed:
+                self.plane.crash(name)
+            self.plane.set_down_links(self.network.down_links)
+            tick_report.events += len(restarted) + len(crashed) + failed
         tick_report.routers_down = len(self.plane.down_routers)
         tick_report.links_down = len(self.plane.down_links)
 
@@ -471,33 +446,6 @@ class ControlEngine:
             self._instruments.record_update(ANNOUNCE, tick_report.announces)
         if tick_report.withdraws:
             self._instruments.record_update(WITHDRAW, tick_report.withdraws)
-
-    def _forward_traffic(self, count: int, tick_report: TickReport) -> None:
-        """Seeded traffic, every hop audited against the BMP oracle."""
-        if count <= 0 or not self._origin_prefixes:
-            return
-        starts = [
-            name
-            for name in sorted(self.network.routers)
-            if self.network.routers[name].up
-        ]
-        if not starts:
-            return
-        for _ in range(count):
-            prefix = self._origin_prefixes[
-                self._rng.randrange(len(self._origin_prefixes))
-            ]
-            destination = prefix.random_address(self._rng)
-            start = starts[self._rng.randrange(len(starts))]
-            delivery = self.network.forward(Packet(destination), start)
-            tick_report.packets += 1
-            tick_report.delivered += 1 if delivery.delivered else 0
-            tick_report.accesses += delivery.total_accesses()
-            details = wrong_hop_details(self.network, delivery.packet)
-            if details:
-                tick_report.wrong_hops += len(details)
-                if self.hard_invariant:
-                    raise ControlInvariantError(self.tick_index, details)
 
     def _track_episode(self, converged: bool, report: ControlReport) -> None:
         if converged:

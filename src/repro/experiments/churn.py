@@ -62,7 +62,7 @@ def churn_sweep(
                     (update_rate, traffic_rate),
                     {
                         "updates": float(report.updates_applied()),
-                        "refs_per_packet": report.avg_accesses_per_packet(),
+                        "refs_per_packet": report.traffic().avg_accesses(),
                         "rebuilt_per_update": rebuilt_per_update,
                         "full_rebuild_cost": report.avg_table_entries,
                         "advantage": report.rebuild_advantage(),

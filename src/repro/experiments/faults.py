@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.experiments.sweeps import SweepPoint
-from repro.faults import GuardPolicy, build_fault_scenario
+from repro.faults import FaultEngine, GuardPolicy, build_fault_scenario
 
 #: Guard policies crossed against every fault rate.
 GUARD_POLICIES = ("off", "guard", "quarantine")
@@ -89,16 +89,15 @@ def fault_sweep(
                 record_rate=min(1.0, 2 * rate),
                 rounds=rounds,
             )
-            report = network.run_with_faults(
+            report = FaultEngine(
+                network,
                 plan,
-                rounds=rounds,
-                traffic_per_round=traffic_per_round,
                 guard_policy=policy,
                 seed=seed,
                 # The sweep measures violations instead of raising, so
                 # the "off" control column can show its wrong hops.
                 hard_invariant=False,
-            )
+            ).run(rounds, traffic_per_round)
             points.append(
                 SweepPoint(
                     (rate, policy_name),
@@ -109,7 +108,7 @@ def fault_sweep(
                         "rejections": float(report.rejections_total()),
                         "quarantines": float(report.quarantines_total()),
                         "healed": float(report.healed_records_total()),
-                        "refs_per_packet": report.avg_accesses_per_packet(),
+                        "refs_per_packet": report.traffic().avg_accesses(),
                         "baseline_refs": report.baseline_accesses,
                         "degradation": report.degradation_ratio(),
                     },

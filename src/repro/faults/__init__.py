@@ -13,7 +13,6 @@ Three modules, one story:
 
 from repro.faults.engine import (
     FaultEngine,
-    FaultInvariantError,
     FaultReport,
     RoundReport,
     build_fault_scenario,
@@ -43,7 +42,6 @@ from repro.faults.inject import (
 
 __all__ = [
     "FaultEngine",
-    "FaultInvariantError",
     "FaultReport",
     "RoundReport",
     "build_fault_scenario",

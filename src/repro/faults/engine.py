@@ -14,12 +14,14 @@ Each round:
    fabric for the duration of the run.
 
 Every delivered packet is checked hop by hop against the
-never-wrong-forwarding invariant (:mod:`repro.netsim.invariant`) — the
-same oracle the churn engine uses.  With the guard enabled the
-invariant is *hard* by default: a single divergent hop raises
-:class:`FaultInvariantError` and fails the run.  With the guard off the
-engine records violations instead, which is exactly how the experiment
-sweeps demonstrate that the guard is necessary, not just prudent.
+never-wrong-forwarding invariant by the audited traffic step of
+:mod:`repro.netsim.invariant` — the step the churn and control engines
+use too.  With the guard enabled the invariant is *hard* by default: a
+single divergent hop raises
+:class:`~repro.netsim.invariant.InvariantError` and fails the run.
+With the guard off the engine records violations instead, which is
+exactly how the experiment sweeps demonstrate that the guard is
+necessary, not just prudent.
 
 The report also prices the damage: a pre-run **clueless baseline**
 (mean full-lookup cost over sampled traffic) anchors the
@@ -31,70 +33,29 @@ faults can cost the speedup, never more.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.addressing import Prefix
 from repro.faults.guard import GuardPolicy
-from repro.faults.inject import (
-    KIND_CRASH,
-    KIND_LINK_DOWN,
-    KIND_RESTART,
-    FaultPlan,
-    _derived_rng,
-)
+from repro.faults.inject import FaultPlan, _derived_rng, random_topology_events
 from repro.lookup.counters import MemoryCounter
-from repro.netsim.invariant import wrong_hop_details
-from repro.netsim.packet import Packet
+from repro.netsim.invariant import Traffic, forward_audited, total_traffic
+from repro.netsim.network import Network
 from repro.netsim.router import ClueRouter
 
 
-class FaultInvariantError(AssertionError):
-    """A forwarding decision diverged from the oracle under faults."""
-
-    def __init__(self, round_index: int, violations):
-        self.round_index = round_index
-        self.violations = list(violations)
-        detail = "; ".join(
-            "%s found %s oracle %s" % violation
-            for violation in self.violations[:3]
-        )
-        super().__init__(
-            "never-wrong-forwarding violated in round %d (%d hops): %s"
-            % (round_index, len(self.violations), detail)
-        )
-
-
-class RoundReport:
+class RoundReport(Traffic):
     """What one round absorbed: faults, drops, degradation."""
 
-    __slots__ = (
-        "round_index",
-        "packets",
-        "delivered",
-        "dropped",
-        "wrong_hops",
-        "accesses",
-        "injected",
-        "routers_down",
-        "links_down",
-    )
+    __slots__ = ("round_index", "injected", "routers_down", "links_down")
 
     def __init__(self, round_index: int):
+        super().__init__()
         self.round_index = round_index
-        self.packets = 0
-        self.delivered = 0
-        #: drop counts keyed by the delivery exit reason.
-        self.dropped: Dict[str, int] = {}
-        self.wrong_hops = 0
-        self.accesses = 0
         #: injections this round, by kind (delta of the plan's counts).
         self.injected: Dict[str, int] = {}
         self.routers_down: List[str] = []
         self.links_down = 0
-
-    def avg_accesses(self) -> float:
-        return self.accesses / self.packets if self.packets else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -134,37 +95,29 @@ class FaultReport:
         #: that degraded (fallback) lookups approach but never pass.
         self.baseline_accesses = baseline_accesses
         self.rounds: List[RoundReport] = []
-        self.faults_injected: Dict[str, int] = {}
         #: per-router guard statistics (see ClueRouter.guard_reports).
         self.guards: Dict[str, Dict] = {}
-        #: total hops forwarded — the degradation ratio's denominator.
-        self.total_hops = 0
 
     # -- aggregates ------------------------------------------------------
+    def traffic(self) -> Traffic:
+        return total_traffic(self.rounds)
+
     def packets(self) -> int:
-        return sum(r.packets for r in self.rounds)
-
-    def delivered(self) -> int:
-        return sum(r.delivered for r in self.rounds)
-
-    def dropped(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for round_report in self.rounds:
-            for reason, count in round_report.dropped.items():
-                totals[reason] = totals.get(reason, 0) + count
-        return totals
+        return self.traffic().packets
 
     def wrong_hops(self) -> int:
-        return sum(r.wrong_hops for r in self.rounds)
+        return self.traffic().wrong_hops
 
-    def avg_accesses_per_packet(self) -> float:
-        packets = self.packets()
-        if not packets:
-            return 0.0
-        return sum(r.accesses for r in self.rounds) / packets
+    def faults_injected(self) -> Dict[str, int]:
+        """Injections over this report's rounds, by kind."""
+        totals: Dict[str, int] = {}
+        for round_report in self.rounds:
+            for kind, count in round_report.injected.items():
+                totals[kind] = totals.get(kind, 0) + count
+        return totals
 
     def total_injected(self) -> int:
-        return sum(self.faults_injected.values())
+        return sum(self.faults_injected().values())
 
     def degradation_ratio(self) -> float:
         """Observed per-hop cost over the clueless baseline.
@@ -173,10 +126,10 @@ class FaultReport:
         1.0 means faults erased the clue advantage entirely; values
         below 1.0 mean the guard preserved part of the speedup.
         """
-        total_accesses = sum(r.accesses for r in self.rounds)
-        if not self.total_hops or not self.baseline_accesses:
+        traffic = self.traffic()
+        if not traffic.hops or not self.baseline_accesses:
             return 0.0
-        return (total_accesses / self.total_hops) / self.baseline_accesses
+        return (traffic.accesses / traffic.hops) / self.baseline_accesses
 
     def rejections_total(self) -> int:
         return sum(
@@ -231,21 +184,20 @@ class FaultReport:
         )
 
     def summary(self) -> Dict[str, object]:
+        traffic = self.traffic()
         return {
             "guard_enabled": self.guard_enabled,
             "rounds": len(self.rounds),
-            "packets": self.packets(),
-            "delivered": self.delivered(),
-            "dropped": self.dropped(),
-            "wrong_hops": self.wrong_hops(),
-            "faults_injected": dict(self.faults_injected),
+            "packets": traffic.packets,
+            "delivered": traffic.delivered,
+            "dropped": traffic.dropped,
+            "wrong_hops": traffic.wrong_hops,
+            "faults_injected": self.faults_injected(),
             "faults_total": self.total_injected(),
             "rejections_total": self.rejections_total(),
             "quarantines_total": self.quarantines_total(),
             "healed_records_total": self.healed_records_total(),
-            "avg_accesses_per_packet": round(
-                self.avg_accesses_per_packet(), 4
-            ),
+            "avg_accesses_per_packet": round(traffic.avg_accesses(), 4),
             "baseline_accesses": round(self.baseline_accesses, 4),
             "degradation_ratio": round(self.degradation_ratio(), 4),
             "invariant_ok": self.invariant_ok(),
@@ -310,7 +262,6 @@ class FaultEngine:
         self._router_names = sorted(network.routers)
         self._pool = self._destination_pool()
         self.round_index = 0
-        self._total_hops = 0
         self.baseline = self._measure_baseline(baseline_samples, seed)
         plan.telemetry = network._effective_instruments()
 
@@ -345,59 +296,23 @@ class FaultEngine:
         return total / n
 
     # ------------------------------------------------------------------
-    def _apply_topology(self, report: RoundReport) -> None:
-        """Execute the round's scheduled crashes, restarts, link flaps."""
-        for name in self.plan.restarts_at(self.round_index):
-            router = self.network.routers.get(name)
-            if router is not None and not router.up:
-                router.restart()
-                self.plan.count_event(KIND_RESTART)
-        down_now = set(self.plan.routers_down_at(self.round_index))
-        for name in sorted(down_now):
-            router = self.network.routers.get(name)
-            if router is not None and router.up:
-                router.crash()
-                self.plan.count_event(KIND_CRASH)
-        report.routers_down = sorted(down_now)
-        links = set(self.plan.links_down_at(self.round_index))
-        for link in links - self.network.down_links:
-            self.plan.count_event(KIND_LINK_DOWN)
-        self.network.down_links = links
-        report.links_down = len(links)
-
-    def _forward_traffic(self, count: int, report: RoundReport) -> None:
-        for _ in range(count):
-            prefix = self._pool[self.rng.randrange(len(self._pool))]
-            destination = prefix.random_address(self.rng)
-            start = self._router_names[
-                self.rng.randrange(len(self._router_names))
-            ]
-            delivery = self.network.forward(Packet(destination), start)
-            report.packets += 1
-            report.accesses += delivery.total_accesses()
-            self._total_hops += len(delivery.packet.trace)
-            if delivery.delivered:
-                report.delivered += 1
-            else:
-                reason = delivery.exit_reason
-                report.dropped[reason] = report.dropped.get(reason, 0) + 1
-            violations = wrong_hop_details(self.network, delivery.packet)
-            if violations:
-                report.wrong_hops += len(violations)
-                if self.hard_invariant:
-                    raise FaultInvariantError(self.round_index, violations)
-
-    # ------------------------------------------------------------------
     def run_round(self, traffic: int = 32) -> RoundReport:
         """One round: topology events, record corruption, traffic."""
         report = RoundReport(self.round_index)
         before = dict(self.plan.counts)
-        self._apply_topology(report)
+        self.plan.apply_schedule(self.network, self.round_index)
+        report.routers_down = [
+            name for name in self._router_names if not self.network.routers[name].up
+        ]
+        report.links_down = len(self.network.down_links)
         for name in sorted(self._clue_routers):
             router = self._clue_routers[name]
             if router.up:
                 self.plan.corrupt_records(router)
-        self._forward_traffic(traffic, report)
+        forward_audited(
+            self.network, report, traffic, self.rng, self._pool, self._router_names,
+            where="round %d" % self.round_index, hard=self.hard_invariant,
+        )
         report.injected = {
             kind: count - before.get(kind, 0)
             for kind, count in self.plan.counts.items()
@@ -429,8 +344,6 @@ class FaultEngine:
             for router in self.network.routers.values():
                 if not router.up:
                     router.restart()
-        report.faults_injected = dict(self.plan.counts)
-        report.total_hops = self._total_hops
         for name in sorted(self._clue_routers):
             guards = self._clue_routers[name].guard_reports()
             if guards:
@@ -466,33 +379,14 @@ def build_fault_scenario(
 ) -> Tuple[object, FaultPlan]:
     """A ready-to-attack (network, plan) pair — the CLI/experiment entry.
 
-    Mirrors :func:`repro.churn.engine.build_churn_scenario`: a mesh of
-    clue routers over a private metrics registry, converged path-vector
-    routes, every adjacency registered (so the Advance method — the one
-    a lying clue can actually endanger — is in play on every link).
-    Byzantine routers are the first ``byzantine_routers`` names in
-    sorted order; crash and link-down schedules are derived from the
-    seed and spread over ``rounds``.
+    The fabric is :meth:`Network.mesh`, the one churn runs on: every
+    adjacency is registered, so the Advance method — the one a lying
+    clue can actually endanger — is in play on every link.  Byzantine
+    routers are the first ``byzantine_routers`` names in sorted order;
+    crash and link-down schedules are derived from the seed and spread
+    over ``rounds``.
     """
-    from repro.faults.inject import random_topology_events
-    from repro.netsim.network import Network
-    from repro.routing.topology import mesh_topology, originate_prefixes
-    from repro.routing.pathvector import PathVectorRouting
-    from repro.telemetry.instruments import LookupInstruments
-    from repro.telemetry.registry import MetricsRegistry
-
-    if routers < 2:
-        raise ValueError("a fault scenario needs at least two routers")
-    graph = mesh_topology(routers, degree=min(3, routers - 1), seed=seed)
-    assignment = originate_prefixes(graph, per_node=per_node, seed=seed + 1)
-    del assignment  # origins only matter for churn; routes suffice here
-    routing = PathVectorRouting(graph)
-    routing.run()
-    network = Network.from_pathvector(
-        routing,
-        technique=technique,
-        instruments=LookupInstruments(MetricsRegistry()),
-    )
+    network, _origins = Network.mesh(routers, per_node, seed, technique)
     names = sorted(network.routers)
     byzantine = {
         name: lie_mode for name in names[: max(0, byzantine_routers)]

@@ -161,18 +161,11 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
     def _count(self, kind: str, n: int = 1) -> None:
+        if not n:
+            return
         self.counts[kind] = self.counts.get(kind, 0) + n
         if self.telemetry is not None:
             self.telemetry.record_fault(kind, n)
-
-    def count_event(self, kind: str, n: int = 1) -> None:
-        """Account an injection applied on the plan's behalf.
-
-        The fault engine calls this when it *executes* a scheduled
-        topology event (crash, restart, link-down) that the plan only
-        declared.
-        """
-        self._count(kind, n)
 
     def total_injected(self) -> int:
         return sum(self.counts.values())
@@ -313,6 +306,36 @@ class FaultPlan:
             for event in self.crashes
             if event.round_index + event.duration == round_index
         ]
+
+    def apply_schedule(self, network, index: int) -> Tuple[List[str], List[str], int]:
+        """Execute the crashes, restarts and link-downs due at ``index``.
+
+        Restarts go first, so a router whose next crash window opens as
+        its last one closes goes down again; then crashes, in name
+        order.  The links down at ``index`` replace
+        ``network.down_links``.  Every executed event is counted.
+        Returns the routers restarted, the routers crashed and the
+        number of links newly down.
+        """
+        restarted = []
+        for name in self.restarts_at(index):
+            router = network.routers.get(name)
+            if router is not None and not router.up:
+                router.restart()
+                restarted.append(name)
+        crashed = []
+        for name in sorted(set(self.routers_down_at(index))):
+            router = network.routers.get(name)
+            if router is not None and router.up:
+                router.crash()
+                crashed.append(name)
+        links = set(self.links_down_at(index))
+        failed = len(links - network.down_links)
+        network.down_links = links
+        self._count(KIND_RESTART, len(restarted))
+        self._count(KIND_CRASH, len(crashed))
+        self._count(KIND_LINK_DOWN, failed)
+        return restarted, crashed, failed
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:
@@ -478,9 +501,8 @@ class ShardFaultPlan:
     The query methods are pure functions of the tick, so the chaos
     engine can replay the same plan twice (baseline run vs. fault run)
     and across processes with bit-identical outcomes.  Executed events
-    are accounted through :meth:`count_event`, mirroring
-    :class:`FaultPlan` — the plan declares, the engine executes and
-    reports.
+    are accounted through :meth:`count_event` — the plan declares, the
+    engine executes and reports.
     """
 
     def __init__(

@@ -19,7 +19,7 @@ from repro.netsim.multicast import (
     derive_neighbor_groups,
     generate_group_table,
 )
-from repro.netsim.invariant import wrong_hop_details, wrong_hops
+from repro.netsim.invariant import InvariantError, wrong_hop_details
 from repro.netsim.network import DeliveryReport, Network
 from repro.netsim.packet import HopRecord, Packet
 from repro.netsim.path_profile import (
@@ -46,6 +46,7 @@ __all__ = [
     "DeploymentPoint",
     "FlowExperiment",
     "HopRecord",
+    "InvariantError",
     "SchemeCost",
     "pareto_flow_sizes",
     "LabelEntry",
@@ -73,5 +74,4 @@ __all__ = [
     "withheld_clue_experiment",
     "withheld_mask",
     "wrong_hop_details",
-    "wrong_hops",
 ]

@@ -4,19 +4,22 @@ Next hops in a simulated forwarding table are router names; a packet is
 delivered when the resolving router returns itself (local route) or a
 name not present in the network (an egress).  The network also knows how
 to assemble itself from a finished path-vector computation, registering
-every adjacency so Advance clue tables can be built.
+every adjacency so Advance clue tables can be built, and how to build the
+seeded mesh fabric the churn and fault engines run on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.addressing import Address
+from repro.addressing import Address, Prefix
 from repro.netsim.packet import Packet
 from repro.netsim.router import ClueRouter, Router
 from repro.routing.pathvector import PathVectorRouting
+from repro.routing.topology import mesh_topology, originate_prefixes
 from repro.telemetry.export import render_json, render_prometheus
 from repro.telemetry.instruments import LookupInstruments, default_instruments
+from repro.telemetry.registry import MetricsRegistry
 
 
 class DeliveryReport:
@@ -225,105 +228,6 @@ class Network:
             raise KeyError("unknown router %r" % router)
         return self.routers[router].apply_update(add=add, remove=remove)
 
-    def run_with_churn(
-        self,
-        stream,
-        epochs: int,
-        traffic_per_epoch: int = 0,
-        *,
-        rebuild_budget: Optional[int] = None,
-        audit_every: int = 0,
-        hard_audit: bool = True,
-        seed: int = 0,
-        technique: Optional[str] = None,
-    ):
-        """Drive this network through ``epochs`` of live route churn.
-
-        Builds a :class:`repro.churn.ChurnEngine` over the fabric (one
-        incrementally maintained clue table per directed adjacency) and
-        runs it; returns the engine's :class:`~repro.churn.ChurnReport`.
-        """
-        from repro.churn.engine import ChurnEngine
-
-        engine = ChurnEngine(
-            self,
-            stream,
-            rebuild_budget=rebuild_budget,
-            audit_every=audit_every,
-            hard_audit=hard_audit,
-            seed=seed,
-            technique=technique,
-        )
-        return engine.run(epochs, traffic_per_epoch)
-
-    def run_with_faults(
-        self,
-        plan,
-        rounds: int,
-        traffic_per_round: int = 32,
-        *,
-        guard_policy=None,
-        seed: int = 0,
-        hard_invariant: Optional[bool] = None,
-    ):
-        """Drive this network through ``rounds`` of traffic under faults.
-
-        Builds a :class:`repro.faults.engine.FaultEngine` over the
-        fabric and runs it; returns the engine's
-        :class:`~repro.faults.engine.FaultReport`.  ``guard_policy``
-        turns on the guarded data path on every clue router (pass a
-        :class:`~repro.faults.guard.GuardPolicy`, or ``True`` for the
-        defaults); ``hard_invariant`` defaults to the guard being on.
-        """
-        from repro.faults.engine import FaultEngine
-
-        engine = FaultEngine(
-            self,
-            plan,
-            guard_policy=guard_policy,
-            seed=seed,
-            hard_invariant=hard_invariant,
-        )
-        return engine.run(rounds, traffic_per_round)
-
-    def run_with_control(
-        self,
-        plane,
-        plan=None,
-        ticks: int = 100,
-        traffic_per_tick: int = 8,
-        *,
-        cost_changes=(),
-        rebuild_budget: Optional[int] = None,
-        seed: int = 0,
-        hard_invariant: bool = True,
-        technique: Optional[str] = None,
-    ):
-        """Drive this network under a live link-state control plane.
-
-        Builds a :class:`repro.control.engine.ControlEngine` coupling
-        the fabric to ``plane`` (a
-        :class:`~repro.control.plane.ControlPlane`) — SPF route deltas
-        flow into the forwarding tables through the churn-maintenance
-        feed, an optional fault ``plan``'s flaps/crashes perturb the
-        IGP itself, and every forwarded packet is audited against the
-        never-wrong oracle.  Returns the engine's
-        :class:`~repro.control.engine.ControlReport`.
-        """
-        from repro.control.engine import ControlEngine
-
-        engine = ControlEngine(
-            self,
-            plane,
-            plan,
-            cost_changes=cost_changes,
-            rebuild_budget=rebuild_budget,
-            seed=seed,
-            hard_invariant=hard_invariant,
-            technique=technique,
-        )
-        return engine.run(ticks, traffic_per_tick)
-
     def metrics_report(
         self, fmt: str = "json", refresh_gauges: bool = True
     ) -> str:
@@ -371,6 +275,37 @@ class Network:
             for neighbor in routing.graph.neighbors(name):
                 router.register_neighbor(neighbor, tables[neighbor])
         return network
+
+    @classmethod
+    def mesh(
+        cls,
+        routers: int,
+        per_node: int,
+        seed: int,
+        technique: str = "patricia",
+        nesting: float = 0.3,
+    ) -> Tuple["Network", Dict[str, List[Prefix]]]:
+        """A seeded mesh of clue routers over a private metrics registry.
+
+        Each router has up to three neighbours and originates
+        ``per_node`` prefixes; routes come from converged path-vector
+        routing (see :meth:`from_pathvector`).  Returns the network and
+        the origin assignment, router name to originated prefixes.
+        """
+        if routers < 2:
+            raise ValueError("a mesh fabric needs at least two routers")
+        graph = mesh_topology(routers, degree=min(3, routers - 1), seed=seed)
+        assignment = originate_prefixes(
+            graph, per_node=per_node, seed=seed + 1, nesting=nesting
+        )
+        routing = PathVectorRouting(graph)
+        routing.run()
+        network = cls.from_pathvector(
+            routing,
+            technique=technique,
+            instruments=LookupInstruments(MetricsRegistry()),
+        )
+        return network, assignment
 
     def __len__(self) -> int:
         return len(self.routers)

@@ -198,10 +198,10 @@ class TestAuditor:
 
 
 class TestNetworkChurnApi:
-    def test_run_with_churn_wraps_the_engine(self):
+    def test_engine_runs_epochs_and_audits_on_schedule(self):
         network, stream = build_churn_scenario(routers=3, per_node=15, seed=9)
-        report = network.run_with_churn(
-            stream, epochs=4, traffic_per_epoch=5, audit_every=2, seed=9
+        report = ChurnEngine(network, stream, audit_every=2, seed=9).run(
+            4, traffic_per_epoch=5
         )
         assert len(report.epochs) == 4
         assert len(report.audits) == 2

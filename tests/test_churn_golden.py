@@ -1,12 +1,15 @@
-"""Golden payloads: seeded churn and control reports, pinned byte for byte.
+"""Golden payloads: seeded churn, control and faults reports, pinned byte for byte.
 
-Each case runs one small seeded configuration of the write path — route
-updates folded into router tables, base lookups, overlays and maintained
-clue tables — and compares its whole report with the copy stored in
-``golden_churn.json`` beside this file.  Neither report carries a
-wall-clock field.  The cases cover every technique the ``churn`` CLI
-accepts, a budgeted rebuild that leaves a backlog across epochs, and the
-SPF-fed delta feed of ``control --quick`` at both trie techniques.
+Each case runs one small seeded configuration of the audited fabric —
+route updates folded into router tables, base lookups, overlays and
+maintained clue tables, or faults injected into a guarded data path —
+and compares its whole report with the copy stored in
+``golden_churn.json`` beside this file.  No report carries a wall-clock
+field.  The cases cover every technique the ``churn`` CLI accepts, a
+budgeted rebuild that leaves a backlog across epochs, the SPF-fed delta
+feed of ``control --quick`` at both trie techniques and under several
+crashes in one tick, the ``faults`` engine at each guard policy, and a
+small ``experiments.faults`` sweep.
 
 The stored payloads are the reference, not the code under test.  After
 a change that is *meant* to alter a payload, rewrite them with
@@ -20,7 +23,9 @@ import sys
 import pytest
 
 from repro.churn import ChurnEngine, ChurnProfile, build_churn_scenario
-from repro.control import build_control_scenario
+from repro.control import ControlEngine, build_control_scenario
+from repro.experiments import fault_sweep
+from repro.faults import FaultEngine, GuardPolicy, build_fault_scenario
 from tests.test_serving_golden import differing_keys
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_churn.json")
@@ -57,17 +62,65 @@ def _control(technique):
         dead_interval=4,
         retransmit_interval=2,
     )
-    report = scenario.network.run_with_control(
+    report = ControlEngine(
+        scenario.network,
         scenario.plane,
         scenario.plan,
-        ticks=ticks,
-        traffic_per_tick=6,
+        cost_changes=scenario.cost_changes,
+        seed=0,
+    ).run(ticks, 6)
+    payload = {"scenario": scenario.config}
+    payload.update(report.as_dict())
+    return payload
+
+
+def _control_multi_crash():
+    """Four crashes over 60 ticks; at tick 17 two routers crash at once."""
+    scenario = build_control_scenario(
+        routers=8, per_node=3, seed=0, ticks=60, crashes=4, flaps=2
+    )
+    engine = ControlEngine(
+        scenario.network,
+        scenario.plane,
+        scenario.plan,
         cost_changes=scenario.cost_changes,
         seed=0,
     )
     payload = {"scenario": scenario.config}
-    payload.update(report.as_dict())
+    payload.update(engine.run(60, 6).as_dict())
     return payload
+
+
+def _faults(guard_policy):
+    """``repro faults`` under every injector, a crash and a link-down."""
+    network, plan = build_fault_scenario(
+        routers=5,
+        per_node=25,
+        seed=11,
+        flip_rate=0.15,
+        scramble_rate=0.05,
+        byzantine_routers=2,
+        lie_mode="shorter",
+        record_rate=0.4,
+        crashes=1,
+        link_downs=1,
+        rounds=6,
+    )
+    engine = FaultEngine(
+        network,
+        plan,
+        guard_policy=guard_policy,
+        seed=11,
+        hard_invariant=False if guard_policy is None else None,
+    )
+    return engine.run(6, 40).as_dict()
+
+
+def _fault_sweep():
+    points = fault_sweep(
+        [0.0, 0.1], routers=4, per_node=15, rounds=4, traffic_per_round=20, seed=3
+    )
+    return [[point.parameter, point.metrics] for point in points]
 
 
 CASES = {
@@ -78,6 +131,11 @@ CASES = {
     "churn-patricia-budget": lambda: _churn("patricia", rebuild_budget=3),
     "control-quick-patricia": lambda: _control("patricia"),
     "control-quick-regular": lambda: _control("regular"),
+    "control-multi-crash": _control_multi_crash,
+    "faults-quarantine": lambda: _faults(GuardPolicy()),
+    "faults-guard": lambda: _faults(GuardPolicy(quarantine_enabled=False)),
+    "faults-off": lambda: _faults(None),
+    "fault-sweep": _fault_sweep,
 }
 
 

@@ -162,8 +162,9 @@ class TestParser:
 
 
 class TestConfigErrors:
-    """A value the serve/chaos config rejects is a usage error, like an
-    argparse one: status 2 and one ``error:`` line, never a traceback."""
+    """A value a command's config or scenario rejects is a usage error,
+    like an argparse one: status 2 and one ``error:`` line, never a
+    traceback."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -185,8 +186,53 @@ class TestConfigErrors:
                 ["chaos", "--batch-max", "0"],
                 "repro-clue chaos: error: max_batch must be >= 1, got 0",
             ),
+            (
+                ["churn", "--routers", "1"],
+                "repro-clue churn: error: a mesh fabric needs at least two routers",
+            ),
+            (
+                ["churn", "--updates", "0"],
+                "repro-clue churn: error: burst_mean must be at least 1",
+            ),
+            (
+                ["churn", "--locality", "2"],
+                "repro-clue churn: error: locality must be within [0, 1]",
+            ),
+            (
+                ["churn", "--per-node", "0"],
+                "repro-clue churn: error: an update stream needs at least one live route",
+            ),
+            (
+                ["faults", "--routers", "1"],
+                "repro-clue faults: error: a mesh fabric needs at least two routers",
+            ),
+            (
+                ["control", "--routers", "1"],
+                "repro-clue control: error: a control scenario needs at least two routers",
+            ),
+            (
+                ["control", "--quick", "--hello-interval", "0"],
+                "repro-clue control: error: hello interval must be >= 1",
+            ),
+            (
+                ["control", "--quick", "--dead-interval", "0"],
+                "repro-clue control: error: dead interval must exceed the hello interval",
+            ),
         ],
-        ids=["serve-shards", "serve-batch-max", "chaos-shards", "chaos-batch-max"],
+        ids=[
+            "serve-shards",
+            "serve-batch-max",
+            "chaos-shards",
+            "chaos-batch-max",
+            "churn-routers",
+            "churn-updates",
+            "churn-locality",
+            "churn-per-node",
+            "faults-routers",
+            "control-routers",
+            "control-hello-interval",
+            "control-dead-interval",
+        ],
     )
     def test_rejected_value_exits_2_with_one_error_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as stop:

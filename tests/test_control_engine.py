@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.control import ControlReport, build_control_scenario
+from repro.control import ControlEngine, ControlReport, build_control_scenario
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +21,13 @@ def small_run():
     scenario = build_control_scenario(
         routers=10, per_node=4, seed=0, ticks=60
     )
-    report = scenario.network.run_with_control(
+    report = ControlEngine(
+        scenario.network,
         scenario.plane,
         scenario.plan,
-        ticks=60,
-        traffic_per_tick=6,
         cost_changes=scenario.cost_changes,
         seed=0,
-    )
+    ).run(60, 6)
     return scenario, report
 
 
@@ -78,14 +77,13 @@ class TestDeterminism:
             scenario = build_control_scenario(
                 routers=8, per_node=3, seed=7, ticks=48
             )
-            report = scenario.network.run_with_control(
+            report = ControlEngine(
+                scenario.network,
                 scenario.plane,
                 scenario.plan,
-                ticks=48,
-                traffic_per_tick=4,
                 cost_changes=scenario.cost_changes,
                 seed=7,
-            )
+            ).run(48, 4)
             dicts.append(report.as_dict())
         assert json.dumps(dicts[0], sort_keys=True) == json.dumps(
             dicts[1], sort_keys=True
@@ -106,19 +104,16 @@ class TestCertifierWiring:
     def test_doctored_fib_is_flagged(self):
         # Tamper with one forwarding entry after the run; a fresh
         # engine's certification pass must notice the divergence.
-        from repro.control.engine import ControlEngine
-
         scenario = build_control_scenario(
             routers=8, per_node=3, seed=3, ticks=40
         )
-        report = scenario.network.run_with_control(
+        report = ControlEngine(
+            scenario.network,
             scenario.plane,
             scenario.plan,
-            ticks=40,
-            traffic_per_tick=2,
             cost_changes=scenario.cost_changes,
             seed=3,
-        )
+        ).run(40, 2)
         assert report.passed()
         name = sorted(scenario.network.routers)[0]
         router = scenario.network.routers[name]

@@ -5,13 +5,13 @@ import pytest
 from repro.faults import (
     CrashEvent,
     FaultEngine,
-    FaultInvariantError,
     FaultPlan,
     GuardPolicy,
     LinkDownEvent,
     build_fault_scenario,
     random_topology_events,
 )
+from repro.netsim import InvariantError
 from repro.netsim.packet import Packet
 
 
@@ -52,6 +52,27 @@ class TestSchedules:
         assert plan.routers_down_at(2) == ["r2"]
         assert plan.restarts_at(3) == ["r2"]
         assert plan.routers_down_at(3) == []
+
+    def test_apply_schedule_restarts_first_and_counts_each_event_once(self):
+        network, _unused = build_fault_scenario(routers=4, per_node=10, seed=3)
+        plan = FaultPlan(
+            crashes=[
+                CrashEvent(1, "r2", duration=1),
+                CrashEvent(1, "r0", duration=2),
+                CrashEvent(2, "r2", duration=1),
+            ],
+            link_downs=[LinkDownEvent(1, "r0", "r1", duration=2)],
+        )
+        assert plan.apply_schedule(network, 0) == ([], [], 0)
+        assert plan.counts == {}
+        assert plan.apply_schedule(network, 1) == ([], ["r0", "r2"], 1)
+        # r2's second window opens as its first closes: restart, then crash.
+        assert plan.apply_schedule(network, 2) == (["r2"], ["r2"], 0)
+        assert network.down_links == {frozenset(("r0", "r1"))}
+        assert plan.apply_schedule(network, 3) == (["r0", "r2"], [], 0)
+        assert network.down_links == set()
+        assert all(router.up for router in network.routers.values())
+        assert plan.counts == {"router_crash": 3, "link_down": 1, "router_restart": 3}
 
     def test_random_topology_events_deterministic(self):
         names = ["r%d" % i for i in range(6)]
@@ -112,9 +133,7 @@ class TestRecordCorruption:
     def test_corrupts_learned_records(self):
         network, _plan = build_fault_scenario(routers=3, per_node=15, seed=5)
         # Warm one router's table through benign traffic.
-        report = network.run_with_faults(
-            FaultPlan(seed=5), rounds=2, traffic_per_round=40
-        )
+        report = FaultEngine(network, FaultPlan(seed=5)).run(2, 40)
         assert report.packets() == 80
         plan = FaultPlan(seed=6, record_rate=1.0, record_burst=3)
         touched = sum(
@@ -146,9 +165,7 @@ class TestFaultEngine:
             link_downs=1,
             rounds=6,
         )
-        report = network.run_with_faults(
-            plan, rounds=6, traffic_per_round=60, guard_policy=True
-        )
+        report = FaultEngine(network, plan, guard_policy=True).run(6, 60)
         assert report.wrong_hops() == 0
         assert report.invariant_ok()
         assert report.passed()
@@ -167,9 +184,7 @@ class TestFaultEngine:
             record_rate=0.4,
             rounds=6,
         )
-        report = network.run_with_faults(
-            plan, rounds=6, traffic_per_round=60, guard_policy=None
-        )
+        report = FaultEngine(network, plan, guard_policy=None).run(6, 60)
         assert report.wrong_hops() > 0
         assert not report.invariant_ok()
 
@@ -183,14 +198,10 @@ class TestFaultEngine:
             record_rate=0.4,
             rounds=6,
         )
-        with pytest.raises(FaultInvariantError):
-            network.run_with_faults(
-                plan,
-                rounds=6,
-                traffic_per_round=60,
-                guard_policy=None,
-                hard_invariant=True,
-            )
+        with pytest.raises(InvariantError):
+            FaultEngine(
+                network, plan, guard_policy=None, hard_invariant=True
+            ).run(6, 60)
 
     def test_byzantine_sweep_quarantines_and_degrades_toward_baseline(self):
         network, plan = build_fault_scenario(
@@ -201,9 +212,7 @@ class TestFaultEngine:
             lie_mode="shorter",
             rounds=12,
         )
-        report = network.run_with_faults(
-            plan, rounds=12, traffic_per_round=150, guard_policy=True
-        )
+        report = FaultEngine(network, plan, guard_policy=True).run(12, 150)
         assert report.wrong_hops() == 0
         assert report.quarantines_total() > 0
         # Degraded lookups approach the clueless baseline from below and
@@ -253,11 +262,34 @@ class TestFaultEngine:
         # With every link down, any packet needing a second hop drops.
         assert report.dropped.get("link-down", 0) > 0
 
+    @pytest.mark.parametrize("warm_up", ["run", "run_round"])
+    def test_report_counts_only_its_own_rounds(self, warm_up):
+        network, plan = build_fault_scenario(
+            routers=5, per_node=20, seed=7, crashes=1, link_downs=1, rounds=6
+        )
+        engine = FaultEngine(network, plan, guard_policy=GuardPolicy(), seed=7)
+        if warm_up == "run":
+            engine.run(3, 40)
+        else:
+            for _ in range(3):
+                engine.run_round(40)
+        report = engine.run(3, 40)
+        injected = {}
+        for round_report in report.rounds:
+            for kind, count in round_report.injected.items():
+                injected[kind] = injected.get(kind, 0) + count
+        assert report.summary()["faults_injected"] == injected
+        accesses = sum(r.accesses for r in report.rounds)
+        hops = sum(r.hops for r in report.rounds)
+        assert report.degradation_ratio() == pytest.approx(
+            accesses / hops / report.baseline_accesses
+        )
+
     def test_run_restores_fabric_state(self):
         network, plan = build_fault_scenario(
             routers=4, per_node=20, seed=3, crashes=2, link_downs=2, rounds=4
         )
-        network.run_with_faults(plan, rounds=4, traffic_per_round=20)
+        FaultEngine(network, plan).run(4, 20)
         assert network.fault_plan is None
         assert network.down_links == set()
         assert all(router.up for router in network.routers.values())
@@ -266,9 +298,7 @@ class TestFaultEngine:
         network, plan = build_fault_scenario(
             routers=3, per_node=15, seed=2, byzantine_routers=1, rounds=3
         )
-        report = network.run_with_faults(
-            plan, rounds=3, traffic_per_round=20, guard_policy=True
-        )
+        report = FaultEngine(network, plan, guard_policy=True).run(3, 20)
         data = report.as_dict()
         assert data["summary"]["invariant_ok"] is True
         assert len(data["rounds"]) == 3

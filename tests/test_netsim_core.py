@@ -1,9 +1,12 @@
 """Unit tests for packets, routers and the forwarding fabric."""
 
+import random
+
 import pytest
 
 from repro.addressing import Address, Prefix
 from repro.netsim import ClueRouter, LegacyRouter, Network, Packet
+from repro.netsim.invariant import Traffic, forward_audited
 from repro.routing import PathVectorRouting, chain_topology
 from tests.conftest import p
 
@@ -173,3 +176,37 @@ class TestNetwork:
         assert report.path == ["r0", "r1", "r2"]
         # r1 knows r0's and r2's tables.
         assert set(network.routers["r1"]._neighbor_tries) == {"r0", "r2"}
+
+
+class TestAuditedTraffic:
+    @pytest.mark.parametrize(
+        "count, pool, starts",
+        [(0, True, True), (-1, True, True), (5, False, True), (5, True, False)],
+        ids=["no-packets", "negative-count", "empty-pool", "no-starts"],
+    )
+    def test_nothing_is_drawn_without_packets_pool_or_starts(self, count, pool, starts):
+        network, assignment = Network.mesh(3, 5, seed=1)
+        rng = random.Random(0)
+        state = rng.getstate()
+        tally = Traffic()
+        forward_audited(
+            network,
+            tally,
+            count,
+            rng,
+            sorted(assignment["r0"]) if pool else [],
+            sorted(network.routers) if starts else [],
+        )
+        assert rng.getstate() == state
+        assert tally.packets == 0
+
+    def test_tally_counts_every_packet_and_hop(self):
+        network, assignment = Network.mesh(3, 5, seed=1)
+        pool = sorted(prefix for prefixes in assignment.values() for prefix in prefixes)
+        tally = Traffic()
+        forward_audited(network, tally, 20, random.Random(0), pool, sorted(network.routers))
+        assert tally.packets == 20
+        assert tally.delivered + sum(tally.dropped.values()) == 20
+        assert tally.wrong_hops == 0
+        assert tally.hops >= tally.packets
+        assert tally.avg_accesses() == tally.accesses / 20
