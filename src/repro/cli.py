@@ -437,6 +437,15 @@ def _cmd_control(args) -> int:
         ),
         file=sys.stderr,
     )
+    if not summary["final_converged"]:
+        # The certifier compares converged tables; mid-disruption ones
+        # are still settling, so their divergences are not a verdict.
+        print(
+            "NOT CONVERGED: the run ended %d ticks into an open "
+            "disruption episode" % summary["open_episode"],
+            file=sys.stderr,
+        )
+        return 1
     if summary["next_hop_divergences"] or summary["table_divergences"]:
         print(
             "ORACLE DIVERGENCE: post-convergence tables differ from the "

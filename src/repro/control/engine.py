@@ -220,14 +220,24 @@ class ControlReport:
         )
 
     def claim(self) -> str:
+        if self.final_converged():
+            outcome = "converged through %d disruption episodes" % len(
+                self.episodes
+            )
+        else:
+            outcome = (
+                "did not converge: the run ended %d ticks into an open "
+                "disruption episode, after %d closed ones"
+                % (self.open_episode, len(self.episodes))
+            )
         return (
-            "control: %d routers converged through %d disruption episodes "
+            "control: %d routers %s "
             "(max %d ticks); %d SPF-fed table updates, %d clue entries "
             "rebuilt; mid-convergence clues %.2f%% non-problematic; "
             "%d/%d oracle divergences; %d wrong hops over %d packets."
             % (
                 self.routers,
-                len(self.episodes),
+                outcome,
                 self.max_episode(),
                 self.updates_applied(),
                 self.entries_rebuilt(),

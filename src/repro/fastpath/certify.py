@@ -21,9 +21,13 @@ at every width, IPv4 and IPv6 alike.
 The full-lookup reference is the scalar object-graph walk, taken once
 per distinct destination of a call and shared by every lane and every
 layout certified in it: the sweep below visits each destination three
-times and the full-lookup kernel ignores the clue.  The reference lives
-only as long as the call, so a base patched between calls is walked
-afresh.  Kernel lanes are never deduplicated; each one is compared.
+times and the full-lookup kernel ignores the clue.  :func:`certify_clue`
+certifies a clue table's full-lookup kernels and its clue kernel in one
+call, so a clueless clue lane is compared against the same walk; only
+a lane carrying a clue runs the scalar clue lookup.  The reference
+lives only as long as the call, so a base patched between calls is
+walked afresh.  Kernel lanes are never deduplicated; each one is
+compared.
 
 The sweep covers, for every prefix of the deployed tables (senders and
 receivers alike, capped for very large tables): the network address,
@@ -35,7 +39,7 @@ length (what a well-formed upstream actually stamps).
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address
 from repro.fastpath.backend import CODE_TO_METHOD
@@ -108,18 +112,104 @@ def certify_full(ctrie, base, destinations: Sequence[int]) -> int:
     dense layout, whose cost model matches the object graph step for
     step.
     """
-    width = ctrie.width
     values = [int(value) for value in destinations]
-    expected = {}
+    dsts = as_destination_array(destinations, ctrie.width)
+    expected = _reference_walks(base, values, ctrie.width)
+    return _certify_full_lanes(ctrie, dsts, values, expected)
+
+
+def certify_clue(
+    ctable: CompiledClueTable,
+    scalar,
+    destinations: Sequence[int],
+    clue_lens: Sequence[int],
+) -> int:
+    """Certify a compiled clue table, both of its kernels; count checked.
+
+    ``scalar`` is a ``ClueAssistedLookup`` that must wrap the *same*
+    table and a regular base over the same receiver entries, and must
+    not learn (pass a preprocessed table; learning would mutate the
+    table mid-sweep).  ``scalar.base`` is walked once per distinct
+    destination.  The full-lookup kernel of ``ctable.layout`` (and of
+    the dense ``ctable.trie`` it carries, for a stride layout) is
+    certified against that walk exactly as :func:`certify_full` does,
+    and so is every clueless lane of the clue kernel; a lane carrying a
+    clue is compared against ``scalar.lookup``.  The clue kernel's lanes
+    are numbered after the full-lookup lanes.  Reference counts are
+    compared only when the table's full-lookup layout is the dense trie
+    itself.
+    """
+    check_memrefs = ctable.layout is ctable.trie
+    width = ctable.width
+    values = [int(value) for value in destinations]
+    dsts = as_destination_array(destinations, width)
+    expected = _reference_walks(scalar.base, values, width)
+    first = _certify_full_lanes(ctable.layout, dsts, values, expected)
+    lens = as_length_array(clue_lens)
+    methods, codes, new_clues, memrefs = lookup_batch(ctable, dsts, lens)
+    pool = ctable.trie.pool
+    for lane, (value, length, method, code, refs, new_clue) in enumerate(
+        zip(
+            values,
+            lens.tolist(),
+            methods.tolist(),
+            codes.tolist(),
+            memrefs.tolist(),
+            new_clues.tolist(),
+        ),
+        first,
+    ):
+        if 0 <= length <= width:
+            counter = MemoryCounter()
+            address = Address(value, width)
+            result = scalar.lookup(address, address.prefix(length), counter)
+            prefix, next_hop = result.prefix, result.next_hop
+            want_method, accesses = result.method, result.accesses
+        else:
+            prefix, next_hop, accesses = expected[value]
+            want_method = METHOD_FULL
+        got_prefix = pool.prefixes[code] if code >= 0 else None
+        got_hop = pool.next_hops[code] if code >= 0 else None
+        _require(
+            lane,
+            value,
+            length,
+            (
+                got_prefix,
+                got_hop,
+                CODE_TO_METHOD[method],
+                refs if check_memrefs else None,
+            ),
+            (prefix, next_hop, want_method, accesses if check_memrefs else None),
+        )
+        want_clue = prefix.length if prefix is not None else -1
+        if new_clue != want_clue:
+            raise CertificationError(
+                "lane %d dst=%#010x clue_len=%s: new clue %d != %d"
+                % (lane, value, length, new_clue, want_clue)
+            )
+    return first + len(values)
+
+
+def _reference_walks(base, values: List[int], width: int) -> Dict[int, Tuple]:
+    """``(prefix, next_hop, accesses)`` of one ``base.lookup`` walk per
+    distinct destination of ``values``."""
+    expected: Dict[int, Tuple] = {}
     for value in values:
         if value not in expected:
             counter = MemoryCounter()
             result = base.lookup(Address(value, width), counter)
             expected[value] = (result.prefix, result.next_hop, result.accesses)
+    return expected
+
+
+def _certify_full_lanes(ctrie, dsts, values: List[int], expected) -> int:
+    """Compare the full-lookup kernel of ``ctrie`` (and of the dense base
+    a stride layout carries) on ``dsts`` with the walks ``expected``,
+    lane by lane; returns the number of lanes compared."""
     layouts = [ctrie]
     if getattr(ctrie, "stride", 0):
         layouts.append(ctrie.base)
-    dsts = as_destination_array(destinations, width)
     first = 0
     for layout in layouts:
         check_memrefs = getattr(layout, "stride", 0) == 0
@@ -140,62 +230,6 @@ def certify_full(ctrie, base, destinations: Sequence[int]) -> int:
             )
         first += len(values)
     return first
-
-
-def certify_clue(
-    ctable: CompiledClueTable,
-    scalar,
-    destinations: Sequence[int],
-    clue_lens: Sequence[int],
-) -> int:
-    """Certify the clue kernel against a scalar ``ClueAssistedLookup``.
-
-    ``scalar`` must wrap the *same* table and a regular base over the
-    same receiver entries, and must not learn (pass a preprocessed
-    table; learning would mutate the table mid-sweep).  Reference
-    counts are compared only when the table's full-lookup layout is the
-    dense trie itself.
-    """
-    check_memrefs = ctable.layout is ctable.trie
-    width = ctable.width
-    dsts = as_destination_array(destinations, width)
-    lens = as_length_array(clue_lens)
-    methods, codes, new_clues, memrefs = lookup_batch(ctable, dsts, lens)
-    pool = ctable.trie.pool
-    for lane, value in enumerate(destinations):
-        value = int(value)
-        length = int(clue_lens[lane])
-        address = Address(value, width)
-        clue = address.prefix(length) if 0 <= length <= width else None
-        counter = MemoryCounter()
-        expected = scalar.lookup(address, clue, counter)
-        code = int(codes[lane])
-        got_prefix = pool.prefixes[code] if code >= 0 else None
-        got_hop = pool.next_hops[code] if code >= 0 else None
-        got_method = CODE_TO_METHOD[int(methods[lane])]
-        got_refs = int(memrefs[lane]) if check_memrefs else None
-        want_refs = expected.accesses if check_memrefs else None
-        _require(
-            lane,
-            value,
-            length,
-            (got_prefix, got_hop, got_method, got_refs),
-            (
-                expected.prefix,
-                expected.next_hop,
-                expected.method,
-                want_refs,
-            ),
-        )
-        expected_clue = (
-            expected.prefix.length if expected.prefix is not None else -1
-        )
-        if int(new_clues[lane]) != expected_clue:
-            raise CertificationError(
-                "lane %d dst=%#010x clue_len=%s: new clue %d != %d"
-                % (lane, value, length, int(new_clues[lane]), expected_clue)
-            )
-    return len(destinations)
 
 
 def _require(

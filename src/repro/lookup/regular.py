@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.addressing import Address
-from repro.lookup.base import LookupAlgorithm
+from repro.lookup.base import LookupAlgorithm, sorted_entries
 from repro.lookup.counters import LookupResult, MemoryCounter
 from repro.trie.binary_trie import BinaryTrie
 
@@ -21,6 +21,20 @@ class RegularTrieLookup(LookupAlgorithm):
     """Bit-by-bit binary-trie lookup (one reference per vertex visited)."""
 
     name = "regular"
+
+    @classmethod
+    def over_trie(cls, trie: BinaryTrie, entries) -> "RegularTrieLookup":
+        """A lookup that walks ``trie``, already built from ``entries``.
+
+        Nothing is inserted a second time.  The trie stays shared with
+        whoever built it (a ``ReceiverState``, say), so route changes
+        go through one of the two, not both.
+        """
+        lookup = cls.__new__(cls)
+        lookup.width = trie.width
+        lookup._entries = sorted_entries(entries)
+        lookup.trie = trie
+        return lookup
 
     def _build(self) -> None:
         self.trie = BinaryTrie(self.width)

@@ -5,8 +5,8 @@ this subsystem drops that assumption and keeps the paper's never-wrong
 forwarding invariant anyway.  Four modules, one story:
 
 * :mod:`repro.resilience.replica` — every table slice built, compiled,
-  and certified R times, with a deterministic per-destination replica
-  preference order.
+  and certified once and shared by its R replica workers, with a
+  deterministic per-destination replica preference order.
 * :mod:`repro.resilience.health` — a per-worker health FSM (healthy →
   suspect → quarantined → probation, doubling cooldowns) that steers
   dispatch away from sick replicas.

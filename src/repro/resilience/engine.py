@@ -4,7 +4,7 @@
 constructed it is plain serving — one replica per slice, no fault
 plan, no deadline, zero service ticks — and that is how
 :class:`repro.serve.engine.ServeEngine` runs it.  :class:`ChaosEngine`
-runs the same loop with every table slice built R times
+runs the same loop with every table slice served by R replica workers
 (:mod:`repro.resilience.replica`) and survives the shard-level fault
 vocabulary of :class:`repro.faults.inject.ShardFaultPlan` — replica
 crashes with off-hot-path rebuild + re-certification, slow-replica
@@ -29,9 +29,10 @@ Per-request lifecycle (all ticks are the engine's integer clock; RC103
   wins and late duplicates are counted, not double-served;
 * **degrade** — when the retry budget is exhausted or no replica of the
   slice is dispatchable, the request is answered *immediately* from
-  the full-table scalar :class:`~repro.core.lookup.ClueAssistedLookup`
-  — the answer every shard is certified against, so the degraded path
-  can change latency but never the result.
+  the full-table scalar :class:`~repro.core.lookup.ClueAssistedLookup`,
+  built on the first degraded request.  It answers the receiver's
+  longest-prefix match, as every certified shard does, so the degraded
+  path can change latency but never the result.
 
 Per-request state is flat numpy arrays, so dispatch grouping, batch
 release and commit, deadline expiry and the audit are array operations
@@ -103,8 +104,14 @@ AUDIT_CHUNK = 65536
 
 
 def build_reference(receiver_entries, sender_trie, method: str):
-    """The full-table scalar clue lookup every shard is certified
-    against: the degraded path answers from it."""
+    """The degraded path's full-table scalar clue lookup.
+
+    No shard is certified against it: each one certifies against its
+    own slice's scalar clue lookup.  For a well-formed clue both answer
+    the receiver's longest-prefix match, and the audit re-checks every
+    degraded answer like any other.  Its base walks the trie the
+    ``ReceiverState`` built.
+    """
     state = ReceiverState(receiver_entries, IPV4_WIDTH)
     if method == "advance":
         builder = AdvanceMethod(sender_trie, state, "regular")
@@ -112,7 +119,7 @@ def build_reference(receiver_entries, sender_trie, method: str):
         builder = SimpleMethod(state, "regular")
     table = builder.build_table(list(sender_trie.prefixes()))
     return ClueAssistedLookup(
-        RegularTrieLookup(receiver_entries, IPV4_WIDTH), table
+        RegularTrieLookup.over_trie(state.trie, state.entries), table
     )
 
 
@@ -360,7 +367,8 @@ class ServingLoop:
     _service_ticks = 0
     _blocked_keep_arrival = True
     _bind_resilience = False
-    #: The degraded path's scalar clue lookup (set by :class:`ChaosEngine`).
+    #: The degraded path's scalar clue lookup: plain serving never
+    #: degrades, and :class:`ChaosEngine` builds it on first read.
     reference = None
 
     def __init__(self, config, rplan: ReplicaPlan, grid, loadgen,
@@ -672,10 +680,11 @@ class ServingLoop:
     def _degrade(self, state, i, now):
         """Serve one request from the full-table scalar path, now.
 
-        The scalar :class:`ClueAssistedLookup` is the exact reference
-        every shard was certified against, so a degraded answer is
-        *definitionally* never wrong — the audit still re-checks it
-        against the oracle like every other completion.
+        The scalar :class:`ClueAssistedLookup` (:func:`build_reference`)
+        holds the whole receiver table and the clue table over every
+        sender prefix, so it answers the receiver's longest-prefix match
+        as the request's slice would have; the audit re-checks the
+        answer against the oracle like every other completion.
         """
         value = int(self._values[i])
         clen = int(self._lens[i])
@@ -986,9 +995,10 @@ class ChaosEngine(ServingLoop):
                 ShardPlan(cfg.shards, cfg.partition),
                 cfg.replication,
             )
-            # Every replica slice is compiled and certified here, exactly
-            # like a PR 6 shard — an uncertified replica never serves, and
-            # the retained slices let crashes rebuild off the hot path.
+            # Every slice is compiled and certified here once, and its
+            # replicas share that build — an uncertified slice never
+            # serves, and the retained slices let crashes rebuild off the
+            # hot path.
             grid, self.entry_slices, self.clue_slices = build_replica_shards(
                 rplan,
                 self.receiver_entries,
@@ -997,11 +1007,7 @@ class ChaosEngine(ServingLoop):
                 seed=cfg.seed,
                 instruments=instruments,
             )
-            # The degraded path answers from the full-table scalar clue
-            # lookup inside the serving window, so it is built here.
-            self.reference = build_reference(
-                self.receiver_entries, self.sender_trie, cfg.method
-            )
+        self._reference = None
         super().__init__(
             cfg, rplan, grid, loadgen, self.receiver_entries, instruments,
             health_policy,
@@ -1011,6 +1017,21 @@ class ChaosEngine(ServingLoop):
         )
         self._deadline = cfg.deadline_ticks
         self._service_ticks = cfg.service_ticks
+
+    @property
+    def reference(self):
+        """The degraded path's full-table scalar clue lookup, built on
+        first read under a settled heap, as a crash rebuild is.
+
+        Latency counts ticks, so building it inside a serving window
+        moves wall time only, and only in a run that degrades.
+        """
+        if self._reference is None:
+            with settled_heap():
+                self._reference = build_reference(
+                    self.receiver_entries, self.sender_trie, self.config.method
+                )
+        return self._reference
 
     def default_plan(
         self,

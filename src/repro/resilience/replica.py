@@ -3,10 +3,12 @@
 The serving plane's :class:`~repro.serve.dispatch.ShardPlan` maps every
 destination to exactly one *slice* of the table.  A single crash then
 destroys coverage for the slice's whole key range — so the resilience
-layer replicates: each slice is built, compiled, and certified **R**
-times (identical content, independent workers), and every destination
-resolves to an *ordered* candidate list of the R replica workers of its
-slice.
+layer replicates: each slice is built, compiled, and certified once,
+and served by **R** independent workers that share its compiled
+arrays (nothing writes them after they are built), and every
+destination resolves to an *ordered* candidate list of the R replica
+workers of its slice.  A crashed worker is rebuilt from scratch, and
+re-certified.
 
 The order rotates deterministically per destination — replica
 ``(rotation + k) % R`` is the k-th choice, with the rotation drawn from
@@ -97,6 +99,13 @@ def replica_rotation(rplan: ReplicaPlan, dsts):
     )
 
 
+def _shard_view(instruments, slice_id: int, replica: int):
+    """Replica ``replica`` of slice ``slice_id``'s own shard metrics view."""
+    if instruments is None:
+        return None
+    return instruments.bind_shard("%d.%d" % (slice_id, replica))
+
+
 def build_replica_shard(
     slice_id: int,
     replica: int,
@@ -109,16 +118,12 @@ def build_replica_shard(
 ) -> Shard:
     """Build (and certify) one replica worker's table slice.
 
-    Every replica goes through the full PR 6 pipeline — ReceiverState,
-    Simple/Advance builder, fastpath compile, ``certify_full`` +
-    ``certify_clue`` — exactly like a singleton shard; the chaos engine
-    calls this again, off the hot path, to rebuild a crashed worker.
+    It goes through the full shard pipeline — ReceiverState,
+    Simple/Advance builder, fastpath compile, one ``certify_clue``
+    call — exactly like a singleton shard.  Set-up builds replica 0 of
+    each slice here, once; the chaos engine calls it again, off the hot
+    path, to rebuild a crashed worker.
     """
-    metrics = (
-        instruments.bind_shard("%d.%d" % (slice_id, replica))
-        if instruments is not None
-        else None
-    )
     return Shard(
         slice_id,
         entry_slice,
@@ -126,7 +131,7 @@ def build_replica_shard(
         sender_trie,
         method=method,
         seed=seed,
-        metrics=metrics,
+        metrics=_shard_view(instruments, slice_id, replica),
     )
 
 
@@ -138,10 +143,13 @@ def build_replica_shards(
     seed: int = 0,
     instruments=None,
 ) -> Tuple[List[List[Shard]], List[List[Tuple[object, object]]], List[List[object]]]:
-    """Partition once, then build R certified workers per slice.
+    """Partition once, then build one certified slice per R workers.
 
-    Returns ``(grid, entry_slices, clue_slices)`` where ``grid[s][r]``
-    is replica *r* of slice *s* and the slices are retained for
+    Replica 0 of each slice is built and certified; replicas 1 to R−1
+    share its compiled arrays (:meth:`Shard.replica`), each under its
+    own metrics view, and report 0 certified lanes.  Returns
+    ``(grid, entry_slices, clue_slices)`` where ``grid[s][r]`` is
+    replica *r* of slice *s* and the slices are retained for
     off-hot-path rebuilds after crashes.
     """
     entry_slices, clue_slices = partition_slices(
@@ -149,19 +157,18 @@ def build_replica_shards(
     )
     grid: List[List[Shard]] = []
     for slice_id in range(rplan.plan.shards):
-        replicas: List[Shard] = []
-        for replica in range(rplan.replication):
-            replicas.append(
-                build_replica_shard(
-                    slice_id,
-                    replica,
-                    entry_slices[slice_id],
-                    clue_slices[slice_id],
-                    sender_trie,
-                    method=method,
-                    seed=seed,
-                    instruments=instruments,
-                )
-            )
-        grid.append(replicas)
+        built = build_replica_shard(
+            slice_id,
+            0,
+            entry_slices[slice_id],
+            clue_slices[slice_id],
+            sender_trie,
+            method=method,
+            seed=seed,
+            instruments=instruments,
+        )
+        grid.append([built] + [
+            built.replica(_shard_view(instruments, slice_id, replica))
+            for replica in range(1, rplan.replication)
+        ])
     return grid, entry_slices, clue_slices

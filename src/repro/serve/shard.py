@@ -11,14 +11,21 @@ same ``(prefix, next_hop)`` decision as the receiver's full-table
 longest-prefix match — the serving loop's audit re-checks that for every
 served answer, decoded through the compiled pool.
 
-Building reuses the existing machinery unchanged: the slice becomes a
-``ReceiverState``, the Simple/Advance builders produce the clue table,
-``repro.fastpath.compile`` freezes both into flat arrays, and — the
-certification gate — ``certify_full``/``certify_clue`` must pass against
-the slice's scalar clue lookup over a deterministic sweep before the
-shard is allowed to serve a single request.  The scalar pair is a local
-of construction; only the compiled arrays outlive it.  An uncertified
-shard raises; the serving plane never starts.
+Building reuses the existing machinery, and builds each structure
+once.  The slice becomes a ``ReceiverState``.  The Advance builder
+overlays a trie of the shard's clue slice: Claim 1 looks only below a
+clue (§3.1.2), so the slice decides every verdict the whole sender trie
+would.  The Simple builder reads no sender trie.
+``repro.fastpath.compile`` freezes the table and the state's trie into
+flat arrays.  Then the certification gate: one ``certify_clue`` call,
+covering the full-lookup layout and the clue kernel alike, must pass
+against the slice's scalar clue lookup over a deterministic sweep
+before the shard is allowed to serve a single request.  That scalar
+lookup walks the state's own trie and is a local of construction; only
+the compiled arrays outlive it.  ``ClueEntry.sender_node`` points into
+the slice trie, which nothing on a shard reads.  An uncertified shard
+raises; the serving plane never starts.  :meth:`Shard.replica` hands
+the certified arrays to another worker without building them again.
 """
 
 from __future__ import annotations
@@ -30,17 +37,14 @@ from repro.core.advance import AdvanceMethod
 from repro.core.lookup import ClueAssistedLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
-from repro.fastpath.certify import (
-    certification_batch,
-    certify_clue,
-    certify_full,
-)
+from repro.fastpath.certify import certification_batch, certify_clue
 from repro.fastpath.compile import compile_clue_table
 from repro.fastpath.kernels import lookup_batch
 from repro.fastpath.layouts import LAYOUTS, compile_layout
 from repro.lookup.hotpath import hot_path
 from repro.lookup.regular import RegularTrieLookup
 from repro.serve.dispatch import ShardPlan
+from repro.trie.binary_trie import BinaryTrie
 
 METHODS = ("simple", "advance")
 
@@ -85,7 +89,12 @@ class Shard:
         self.metrics = metrics
         state = ReceiverState(self.entries, IPV4_WIDTH)
         if method == "advance":
-            builder = AdvanceMethod(sender_trie, state, "regular")
+            # A trie of the clue slice decides every Claim-1 verdict and
+            # stop bit the whole sender trie would (module docstring).
+            clue_trie = BinaryTrie.from_prefixes(
+                ((clue, None) for clue in self.clue_universe), IPV4_WIDTH
+            )
+            builder = AdvanceMethod(clue_trie, state, "regular")
         else:
             builder = SimpleMethod(state, "regular")
         table = builder.build_table(self.clue_universe)
@@ -93,7 +102,7 @@ class Shard:
         self.ctrie = compile_layout(state.trie, layout)
         self.ctable = compile_clue_table(table, self.ctrie)
         scalar = ClueAssistedLookup(
-            RegularTrieLookup(self.entries, IPV4_WIDTH), table
+            RegularTrieLookup.over_trie(state.trie, state.entries), table
         )
         self.certified_lanes = self._certify(scalar, sender_trie, seed)
 
@@ -101,20 +110,36 @@ class Shard:
         """The gate: kernels must agree with the slice's scalar clue
         lookup ``scalar``, exactly.
 
-        Raises :class:`repro.fastpath.certify.CertificationError` on the
-        first divergence; the engine refuses to build a serving plane
-        around a shard that did not pass.
+        The sweep draws each destination's sender BMP from the whole
+        ``sender_trie``: a replicated short receiver prefix puts
+        destinations outside the shard's range into it.  Raises
+        :class:`repro.fastpath.certify.CertificationError` on the first
+        divergence; the engine refuses to build a serving plane around a
+        shard that did not pass.
         """
         sweep = list(self.entries)
         sweep.extend((clue, None) for clue in self.clue_universe)
         if not sweep:
             return 0
         dsts, lens = certification_batch(sender_trie, sweep, seed=seed)
-        # A stride layout certifies with the dense base its resume walks
-        # descend (memrefs included there), in the same call.
-        checked = certify_full(self.ctrie, scalar.base, dsts)
-        checked += certify_clue(self.ctable, scalar, dsts, lens)
-        return checked
+        # One call certifies the full-lookup layout (a stride layout with
+        # the dense base its resume walks descend) and the clue kernel.
+        return certify_clue(self.ctable, scalar, dsts, lens)
+
+    def replica(self, metrics=None) -> "Shard":
+        """Another worker serving this shard's certified arrays.
+
+        It shares the compiled ``ctrie``/``ctable`` and the slices,
+        which nothing writes after they are built, and keeps its own
+        metrics view.  It certified nothing itself, so its
+        ``certified_lanes`` is 0.
+        """
+        twin = Shard.__new__(Shard)
+        for name in Shard.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.metrics = metrics
+        twin.certified_lanes = 0
+        return twin
 
     @hot_path
     def process(self, dsts, clue_lens):

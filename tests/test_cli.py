@@ -151,6 +151,29 @@ class TestFaults:
         assert "clue_guard_rejections_total" in out
 
 
+class TestControl:
+    def test_a_run_ending_mid_disruption_is_not_converged(self, capsys):
+        """Five ticks stop the quick scenario inside its first disruption:
+        that run did not pass (exit 1), and the tables it left behind are
+        still settling, so no certifier divergence is reported."""
+        assert main(["control", "--quick", "--ticks", "5"]) == 1
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)["summary"]
+        assert summary["final_converged"] is False
+        assert summary["open_episode"] == 5
+        assert summary["wrong_hops"] == 0
+        assert "did not converge" in summary["claim"]
+        assert "converged through" not in summary["claim"]
+        verdicts = [
+            line for line in captured.err.splitlines()
+            if line.split(":")[0].isupper()
+        ]
+        assert verdicts == [
+            "NOT CONVERGED: the run ended 5 ticks into an open disruption "
+            "episode"
+        ]
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -129,7 +129,8 @@ def test_lane_dtype_follows_width():
         assert ctable.probe_keys.dtype == key_dtype
         scalar = ClueAssistedLookup(RegularTrieLookup(entries, width), table)
         destinations = [1 << (width - 8), 0, (1 << width) - 1]
-        assert certify_clue(ctable, scalar, destinations, [0, 0, 0]) == 3
+        # Three full-lookup lanes, then three clue lanes.
+        assert certify_clue(ctable, scalar, destinations, [0, 0, 0]) == 6
 
 
 def test_shared_pool_between_trie_and_tables():

@@ -136,7 +136,8 @@ def test_clue_lookup_certifies_on_multibit_layouts(pair, data, method, layout):
         width, sender, receiver, method, layout
     )
     destinations, lens = sweep(sender_trie, values, extra_lens)
-    assert certify_clue(ctable, scalar, destinations, lens) == len(destinations)
+    # The stride layout, the dense base it carries, then the clue kernel.
+    assert certify_clue(ctable, scalar, destinations, lens) == 3 * len(destinations)
 
 
 # ----------------------------------------------------------------------

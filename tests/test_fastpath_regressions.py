@@ -15,6 +15,9 @@
 * ``certify_full`` walks the scalar reference once per destination but
   still compares every lane, and a stride layout certifies together
   with the dense base it carries: a fault in either fails the call.
+* A shard build walks its scalar base once per sweep destination, plus
+  once per clue miss: ``certify_clue`` compares the full-lookup kernel
+  and every clueless lane against the same walk.
 """
 
 import random
@@ -226,7 +229,8 @@ def test_merged_probe_hits_each_lanes_own_length():
         ctrie = compile_trie(state.trie)
         ctable = compile_clue_table(table, ctrie)
         scalar = ClueAssistedLookup(RegularTrieLookup(entries, 32), table)
-        assert certify_clue(ctable, scalar, destinations, lengths) == 6
+        # Six clue lanes, after six lanes of the dense full-lookup kernel.
+        assert certify_clue(ctable, scalar, destinations, lengths) == 12
         dsts = as_destination_array(destinations)
         lens = as_length_array(lengths)
         fast = lookup_batch(ctable, dsts, lens)
@@ -283,7 +287,8 @@ def test_resumed_walks_start_at_their_own_depths():
     assert len(starts) <= SCALAR_RESUME_LANES
     for copies in (1, SCALAR_RESUME_LANES // len(starts) + 1):
         batch, batch_lengths = destinations * copies, lengths * copies
-        assert certify_clue(ctable, scalar, batch, batch_lengths) == len(batch)
+        lanes = certify_clue(ctable, scalar, batch, batch_lengths)
+        assert lanes == 2 * len(batch)  # full-lookup lanes, then clue lanes
 
 
 # ----------------------------------------------------------------------
@@ -353,3 +358,55 @@ def test_a_stride_layout_and_its_base_certify_together():
     with pytest.raises(CertificationError) as error:
         certify_full(lay, base, destinations)
     assert failing_lane(error) >= len(destinations)  # a base lane
+
+
+# ----------------------------------------------------------------------
+# a shard build: one scalar base walk per sweep destination
+# ----------------------------------------------------------------------
+def test_a_shard_build_walks_the_scalar_base_once_per_destination(monkeypatch):
+    """Certifying a shard walks its scalar base once per distinct sweep
+    destination, for the full-lookup kernel and every clueless lane
+    alike, plus once per clue lane whose scalar lookup misses the clue
+    table and falls back to a full walk."""
+    from repro.fastpath import (
+        CODE_CLUE_MISS,
+        as_destination_array,
+        as_length_array,
+        certification_batch,
+        lookup_batch,
+    )
+    from repro.lookup import RegularTrieLookup
+    from repro.serve import Shard, ShardPlan
+    from repro.serve.shard import partition_slices
+    from repro.tablegen import NeighborProfile, derive_neighbor
+
+    sender = generate_table(300, seed=5)
+    receiver = derive_neighbor(sender, NeighborProfile(), seed=6)
+    sender_trie = BinaryTrie.from_prefixes(sender)
+    entry_slices, clue_slices = partition_slices(
+        ShardPlan(2, "range"), receiver, sender_trie
+    )
+    walks = []
+    lookup = RegularTrieLookup.lookup
+
+    def counted(self, address, counter=None):
+        walks.append(address.value)
+        return lookup(self, address, counter)
+
+    monkeypatch.setattr(RegularTrieLookup, "lookup", counted)
+    shard = Shard(0, entry_slices[0], clue_slices[0], sender_trie, seed=5)
+    monkeypatch.undo()
+    sweep = list(shard.entries)
+    sweep.extend((clue, None) for clue in shard.clue_universe)
+    destinations, lengths = certification_batch(sender_trie, sweep, seed=5)
+    methods = lookup_batch(
+        shard.ctable,
+        as_destination_array(destinations),
+        as_length_array(lengths),
+    )[0]
+    misses = int((methods == CODE_CLUE_MISS).sum())
+    distinct = len(set(destinations))
+    assert len(walks) == distinct + misses
+    # 312 destinations, six visited twice; every clue-0 lane misses.
+    assert (len(destinations), distinct, misses) == (936, 306, 312)
+    assert len(walks) == 618

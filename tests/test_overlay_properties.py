@@ -121,3 +121,61 @@ def test_stop_booleans_consistent_with_claim1(sender_prefixes, receiver_prefixes
     stops = overlay.stop_booleans()
     for prefix, stop in stops.items():
         assert stop == overlay.claim1_holds(prefix)
+
+
+@given(
+    prefix_lists(max_size=30, depth=8),
+    prefix_lists(max_size=30, depth=8),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(["range", "hash"]),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_shard_clue_slice_decides_like_the_whole_sender_trie(
+    sender_prefixes, receiver_prefixes, shards, mode, default_route
+):
+    """A shard's Advance entries built over a trie of its clue slice equal
+    those built over the whole sender trie: FD, problematic flag and
+    continuation start, and the stop booleans on every vertex of the
+    shard's receiver trie.  Claim 1 only looks below a clue, and every
+    sender prefix met there on a way to one of the shard's receiver
+    prefixes overlaps the shard's range."""
+    from repro.core import AdvanceMethod, ReceiverState
+    from repro.serve import ShardPlan
+    from repro.serve.shard import partition_slices
+
+    if default_route:
+        receiver_prefixes = [Prefix(0, 0, 32)] + receiver_prefixes
+    sender = BinaryTrie.from_prefixes((p, "s") for p in sender_prefixes)
+    receiver_entries = [(p, "r%d" % i) for i, p in enumerate(receiver_prefixes)]
+    entry_slices, clue_slices = partition_slices(
+        ShardPlan(shards, mode), receiver_entries, sender
+    )
+    for entries, clues in zip(entry_slices, clue_slices):
+        state = ReceiverState(entries, 32)
+        whole = AdvanceMethod(sender, state, "regular")
+        sliced = AdvanceMethod(
+            BinaryTrie.from_prefixes((clue, None) for clue in clues),
+            state,
+            "regular",
+        )
+        for clue in clues:
+            expected, got = whole.build_entry(clue), sliced.build_entry(clue)
+            assert (got.fd_prefix, got.fd_next_hop) == (
+                expected.fd_prefix,
+                expected.fd_next_hop,
+            ), str(clue)
+            assert sliced.overlay.is_problematic(clue) == (
+                whole.overlay.is_problematic(clue)
+            ), str(clue)
+            starts = [
+                entry.continuation.start.prefix
+                if entry.continuation is not None
+                else None
+                for entry in (expected, got)
+            ]
+            assert starts[0] == starts[1], str(clue)
+        for node in state.trie.nodes():
+            assert sliced.stops[node.prefix] == whole.stops[node.prefix], str(
+                node.prefix
+            )

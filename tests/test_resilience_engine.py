@@ -179,6 +179,82 @@ class TestChaosRun:
         assert run["conservation"]["ok"]
 
 
+class TestSharedBuilds:
+    """Each slice is compiled and certified once; its replicas share the
+    build, a crash rebuild makes a fresh one, and the degraded path's
+    reference is built only when a request degrades."""
+
+    def test_replicas_of_a_slice_share_one_certified_build(self):
+        instruments = LookupInstruments(MetricsRegistry())
+        engine = ChaosEngine(small_config(replication=3), instruments)
+        for row in engine.shards:
+            built = row[0]
+            assert built.certified_lanes > 0
+            for twin in row[1:]:
+                assert twin.ctrie is built.ctrie
+                assert twin.ctable is built.ctable
+                assert twin.entries is built.entries
+                assert twin.clue_universe is built.clue_universe
+                assert twin.certified_lanes == 0
+            assert len({id(shard.metrics) for shard in row}) == len(row)
+        # Each replica records its own requests under its own label.
+        run = engine.run()
+        recorded = {
+            labels[0]: value
+            for labels, value in instruments.serve_requests.samples()
+        }
+        assert recorded == {
+            "%d.%d" % (worker["slice"], worker["replica"]): worker["requests"]
+            for worker in run["workers"]
+        }
+        assert all(recorded.values())
+
+    def test_certified_lanes_count_one_build_per_slice(self, engine):
+        single = ChaosEngine(small_config(replication=1))
+        assert engine.certified_lanes == single.certified_lanes
+        assert engine.certified_lanes == sum(
+            row[0].certified_lanes for row in engine.shards
+        )
+
+    def test_a_crash_rebuild_certifies_fresh_arrays(self, engine):
+        plan = ShardFaultPlan(
+            seed=1, crashes=[ReplicaCrashEvent(3, 0, 1, duration=10)]
+        )
+        state, _elapsed = engine.run_ticks(plan)
+        built = engine.shards[0][0]
+        rebuilt = state.workers[0][1].shard
+        assert rebuilt is not engine.shards[0][1]
+        assert rebuilt.ctable is not built.ctable
+        assert rebuilt.ctrie is not built.ctrie
+        assert np.array_equal(rebuilt.ctable.probe_keys, built.ctable.probe_keys)
+        assert state.restarts == 1
+        assert state.rebuilt_lanes == rebuilt.certified_lanes
+        assert state.rebuilt_lanes == built.certified_lanes > 0
+
+    def test_the_degraded_reference_is_built_on_first_read(self, monkeypatch):
+        from repro.resilience import engine as engine_module
+
+        calls = []
+        build = engine_module.build_reference
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(engine_module, "build_reference", counted)
+        engine = ChaosEngine(small_config(replication=1))
+        assert engine.run()["totals"]["degraded"] == 0
+        assert calls == []
+        plan = ShardFaultPlan(
+            seed=1, crashes=[ReplicaCrashEvent(3, 0, 0, duration=10)]
+        )
+        for _ in range(2):
+            run = engine.run(plan)
+            assert run["totals"]["degraded"] > 0
+            assert run["audit"]["wrong_answers"] == 0
+        assert len(calls) == 1
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical_bench(self):
         a = ChaosEngine(small_config(requests=5000)).bench()
