@@ -174,6 +174,22 @@ class Prefix:
         self.width = width
 
     @classmethod
+    def _derived(cls, bits: int, length: int, width: int) -> "Prefix":
+        """A prefix shifted out of one already valid, built unchecked.
+
+        Callers pass the head bits of a valid prefix (a trie walk's
+        vertex, a child, a parent, a truncation), which pass every check
+        :meth:`__init__` makes by construction.  Skipping the width and
+        range checks matters on trie walks, which create one prefix per
+        new vertex; outside input still goes through :meth:`__init__`.
+        """
+        prefix = object.__new__(cls)
+        prefix.bits = bits
+        prefix.length = length
+        prefix.width = width
+        return prefix
+
+    @classmethod
     def root(cls, width: int = IPV4_WIDTH) -> "Prefix":
         """The empty (default-route) prefix."""
         return cls(0, 0, width)
@@ -232,13 +248,13 @@ class Prefix:
             raise ValueError("bit must be 0 or 1")
         if self.length >= self.width:
             raise PrefixLengthError("cannot extend a full-width prefix")
-        return Prefix((self.bits << 1) | bit, self.length + 1, self.width)
+        return Prefix._derived((self.bits << 1) | bit, self.length + 1, self.width)
 
     def parent(self) -> "Prefix":
         """The prefix shortened by one bit."""
         if not self.length:
             raise PrefixLengthError("the root prefix has no parent")
-        return Prefix(self.bits >> 1, self.length - 1, self.width)
+        return Prefix._derived(self.bits >> 1, self.length - 1, self.width)
 
     def truncate(self, length: int) -> "Prefix":
         """The leading-``length``-bit prefix of this prefix."""
@@ -246,7 +262,9 @@ class Prefix:
             raise PrefixLengthError(
                 "cannot truncate /%d to /%d" % (self.length, length)
             )
-        return Prefix(self.bits >> (self.length - length), length, self.width)
+        return Prefix._derived(
+            self.bits >> (self.length - length), length, self.width
+        )
 
     def is_prefix_of(self, other: "Prefix") -> bool:
         """True if ``other`` extends (or equals) this prefix."""

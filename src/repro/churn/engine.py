@@ -262,7 +262,7 @@ class ChurnEngine:
         graph.add_nodes_from(self._router_names)
         for r_name, router in sorted(self.network.routers.items()):
             if isinstance(router, ClueRouter):
-                for s_name in router._neighbor_tries:
+                for s_name in router.neighbor_names():
                     if s_name in self.network.routers:
                         graph.add_edge(s_name, r_name)
         return graph

@@ -51,7 +51,7 @@ def build_adjacency_pairs(
     pairs: Dict[Tuple[str, str], MaintainedClueTable] = {}
     for r_name in sorted(clue_routers):
         router = clue_routers[r_name]
-        for s_name in sorted(router._neighbor_tries):
+        for s_name in sorted(router.neighbor_names()):
             if s_name not in network.routers:
                 continue
             sender = network.routers[s_name]

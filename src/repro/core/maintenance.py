@@ -146,8 +146,9 @@ class MaintainedClueTable:
             node = self.sender_trie.root
             if node.marked:
                 dirty.add(node.prefix)
-            for index in range(prefix.length):
-                node = node.children.get(prefix.bit(index))
+            bits = prefix.bits
+            for shift in range(prefix.length - 1, -1, -1):
+                node = node.children.get((bits >> shift) & 1)
                 if node is None:
                     break
                 if node.marked:

@@ -56,8 +56,9 @@ class RegularTrieLookup(LookupAlgorithm):
         node = self.trie.root
         counter.touch()
         best = node if node.marked else None
-        for index in range(self.width):
-            node = node.children.get(address.bit(index))
+        value = address.value
+        for shift in range(self.width - 1, -1, -1):
+            node = node.children.get((value >> shift) & 1)
             if node is None:
                 break
             counter.touch()

@@ -262,7 +262,10 @@ class Network:
 
         Every adjacency registers the neighbour's table, so the Advance
         method is available on every link — modelling pre-processing table
-        construction from the routing exchange (§3.3.2).
+        construction from the routing exchange (§3.3.2).  A router builds
+        the trie over a neighbour's table when a lookup for that neighbour
+        first needs it; a churn feed (``TableDeltaFeed``) attaches the
+        neighbour router's own trie before then, so it builds none.
         """
         tables = routing.all_tables()
         network = cls(instruments=instruments)

@@ -165,7 +165,11 @@ class ClueRouter(Router):
         self._simple = SimpleMethod(self.receiver, technique, telemetry=self.metrics)
         #: per-upstream clue lookup state, built lazily.
         self._lookups: Dict[Optional[str], LearningClueLookup] = {}
-        #: upstream tables registered from the routing exchange.
+        #: upstream tables registered from the routing exchange, kept
+        #: as registered until :meth:`_neighbor_trie` first reads one.
+        self._neighbor_entries: Dict[str, Tuple[Tuple[Prefix, object], ...]] = {}
+        #: upstream tries: built from a registered table on first read,
+        #: or the sender's own trie installed by :meth:`attach_maintained`.
         self._neighbor_tries: Dict[str, BinaryTrie] = {}
         #: per-upstream incrementally maintained clue tables (churn mode);
         #: see :meth:`attach_maintained`.
@@ -264,12 +268,42 @@ class ClueRouter(Router):
 
     # ------------------------------------------------------------------
     def register_neighbor(self, neighbor: str, entries: Entries) -> None:
-        """Learn an upstream's table (enables the Advance method for it)."""
-        self._neighbor_tries[neighbor] = BinaryTrie.from_prefixes(
-            entries, self.receiver.width
-        )
+        """Learn an upstream's table (enables the Advance method for it).
+
+        The entries are kept as registered, a snapshot that later
+        changes to the neighbour's own table do not reach; the trie
+        over them is built when a lookup for ``neighbor`` first needs
+        it, so a table that :meth:`attach_maintained` replaces before
+        then is never built.
+        """
+        self._neighbor_entries[neighbor] = tuple(entries)
+        self._neighbor_tries.pop(neighbor, None)
         self._lookups.pop(neighbor, None)
         self._compiled.pop(neighbor, None)
+
+    def neighbor_names(self) -> List[str]:
+        """Upstreams with a known table, registered or attached.
+
+        Registered names come first, in registration order, then the
+        names only :meth:`attach_maintained` installed.
+        """
+        names = list(self._neighbor_entries)
+        for name in self._neighbor_tries:
+            if name not in self._neighbor_entries:
+                names.append(name)
+        return names
+
+    def _neighbor_trie(self, neighbor: Optional[str]) -> Optional[BinaryTrie]:
+        """``neighbor``'s trie, built from its registered table on first read."""
+        if neighbor is None:
+            return None
+        trie = self._neighbor_tries.get(neighbor)
+        if trie is None:
+            entries = self._neighbor_entries.get(neighbor)
+            if entries is not None:
+                trie = BinaryTrie.from_prefixes(entries, self.receiver.width)
+                self._neighbor_tries[neighbor] = trie
+        return trie
 
     def attach_maintained(
         self, upstream: str, maintained: "MaintainedClueTable"
@@ -280,7 +314,9 @@ class ClueRouter(Router):
         deactivations take effect on the data path immediately (a
         deactivated record probes as a miss), and on-demand relearning
         repairs records through the maintained Advance builder — which
-        sees the live sender trie and receiver state.
+        sees the live sender trie and receiver state.  The sender's
+        own trie stands in for ``upstream``'s registered table, so none
+        is built from it.
         """
         self._maintained[upstream] = maintained
         self._compiled.pop(upstream, None)
@@ -307,13 +343,15 @@ class ClueRouter(Router):
     def _lookup_for(self, from_router: Optional[str]) -> LearningClueLookup:
         lookup = self._lookups.get(from_router)
         if lookup is None:
-            if (
-                self.method == "advance"
-                and from_router is not None
-                and from_router in self._neighbor_tries
-            ):
+            # The Simple method reads a neighbour's table only to preprocess.
+            neighbor_trie = (
+                self._neighbor_trie(from_router)
+                if self.method == "advance" or self.preprocess
+                else None
+            )
+            if self.method == "advance" and neighbor_trie is not None:
                 builder = AdvanceMethod(
-                    self._neighbor_tries[from_router],
+                    neighbor_trie,
                     self.receiver,
                     self.technique,
                     telemetry=self.metrics,
@@ -334,14 +372,14 @@ class ClueRouter(Router):
                     health=health,
                     monitor=self.instruments.bind_guard(self.name),
                 )
-                if self.preprocess and from_router in self._neighbor_tries:
+                if self.preprocess and neighbor_trie is not None:
                     # Learn through the guard so each record is sealed.
-                    for clue in self._neighbor_tries[from_router].prefixes():
+                    for clue in neighbor_trie.prefixes():
                         lookup.learn(clue)
             else:
                 lookup = LearningClueLookup(self.base, builder)
-                if self.preprocess and from_router in self._neighbor_tries:
-                    for clue in self._neighbor_tries[from_router].prefixes():
+                if self.preprocess and neighbor_trie is not None:
+                    for clue in neighbor_trie.prefixes():
                         lookup.table.insert(builder.build_entry(clue))
             self._lookups[from_router] = lookup
         return lookup

@@ -47,12 +47,14 @@ class BinaryTrie:
     def insert(self, prefix: Prefix, next_hop: object) -> TrieNode:
         """Insert (or update) a prefix; returns its vertex."""
         node = self.root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
-            child = node.children.get(bit)
+        bits, length, width = prefix.bits, prefix.length, prefix.width
+        derived = Prefix._derived
+        for shift in range(length - 1, -1, -1):
+            head = bits >> shift
+            child = node.children.get(head & 1)
             if child is None:
-                child = TrieNode(prefix.truncate(index + 1))
-                node.children[bit] = child
+                child = TrieNode(derived(head, length - shift, width))
+                node.children[head & 1] = child
             node = child
         if not node.marked:
             self._size += 1
@@ -63,8 +65,9 @@ class BinaryTrie:
         """Remove a prefix; prunes now-useless vertices.  True if found."""
         path: List[TrieNode] = [self.root]
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits = prefix.bits
+        for shift in range(prefix.length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 return False
             path.append(node)
@@ -77,8 +80,7 @@ class BinaryTrie:
         for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
             if child.marked or child.children:
                 break
-            bit = child.prefix.bit(child.prefix.length - 1)
-            del parent.children[bit]
+            del parent.children[child.prefix.bits & 1]
         return True
 
     # ------------------------------------------------------------------
@@ -87,8 +89,9 @@ class BinaryTrie:
     def find_node(self, prefix: Prefix) -> Optional[TrieNode]:
         """The vertex for ``prefix`` if it exists in the trie."""
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits = prefix.bits
+        for shift in range(prefix.length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 return None
         return node
@@ -109,8 +112,9 @@ class BinaryTrie:
         """The vertex of the longest marked prefix matching ``address``."""
         node = self.root
         best = node if node.marked else None
-        for index in range(self.width):
-            node = node.children.get(address.bit(index))
+        value = address.value
+        for shift in range(self.width - 1, -1, -1):
+            node = node.children.get((value >> shift) & 1)
             if node is None:
                 break
             if node.marked:
@@ -131,13 +135,17 @@ class BinaryTrie:
         a prefix" — the value pre-computed into a clue entry's FD field.  The
         walk follows the bits of ``prefix`` as far as the trie allows, so it
         also works when ``prefix`` itself is not a vertex of the trie
-        (Advance method, case 1).
+        (Advance method, case 1).  The root prefix has no strict ancestor,
+        so with ``include_self=False`` it yields None.
         """
+        if not include_self and not prefix.length:
+            return None
         node = self.root
         best = node if node.marked else None
-        limit = prefix.length if include_self else prefix.length - 1
-        for index in range(max(limit, 0)):
-            node = node.children.get(prefix.bit(index))
+        bits = prefix.bits
+        # Without ``include_self`` the walk stops above the last bit.
+        for shift in range(prefix.length - 1, -1 if include_self else 0, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 break
             if node.marked:

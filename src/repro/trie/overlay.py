@@ -15,17 +15,22 @@ search can still return is Condition C1 / Definition 1:
     P(s, R1) = { p marked in t2 : p strictly extends s and no vertex on the
                  path (s, p] is marked in t1 }
 
-This module builds the union trie of the two routers' tries once and
-answers Claim 1, ``P(s, R1)``, per-vertex stop booleans (for the Patricia
-adaptation of §4) and Table 2/3 style statistics in linear passes.
+This module builds the union trie of the two routers' tries once, in one
+iterative pass that also memoises Claim 1 per vertex, and answers Claim 1,
+``P(s, R1)``, per-vertex stop booleans (for the Patricia adaptation of §4)
+and Table 2/3 style statistics in linear passes.  Each merged vertex
+shares the immutable prefix of a trie vertex it merges, so the tries must
+be :class:`BinaryTrie` s, whose vertices carry the prefix their own path
+spells; a path-compressed vertex would not.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.addressing import Prefix
 from repro.trie.binary_trie import BinaryTrie
+from repro.trie.node import TrieNode
 
 
 class OverlayNode:
@@ -63,10 +68,13 @@ class OverlayNode:
 class TrieOverlay:
     """Union trie of a sender trie t1 and a receiver trie t2.
 
-    Route changes patch it in place (:meth:`set_receiver_mark`,
-    :meth:`set_sender_mark`); vertices are created on demand and never
-    removed.  The §4 stop booleans live in :attr:`stops`, built on first
-    use and from then on kept current by every mark change.
+    Built in one pass (:meth:`_merge`) whose vertices share the tries'
+    own prefixes; the ``unclaimed`` memo is filled over that pass in
+    reverse, which visits every vertex after its children.  Route changes
+    patch it in place (:meth:`set_receiver_mark`, :meth:`set_sender_mark`);
+    vertices are created on demand and never removed.  The §4 stop
+    booleans live in :attr:`stops`, built on first use and from then on
+    kept current by every mark change.
     """
 
     def __init__(self, sender: BinaryTrie, receiver: BinaryTrie):
@@ -75,8 +83,7 @@ class TrieOverlay:
         self.width = sender.width
         self.sender = sender
         self.receiver = receiver
-        self.root = self._merge(sender.root, receiver.root, Prefix.root(self.width))
-        self._annotate(self.root)
+        self.root = self._merge(sender.root, receiver.root)
         self._stops: Optional[Dict[Prefix, bool]] = None
 
     @property
@@ -93,47 +100,67 @@ class TrieOverlay:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _merge(self, node1, node2, prefix: Prefix) -> OverlayNode:
-        merged = OverlayNode(prefix)
-        merged.marked1 = bool(node1 is not None and node1.marked)
-        merged.marked2 = bool(node2 is not None and node2.marked)
-        for bit in (0, 1):
-            child1 = node1.children.get(bit) if node1 is not None else None
-            child2 = node2.children.get(bit) if node2 is not None else None
-            if child1 is None and child2 is None:
-                continue
-            merged.children[bit] = self._merge(child1, child2, prefix.child(bit))
-        return merged
+    @staticmethod
+    def _merge(root1: TrieNode, root2: TrieNode) -> OverlayNode:
+        """The union of two tries below their roots, in one pass.
 
-    def _annotate(self, node: OverlayNode) -> None:
-        """Memoise the "unclaimed t2 prefix below" predicate, bottom-up.
-
-        Implemented iteratively (post-order over an explicit stack) because
-        overlays of paper-sized tables are ~30 levels deep per branch but
-        recursion over hundreds of thousands of vertices is wasteful.
+        Each merged vertex shares the prefix of a trie vertex it merges:
+        a :class:`BinaryTrie` vertex carries the prefix its own path
+        spells, and prefixes are immutable.  Children are inserted bit 0
+        first, so :meth:`OverlayNode.subtree` lists them in the order a
+        recursive merge would.  The pass visits every vertex before its
+        children, so its reverse is a post-order, over which the
+        ``unclaimed`` memo reads only finished children.
         """
-        order: List[OverlayNode] = list(node.subtree())
+        root = OverlayNode(root1.prefix)
+        root.marked1 = root1.marked
+        root.marked2 = root2.marked
+        order: List[OverlayNode] = []
+        stack: List[Tuple[OverlayNode, Optional[TrieNode], Optional[TrieNode]]] = [
+            (root, root1, root2)
+        ]
+        while stack:
+            merged, node1, node2 = stack.pop()
+            order.append(merged)
+            for bit in (0, 1):
+                child1 = node1.children.get(bit) if node1 is not None else None
+                child2 = node2.children.get(bit) if node2 is not None else None
+                if child1 is None:
+                    if child2 is None:
+                        continue
+                    child = OverlayNode(child2.prefix)
+                    child.marked2 = child2.marked
+                else:
+                    child = OverlayNode(child1.prefix)
+                    child.marked1 = child1.marked
+                    child.marked2 = child2 is not None and child2.marked
+                merged.children[bit] = child
+                stack.append((child, child1, child2))
         for vertex in reversed(order):
             if vertex.marked1:
-                vertex.unclaimed = False
-            elif vertex.marked2:
+                continue
+            if vertex.marked2:
                 vertex.unclaimed = True
-            else:
-                vertex.unclaimed = any(
-                    child.unclaimed for child in vertex.children.values()
-                )
+                continue
+            for child in vertex.children.values():
+                if child.unclaimed:
+                    vertex.unclaimed = True
+                    break
+        return root
 
     # ------------------------------------------------------------------
     # incremental updates (route changes, §3.4)
     # ------------------------------------------------------------------
     def _find_or_create(self, prefix: Prefix) -> OverlayNode:
         node = self.root
-        for index in range(prefix.length):
-            bit = prefix.bit(index)
-            child = node.children.get(bit)
+        bits, length, width = prefix.bits, prefix.length, prefix.width
+        derived = Prefix._derived
+        for shift in range(length - 1, -1, -1):
+            head = bits >> shift
+            child = node.children.get(head & 1)
             if child is None:
-                child = OverlayNode(prefix.truncate(index + 1))
-                node.children[bit] = child
+                child = OverlayNode(derived(head, length - shift, width))
+                node.children[head & 1] = child
                 # A new leaf (unclaimed False) changes no other stop.
                 if self._stops is not None:
                     self._stops[child.prefix] = True
@@ -151,8 +178,9 @@ class TrieOverlay:
         """
         path: List[OverlayNode] = [self.root]
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits = prefix.bits
+        for shift in range(prefix.length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 break
             path.append(node)
@@ -200,8 +228,9 @@ class TrieOverlay:
     def find(self, prefix: Prefix) -> Optional[OverlayNode]:
         """The overlay vertex for ``prefix``, or None."""
         node = self.root
-        for index in range(prefix.length):
-            node = node.children.get(prefix.bit(index))
+        bits = prefix.bits
+        for shift in range(prefix.length - 1, -1, -1):
+            node = node.children.get((bits >> shift) & 1)
             if node is None:
                 return None
         return node
@@ -256,10 +285,16 @@ class TrieOverlay:
         settle for the best marked prefix seen so far.
         """
         stops: Dict[Prefix, bool] = {}
-        for node in self.root.subtree():
-            stops[node.prefix] = not any(
-                child.unclaimed for child in node.children.values()
-            )
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            stop = True
+            for child in node.children.values():
+                if child.unclaimed:
+                    stop = False
+                    break
+            stops[node.prefix] = stop
+            stack.extend(node.children.values())
         return stops
 
     # ------------------------------------------------------------------

@@ -21,6 +21,20 @@ def p(bits: str) -> Prefix:
 
 
 @pytest.fixture
+def trie_inserts(monkeypatch):
+    """The prefixes passed to ``BinaryTrie.insert`` while a test runs."""
+    calls = []
+    insert = BinaryTrie.insert
+
+    def counting(trie, prefix, next_hop):
+        calls.append(prefix)
+        return insert(trie, prefix, next_hop)
+
+    monkeypatch.setattr(BinaryTrie, "insert", counting)
+    return calls
+
+
+@pytest.fixture
 def tiny_sender_entries():
     """A handcrafted sender table (t1) used by the Claim 1 case tests."""
     return [

@@ -145,6 +145,21 @@ class TestChurnEngine:
             ChurnEngine(Network(), None)
 
 
+class TestSetUp:
+    def test_each_table_is_inserted_once(self, trie_inserts):
+        """Every pair shares the sender router's own trie, so set-up
+        builds no trie over a registered neighbour table."""
+        network, stream = build_churn_scenario(routers=5, per_node=20, seed=0)
+        engine = ChurnEngine(network, stream)
+        routers = network.routers
+        assert sum(len(router.receiver.trie) for router in routers.values()) == 500
+        assert len(trie_inserts) == 500
+        assert len(engine.pairs) == 20
+        for s_name, r_name in engine.pairs:
+            upstream = routers[r_name]._neighbor_tries[s_name]
+            assert upstream is routers[s_name].receiver.trie
+
+
 class TestAuditor:
     def test_scheduled_audits_find_no_divergence(self):
         _network, _stream, engine = tiny_scenario(

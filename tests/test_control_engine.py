@@ -31,6 +31,21 @@ def small_run():
     return scenario, report
 
 
+def test_set_up_inserts_each_table_once(trie_inserts):
+    """Every pair shares the sender router's own trie, so set-up builds
+    no trie over a registered neighbour table."""
+    scenario = build_control_scenario(routers=6, per_node=4, seed=0, ticks=40)
+    engine = ControlEngine(scenario.network, scenario.plane, scenario.plan, seed=0)
+    routers = scenario.network.routers
+    assert len(trie_inserts) == sum(
+        len(router.receiver.trie) for router in routers.values()
+    )
+    assert engine.feed.pairs
+    for s_name, r_name in engine.feed.pairs:
+        upstream = routers[r_name]._neighbor_tries[s_name]
+        assert upstream is routers[s_name].receiver.trie
+
+
 class TestEndToEnd:
     def test_run_passes(self, small_run):
         _scenario, report = small_run

@@ -89,6 +89,22 @@ class TestClueRouter:
         lookup = router._lookups["r0"]
         assert lookup.misses == 0 and lookup.hits == 1
 
+    def test_registered_table_is_a_snapshot(self, chain_tables):
+        # r1 builds r0's trie on first read, after r0's own table has
+        # changed; the Advance lookup still uses r0's table as registered.
+        r0 = ClueRouter("r0", chain_tables["r0"])
+        r1 = ClueRouter("r1", chain_tables["r1"])
+        r1.register_neighbor("r0", chain_tables["r0"])
+        r0.apply_update(add=[(p("00010001"), "r1")])
+        packet = Packet(addr("00010001"))
+        packet.clue.length = 4
+        assert r1.process(packet, "r0") == "r2"
+        # As registered, r0 lacks 00010001, so clue 0001 fails Claim 1
+        # and the resumed search finds r1's longer match.
+        assert packet.trace[-1].bmp == p("00010001")
+        assert r1._lookups["r0"].table.record(p("0001")).continuation is not None
+        assert set(r1._neighbor_tries["r0"].prefixes()) == {p("0001"), p("1")}
+
     def test_clue_table_sizes(self, chain_tables):
         router = ClueRouter("r1", chain_tables["r1"])
         packet = Packet(addr("00010001"))
@@ -175,7 +191,7 @@ class TestNetwork:
         assert report.delivered
         assert report.path == ["r0", "r1", "r2"]
         # r1 knows r0's and r2's tables.
-        assert set(network.routers["r1"]._neighbor_tries) == {"r0", "r2"}
+        assert set(network.routers["r1"].neighbor_names()) == {"r0", "r2"}
 
 
 class TestAuditedTraffic:

@@ -1,6 +1,7 @@
 """Property-based tests for the overlay: Claim 1 semantics and the
 incremental update path."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Prefix
@@ -179,3 +180,100 @@ def test_a_shard_clue_slice_decides_like_the_whole_sender_trie(
             assert sliced.stops[node.prefix] == whole.stops[node.prefix], str(
                 node.prefix
             )
+
+
+def wide_prefixes(data, width, max_size=12):
+    """Prefixes of any length up to ``width``, the root included."""
+    found = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=max_size))):
+        length = data.draw(st.integers(min_value=0, max_value=width))
+        bits = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+        found.append(Prefix(bits, length, width))
+    return found
+
+
+def churned_trie(data, width, tag):
+    """A trie over a random table after a burst of inserts and removes,
+    with the set of prefixes it should hold."""
+    trie = BinaryTrie(width)
+    live = set()
+    for prefix in wide_prefixes(data, width):
+        trie.insert(prefix, tag)
+        live.add(prefix)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+        if live and data.draw(st.booleans()):
+            prefix = data.draw(st.sampled_from(sorted(live)))
+            assert trie.remove(prefix)
+            live.discard(prefix)
+        else:
+            for prefix in wide_prefixes(data, width, max_size=1):
+                trie.insert(prefix, tag)
+                live.add(prefix)
+    return trie, live
+
+
+def assert_vertices_spell_their_paths(root, width):
+    """Each child's prefix is its parent's extended by the edge bit,
+    built through the checked constructor."""
+    assert root.prefix == Prefix(0, 0, width)
+    for vertex in root.subtree():
+        parent = vertex.prefix
+        for bit, child in vertex.children.items():
+            spelled = Prefix((parent.bits << 1) | bit, parent.length + 1, width)
+            assert child.prefix == spelled, str(child.prefix)
+
+
+def closure(live, width):
+    """Every vertex a pruned trie over ``live`` has: the root and every
+    prefix of a live prefix."""
+    vertices = {Prefix(0, 0, width)}
+    for prefix in live:
+        for length in range(prefix.length + 1):
+            vertices.add(
+                Prefix(prefix.bits >> (prefix.length - length), length, width)
+            )
+    return vertices
+
+
+def brute_force_unclaimed(sender_live, receiver_live):
+    """Vertices with a receiver prefix at or below them and no sender
+    prefix on the way down to it, the vertex itself included."""
+    unclaimed = set()
+    for prefix in receiver_live:
+        probe = prefix
+        while probe not in sender_live:
+            unclaimed.add(probe)
+            if not probe.length:
+                break
+            probe = Prefix(probe.bits >> 1, probe.length - 1, probe.width)
+    return unclaimed
+
+
+@pytest.mark.parametrize("width", [32, 128])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fresh_overlay_vertices_spell_their_paths(width, data):
+    """Trie and overlay vertices carry the prefix their own path spells.
+
+    The incremental-vs-fresh tests compare two overlays built by the
+    same walk; this one checks a fresh overlay against the tries it
+    merges and against the definitions, so a wrong shift shows."""
+    sender, sender_live = churned_trie(data, width, "s")
+    receiver, receiver_live = churned_trie(data, width, "r")
+    for trie, live in ((sender, sender_live), (receiver, receiver_live)):
+        assert_vertices_spell_their_paths(trie.root, width)
+        assert {node.prefix for node in trie.nodes()} == closure(live, width)
+        assert {node.prefix for node in trie.nodes() if node.marked} == live
+
+    overlay = TrieOverlay(sender, receiver)
+    assert_vertices_spell_their_paths(overlay.root, width)
+    vertices = list(overlay.root.subtree())
+    assert {v.prefix for v in vertices} == closure(sender_live, width) | closure(
+        receiver_live, width
+    )
+    unclaimed = brute_force_unclaimed(sender_live, receiver_live)
+    for vertex in vertices:
+        assert vertex.marked1 == (vertex.prefix in sender_live), str(vertex.prefix)
+        assert vertex.marked2 == (vertex.prefix in receiver_live), str(vertex.prefix)
+        assert vertex.unclaimed == (vertex.prefix in unclaimed), str(vertex.prefix)
+    assert list(overlay.stop_booleans()) == [v.prefix for v in vertices]

@@ -155,6 +155,18 @@ class TestSubsetTable:
         subset = subset_table(base, 400, seed=21)
         assert 380 <= len(subset) <= 440
 
+    def test_default_route_roots_one_family(self):
+        # The family climb stops at the default route, which roots every
+        # family once it is marked: the root has no strict ancestor.
+        base = [
+            (Prefix.parse("0.0.0.0/0"), "d"),
+            (Prefix.parse("10.0.0.0/8"), "a"),
+            (Prefix.parse("10.1.0.0/16"), "b"),
+        ]
+        subset = subset_table(base, 2, seed=1)
+        # One family, kept whole.
+        assert sorted(subset) == sorted(base)
+
 
 class TestPaperRouterTables:
     def test_all_seven_routers_present(self):

@@ -108,6 +108,15 @@ class TestAncestors:
         trie.insert(p("1"), "d")
         assert trie.least_marked_ancestor(p("0000")) is None
 
+    def test_root_has_no_strict_ancestor(self):
+        # A marked default route is the root's own vertex, never its
+        # strict ancestor; it stays every other prefix's.
+        trie = BinaryTrie()
+        trie.insert(Prefix.root(), "default")
+        assert trie.least_marked_ancestor(Prefix.root(), include_self=False) is None
+        assert trie.least_marked_ancestor(Prefix.root()) is trie.root
+        assert trie.least_marked_ancestor(p("1"), include_self=False) is trie.root
+
 
 class TestSubtrees:
     def test_marked_in_subtree(self, trie):
