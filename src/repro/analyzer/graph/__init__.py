@@ -1,16 +1,16 @@
 """repro.analyzer.graph — whole-program call-graph construction.
 
-Hot-path purity (RC101), seeded-RNG discipline (RC102) and frozen
-compiled arrays (RC115) are *whole-program* properties: a violation
-three calls below a ``@hot_path`` entry or an engine's round loop
-breaks the contract as surely as one written inline.  This subpackage
-supplies the layer those rules walk:
+Hot-path purity (RC101) and seeded-RNG discipline (RC102) are
+*whole-program* properties: a violation three calls below a
+``@hot_path`` entry or an engine's round loop breaks the contract as
+surely as one written inline.  This subpackage supplies the layer
+those rules walk:
 
 * :mod:`summary` — a per-file digest (functions, classes, imports,
   call sites, rule-local facts) built from one AST walk;
 * :mod:`facts` — the rule-local fact extractors (purity violations,
-  seed forks, frozen-array stores) embedded into summaries at parse
-  time, and the RNG-call classifier RC102 shares with them;
+  seed forks) embedded into summaries at parse time, and the RNG-call
+  classifier RC102 shares with them;
 * :mod:`callgraph` — name resolution over a set of summaries into a
   module-qualified call graph with reachability and call-path
   reconstruction.

@@ -114,7 +114,6 @@ class CallGraph:
         self.classes: Dict[str, ClassSummary] = {}
         self._class_short: Dict[str, List[str]] = {}
         self.out_edges: Dict[str, List[CallEdge]] = {}
-        self.in_edges: Dict[str, List[CallEdge]] = {}
         self._build_index()
         self._resolve_edges()
 
@@ -148,7 +147,6 @@ class CallGraph:
                         caller, callee, path, ref.line, ref.col, ref.in_loop
                     )
                     self.out_edges.setdefault(caller, []).append(edge)
-                    self.in_edges.setdefault(callee, []).append(edge)
 
     # ------------------------------------------------------------------
     # name resolution
@@ -340,40 +338,6 @@ class CallGraph:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def resolve_base_type(
-        self,
-        node: FunctionNode,
-        chain: Sequence[str],
-    ) -> Optional[str]:
-        """Class qname of the object a store-base chain denotes inside
-        ``node``, when its type is locally evident (RC115's question:
-        is ``trie`` in ``trie.child[i] = x`` a ``CompiledTrie``?)."""
-        if not chain:
-            return None
-        summary = self.modules.get(node.module)
-        func = node.summary
-        if summary is None:
-            return None
-        head = chain[0]
-        if head in ("self", "cls") and func.cls is not None:
-            klass_qname = "%s.%s" % (summary.module, func.cls)
-            if len(chain) == 1:
-                return (
-                    klass_qname if klass_qname in self.classes else None
-                )
-            klass = self.classes.get(klass_qname)
-            if klass is None or len(chain) != 2:
-                return None
-            attr_type = klass.attr_types.get(chain[1])
-            if attr_type is None:
-                return None
-            return self._resolve_type_chain(summary, attr_type)
-        if len(chain) == 1:
-            local = func.local_types.get(head)
-            if local is not None:
-                return self._resolve_type_chain(summary, local)
-        return None
-
     def reachable_from(
         self, entries: Iterable[str], barrier=None
     ) -> Dict[str, Optional[CallEdge]]:
@@ -444,26 +408,6 @@ class CallGraph:
         return any(
             edge.in_loop for edge in self.witness_path(parents, qname)
         )
-
-    def roots_of(self, qname: str) -> List[str]:
-        """Caller-closure roots: functions with no summarized callers
-        from which ``qname`` is reachable (``qname`` itself when it has
-        no callers at all)."""
-        seen: Set[str] = set()
-        stack = [qname]
-        roots: Set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            callers = self.in_edges.get(current, ())
-            if not callers:
-                roots.add(current)
-                continue
-            for edge in callers:
-                stack.append(edge.caller)
-        return sorted(roots)
 
     def __repr__(self) -> str:
         edges = sum(len(e) for e in self.out_edges.values())

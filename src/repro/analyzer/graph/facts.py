@@ -1,11 +1,11 @@
 """Rule-local facts embedded into function summaries at parse time.
 
-The call-graph halves of RC101, RC102 and RC115 ask one question: "is
-a *local* fact reachable from a privileged entry point?".  The local
-half — does this function allocate, fork a seeded RNG, store into a
-frozen array field — only needs the function's own AST, so it is
-extracted once while the file is being summarized and stored as plain
-``facts`` on the :class:`~repro.analyzer.graph.summary.FunctionSummary`.
+The call-graph halves of RC101 and RC102 ask one question: "is a
+*local* fact reachable from a privileged entry point?".  The local
+half — does this function allocate, does it fork a seeded RNG — only
+needs the function's own AST, so it is extracted once while the file
+is being summarized and stored as plain ``facts`` on the
+:class:`~repro.analyzer.graph.summary.FunctionSummary`.
 
 Fact families (one key per consuming rule):
 
@@ -14,9 +14,7 @@ Fact families (one key per consuming rule):
 * ``seed_forks`` → ``[[line, col], ...]`` of ``Random(<seed
   arithmetic>)`` outside every loop of the function — RC102, which
   flags the in-loop ones per file and these only when a looping call
-  site reaches them;
-* ``stores``     → attribute/subscript stores ``base.field[...] = ...``
-  with the raw base chain for later type resolution — RC115.
+  site reaches them.
 
 :func:`iter_rng_calls` is the one RNG-call classifier: RC102's
 per-file walk and the ``seed_forks`` extractor both read it.
@@ -25,7 +23,7 @@ per-file walk and the ``seed_forks`` extractor both read it.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.analyzer.purity import function_violations
 
@@ -139,54 +137,3 @@ def seed_fork_facts(func: ast.AST) -> List[List[int]]:
         for call, kind, _, in_loop in iter_rng_calls(func)
         if kind == "seed_arith" and not in_loop
     ]
-
-
-# ----------------------------------------------------------------------
-# stores (RC115)
-# ----------------------------------------------------------------------
-def store_facts(func: ast.AST) -> List[Dict[str, Any]]:
-    """Attribute and subscript stores with a resolvable base chain.
-
-    ``trie.child[i] = x`` → base ``("trie",)``, field ``"child"``; the
-    RC115 rule resolves the base chain to a class via the summary's
-    type tables and only keeps frozen-class fields.
-    """
-    events: List[Dict[str, Any]] = []
-    for node in ast.walk(func):
-        targets: List[Tuple[ast.expr, str]] = []
-        if isinstance(node, ast.Assign):
-            targets = [(t, "store") for t in node.targets]
-        elif isinstance(node, ast.AugAssign):
-            targets = [(node.target, "in-place store")]
-        for target, kind in targets:
-            event = _classify_store(target, kind)
-            if event is not None:
-                events.append(event)
-    return events
-
-
-def _classify_store(target: ast.expr, kind: str) -> Optional[Dict[str, Any]]:
-    if isinstance(target, ast.Subscript):
-        inner = target.value
-        if isinstance(inner, ast.Attribute):
-            base = attribute_chain(inner.value)
-            if base is not None:
-                return {
-                    "base": list(base),
-                    "field": inner.attr,
-                    "kind": "subscript " + kind,
-                    "line": target.lineno,
-                    "col": target.col_offset + 1,
-                }
-        return None
-    if isinstance(target, ast.Attribute):
-        base = attribute_chain(target.value)
-        if base is not None:
-            return {
-                "base": list(base),
-                "field": target.attr,
-                "kind": "rebind" if kind == "store" else kind,
-                "line": target.lineno,
-                "col": target.col_offset + 1,
-            }
-    return None

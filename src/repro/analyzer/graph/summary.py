@@ -312,7 +312,6 @@ def _summarize_function(node, cls: Optional[str]) -> FunctionSummary:
     facts = {
         "purity": _facts.purity_facts(node),
         "seed_forks": _facts.seed_fork_facts(node),
-        "stores": _facts.store_facts(node),
     }
     return FunctionSummary(
         node.name,

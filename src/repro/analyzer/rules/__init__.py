@@ -10,7 +10,6 @@ its rule protects and the paper claim or past regression motivating it
 from repro.analyzer.rules.api import PublicApiRule
 from repro.analyzer.rules.batchkernel import BatchKernelLoopRule
 from repro.analyzer.rules.determinism import WallClockRule
-from repro.analyzer.rules.frozenarray import FrozenArrayRule
 from repro.analyzer.rules.hotpath import HotPathPurityRule
 from repro.analyzer.rules.loops import UnboundedLoopRule
 from repro.analyzer.rules.retry import BoundedRetryRule
@@ -20,7 +19,6 @@ from repro.analyzer.rules.todo import StrayTodoRule
 __all__ = [
     "BatchKernelLoopRule",
     "BoundedRetryRule",
-    "FrozenArrayRule",
     "HotPathPurityRule",
     "PublicApiRule",
     "SeededRngRule",

@@ -1,7 +1,7 @@
 """repro.fastpath — flat-array clue tables and vectorized batch lookup.
 
 Compiles built object-graph structures (`BinaryTrie`, `ClueTable`) into
-immutable numpy arrays and batches whole destination vectors through
+read-only numpy arrays and batches whole destination vectors through
 one set of numpy kernels at every address width — int64 lanes for IPv4,
 object lanes of Python ints for IPv6 — while reproducing the paper's
 per-packet memory-reference accounting exactly (enforced by `certify`).

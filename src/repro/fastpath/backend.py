@@ -2,7 +2,7 @@
 
 Every batch kernel classifies each lane with one of the four codes
 below; :data:`CODE_TO_METHOD` maps a code back to the scalar path's
-method string.  They live in this leaf module so that routers and
+method string.  They live in this leaf module so that the certifier and
 measurement code can decode a batch without importing the kernels.
 """
 

@@ -39,7 +39,8 @@ stays on the scalar path.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +59,18 @@ def lane_dtype(width: int):
     would otherwise overflow once a lane's key is shifted.
     """
     return np.int64 if width <= IPV4_WIDTH else object
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only as its compiler publishes it.
+
+    Kernels only read compiled arrays, and tables, their shared result
+    pool and the replicas of a slice all hold the same arrays, so a
+    store into one would change every holder's answers.  numpy rejects
+    it with ``ValueError``, whatever view or ``out=`` argument it takes.
+    """
+    array.setflags(write=False)
+    return array
 
 
 class FastpathUnsupported(ValueError):
@@ -104,10 +117,11 @@ class ResultPool:
         """Prefix lengths by code, as an int64 array.
 
         Rebuilt lazily: the pool keeps growing while a ``CompiledTrie``
-        and one or more ``CompiledClueTable``s intern into it.
+        and one or more ``CompiledClueTable``s intern into it.  Each
+        rebuilt array is published read-only.
         """
         if self._frozen is None or len(self._frozen) != len(self.lengths):
-            self._frozen = np.asarray(self.lengths, dtype=np.int64)
+            self._frozen = read_only(np.asarray(self.lengths, dtype=np.int64))
         return self._frozen
 
     def nbytes(self) -> int:
@@ -124,7 +138,11 @@ class ResultPool:
 
 
 class CompiledTrie:
-    """A ``BinaryTrie`` frozen into flat child / result arrays."""
+    """A ``BinaryTrie`` frozen into flat child / result arrays.
+
+    ``child`` and ``node_result`` are read-only; ``node_index`` (vertex
+    prefix → id) is a read-only mapping.
+    """
 
     __slots__ = (
         "width",
@@ -162,16 +180,16 @@ class CompiledTrie:
             if node.marked:
                 result[position] = self.pool.intern(node.prefix, node.next_hop)
         self.size = len(nodes)
-        self.node_index = index
+        self.node_index: Mapping[Prefix, int] = MappingProxyType(index)
         self.root_result = result[0]
-        self.child = np.asarray(child, dtype=np.int64)
-        self.node_result = np.asarray(result, dtype=np.int64)
+        self.child = read_only(np.asarray(child, dtype=np.int64))
+        self.node_result = read_only(np.asarray(result, dtype=np.int64))
 
     def nbytes(self) -> int:
         """Data-plane footprint of the flat arrays, in bytes.
 
         ``child`` plus ``node_result``, both int64; the ``node_index``
-        decode dict is compile-time-only and excluded.
+        decode mapping is compile-time-only and excluded.
         """
         return (len(self.child) + len(self.node_result)) * 8
 
@@ -185,6 +203,7 @@ class CompiledClueTable:
     address the dense binary arrays — Claim-1 stop bits are a
     per-binary-vertex notion — while :attr:`layout` records which
     layout the *full-lookup* side of the kernels should descend.
+    Every probe, record and stop array is read-only.
     """
 
     __slots__ = (
@@ -277,12 +296,14 @@ class CompiledClueTable:
         # Record ids are allocation order, so the sort permutation of the
         # keys *is* the parallel record array.
         unsorted = np.asarray(keys, dtype=lane_dtype(trie.width))
-        self.probe_recs = np.argsort(unsorted, kind="stable")
-        self.probe_keys = unsorted[self.probe_recs]
-        self.rec_fd = np.asarray(rec_fd, dtype=np.int64)
-        self.rec_cont_node = np.asarray(rec_cont_node, dtype=np.int64)
-        self.rec_cont_depth = np.asarray(rec_cont_depth, dtype=np.int64)
-        self.rec_stop_row = np.asarray(rec_stop_row, dtype=np.int64)
+        probe_recs = np.argsort(unsorted, kind="stable")
+        self.probe_keys = read_only(unsorted[probe_recs])
+        self.probe_recs = read_only(probe_recs)
+        self.rec_fd = read_only(np.asarray(rec_fd, dtype=np.int64))
+        self.rec_cont_node = read_only(np.asarray(rec_cont_node, dtype=np.int64))
+        self.rec_cont_depth = read_only(np.asarray(rec_cont_depth, dtype=np.int64))
+        self.rec_stop_row = read_only(np.asarray(rec_stop_row, dtype=np.int64))
+        # Read-only already: a view of an immutable ``bytes``.
         self.stop_masks = np.frombuffer(
             bytes(b"".join(mask_rows)), dtype=np.uint8
         ).reshape(len(mask_rows), mask_bytes)

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fastpath.compile import CompiledTrie, ResultPool
+from repro.fastpath.compile import CompiledTrie, ResultPool, read_only
 from repro.trie.binary_trie import BinaryTrie
 
 #: The compiled layout family, as spelled on every ``--layout`` knob.
@@ -87,6 +87,9 @@ class CompiledMultibitTrie:
       frequency-ranked so index 0 is the most common outcome.
     * ``level_shifts`` — per-level ``(shift, mask)`` pairs; the walk is
       bounded by ``len(level_shifts) == ceil(width / stride)`` probes.
+
+    ``slots`` and ``leaf_codes`` are read-only; ``level_shifts`` is a
+    tuple.
     """
 
     __slots__ = (
@@ -227,8 +230,8 @@ class CompiledMultibitTrie:
         dtype = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}[
             self.slot_bytes
         ]
-        self.slots = np.asarray(slots, dtype=dtype)
-        self.leaf_codes = np.asarray(leaf_codes, dtype=np.int64)
+        self.slots = read_only(np.asarray(slots, dtype=dtype))
+        self.leaf_codes = read_only(np.asarray(leaf_codes, dtype=np.int64))
 
     # ------------------------------------------------------------------
     def leaf_entropy_bits(self) -> float:

@@ -137,86 +137,6 @@ class Network:
         """Convenience: build a fresh packet for ``destination`` and forward."""
         return self.forward(Packet(destination), start, max_hops)
 
-    def run_batched(
-        self,
-        destinations: List[Address],
-        start: str,
-        max_hops: Optional[int] = None,
-    ) -> List[DeliveryReport]:
-        """Forward a fresh packet per destination, batching hop by hop.
-
-        Per-packet semantics (paths, exit reasons, counters) match
-        :meth:`forward`; the difference is execution order — at every
-        step all in-flight packets sitting at the same ``(router,
-        upstream)`` pair are resolved with one
-        :meth:`~repro.netsim.router.ClueRouter.process_batch` call
-        instead of one Python call per packet.  Fault plans need their
-        per-hop perturbation hooks, so an active plan falls back to the
-        scalar :meth:`forward` loop.
-        """
-        if start not in self.routers:
-            raise KeyError("unknown start router %r" % start)
-        packets = [Packet(destination) for destination in destinations]
-        if self.fault_plan is not None:
-            return [self.forward(packet, start, max_hops) for packet in packets]
-        instruments = self._effective_instruments()
-        reports: List[Optional[DeliveryReport]] = [None] * len(packets)
-        lanes = []
-        for index, packet in enumerate(packets):
-            instruments.begin_packet()
-            limit = max_hops if max_hops is not None else packet.ttl
-            lanes.append([index, start, None, [], limit])
-        while lanes:
-            groups: Dict[tuple, list] = {}
-            for lane in lanes:
-                groups.setdefault((lane[1], lane[2]), []).append(lane)
-            lanes = []
-            for (current, previous), group in groups.items():
-                router = self.routers[current]
-                if not router.up:
-                    for lane in group:
-                        reports[lane[0]] = DeliveryReport(
-                            packets[lane[0]], False, lane[3], "router-down"
-                        )
-                    continue
-                for lane in group:
-                    lane[3].append(current)
-                hops = router.process_batch(
-                    [packets[lane[0]] for lane in group], previous
-                )
-                for lane, next_hop in zip(group, hops):
-                    index, _, _, path, limit = lane
-                    packet = packets[index]
-                    if next_hop is None:
-                        reports[index] = DeliveryReport(
-                            packet, False, path, "no-route"
-                        )
-                    elif next_hop == current:
-                        reports[index] = DeliveryReport(
-                            packet, True, path, "local"
-                        )
-                    elif next_hop not in self.routers:
-                        reports[index] = DeliveryReport(
-                            packet, True, path, "egress"
-                        )
-                    elif frozenset((current, next_hop)) in self.down_links:
-                        reports[index] = DeliveryReport(
-                            packet, False, path, "link-down"
-                        )
-                    elif limit <= 1:
-                        reports[index] = DeliveryReport(
-                            packet, False, path, "ttl-exceeded"
-                        )
-                    else:
-                        lanes.append(
-                            [index, next_hop, current, path, limit - 1]
-                        )
-        out: List[DeliveryReport] = []
-        for report in reports:
-            instruments.record_delivery(report.exit_reason)
-            out.append(report)
-        return out
-
     def apply_update(self, router: str, add=(), remove=()):
         """Apply a live route change to one router's table.
 

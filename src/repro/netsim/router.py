@@ -22,23 +22,6 @@ from repro.core.clue import ClueEncodingError
 from repro.core.learning import LearningClueLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
-from repro.fastpath.backend import (
-    CODE_CLUE_MISS,
-    CODE_FD_IMMEDIATE,
-    CODE_RESUMED,
-    CODE_TO_METHOD,
-)
-from repro.fastpath.compile import (
-    FastpathUnsupported,
-    compile_clue_table,
-)
-from repro.fastpath.layouts import LAYOUTS, compile_layout
-from repro.fastpath.kernels import (
-    as_destination_array,
-    as_length_array,
-    full_lookup_batch,
-    lookup_batch,
-)
 from repro.lookup import BASELINES, LookupAlgorithm
 from repro.lookup.counters import METHOD_FULL, MemoryCounter
 from repro.lookup.hotpath import hot_path
@@ -86,16 +69,6 @@ class Router:
         """Resolve the packet; append a trace record; return the next hop."""
         raise NotImplementedError
 
-    def process_batch(
-        self, packets: List[Packet], from_router: Optional[str] = None
-    ) -> List[object]:
-        """Resolve a batch arriving from one upstream; one next hop each.
-
-        Subclasses with a compiled fastpath override this; the default
-        is the scalar loop, so every router is batch-callable.
-        """
-        return [self.process(packet, from_router) for packet in packets]
-
     def apply_update(
         self,
         add: Entries = (),
@@ -115,12 +88,7 @@ class Router:
         if added or removed:
             self.receiver.apply_update(added, removed)
             self.base.apply_update(added, removed)
-            self._table_changed()
         return added, removed
-
-    def _table_changed(self) -> None:
-        """Drop what was derived from the old table: the compiled trie."""
-        self._compiled_trie = None
 
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self.name)
@@ -140,18 +108,10 @@ class ClueRouter(Router):
         truncate_clues_to: Optional[int] = None,
         preprocess: bool = False,
         instruments: Optional[LookupInstruments] = None,
-        layout: str = "dense",
     ):
         super().__init__(name, instruments)
         if method not in ("simple", "advance"):
             raise ValueError("method must be 'simple' or 'advance'")
-        if layout not in LAYOUTS:
-            raise ValueError(
-                "layout must be one of %s, got %r" % (", ".join(LAYOUTS), layout)
-            )
-        #: Compiled fastpath layout for full lookups (see
-        #: `repro.fastpath.layouts`); scalar/object-graph paths ignore it.
-        self.layout = layout
         self.receiver = ReceiverState(entries, width)
         self.technique = technique
         self.method = method
@@ -180,15 +140,6 @@ class ClueRouter(Router):
         #: Per-upstream health scores.  Kept outside the lookups so
         #: quarantine state survives table drops (updates, restarts).
         self._health: Dict[Optional[str], "NeighborHealth"] = {}
-        #: Per-upstream compiled fastpath tables: upstream → (compiled
-        #: or None, source table, its length when compiled).  Rebuilt
-        #: lazily by :meth:`_compiled_for`; any event that can change a
-        #: table's contents clears the affected entries.
-        self._compiled: Dict[Optional[str], tuple] = {}
-        #: The receiver trie compiled once into :attr:`layout` and shared
-        #: by every upstream's compiled table (shared result pool; a
-        #: multibit layout also shares its dense base arrays).
-        self._compiled_trie = None
 
     def set_instruments(self, instruments: LookupInstruments) -> None:
         """Rebind this router (and its entry builders) to a metric set."""
@@ -221,7 +172,6 @@ class ClueRouter(Router):
         for upstream in list(self._lookups):
             if upstream not in self._maintained:
                 del self._lookups[upstream]
-        self._compiled.clear()
         return self.guard_policy
 
     def crash(self) -> None:
@@ -239,7 +189,6 @@ class ClueRouter(Router):
         """
         self.up = True
         self._lookups.clear()
-        self._compiled.clear()
         for upstream, maintained in list(self._maintained.items()):
             self.attach_maintained(upstream, maintained)
 
@@ -279,7 +228,6 @@ class ClueRouter(Router):
         self._neighbor_entries[neighbor] = tuple(entries)
         self._neighbor_tries.pop(neighbor, None)
         self._lookups.pop(neighbor, None)
-        self._compiled.pop(neighbor, None)
 
     def neighbor_names(self) -> List[str]:
         """Upstreams with a known table, registered or attached.
@@ -319,7 +267,6 @@ class ClueRouter(Router):
         is built from it.
         """
         self._maintained[upstream] = maintained
-        self._compiled.pop(upstream, None)
         self._neighbor_tries[upstream] = maintained.sender_trie
         maintained.method.telemetry = self.metrics
         lookup = LearningClueLookup(self.base, maintained.method)
@@ -331,14 +278,20 @@ class ClueRouter(Router):
         """The maintained clue table attached for ``upstream``, if any."""
         return self._maintained.get(upstream)
 
-    def _table_changed(self) -> None:
-        # Learned clue tables that are *not* incrementally maintained were
-        # built against the old table; relearning is the only safe repair.
-        for upstream in list(self._lookups):
-            if upstream not in self._maintained:
-                del self._lookups[upstream]
-        self._compiled.clear()
-        super()._table_changed()
+    def apply_update(
+        self,
+        add: Entries = (),
+        remove: Iterable[Prefix] = (),
+    ) -> Tuple[List[Tuple[Prefix, object]], List[Prefix]]:
+        """:meth:`Router.apply_update`, then drop every learned clue
+        table that is not incrementally maintained: it was built against
+        the old table, and relearning is the only safe repair."""
+        added, removed = super().apply_update(add, remove)
+        if added or removed:
+            for upstream in list(self._lookups):
+                if upstream not in self._maintained:
+                    del self._lookups[upstream]
+        return added, removed
 
     def _lookup_for(self, from_router: Optional[str]) -> LearningClueLookup:
         lookup = self._lookups.get(from_router)
@@ -383,124 +336,6 @@ class ClueRouter(Router):
                         lookup.table.insert(builder.build_entry(clue))
             self._lookups[from_router] = lookup
         return lookup
-
-    # ------------------------------------------------------------------
-    def _compiled_for(self, from_router, lookup):
-        """The compiled fastpath table for this upstream, or None.
-
-        Only the plain learning path over the "regular" technique
-        compiles: guarded lookups, maintained (churn) tables — whose
-        records deactivate in place without changing the table length —
-        and the pointer-machine techniques stay scalar.  A cached
-        compile is reused while it provably matches the live table
-        (same object, same record count); learning, updates, restarts
-        and guard/neighbor changes all invalidate it.
-        """
-        if (
-            self.technique != "regular"
-            or self.guard_policy is not None
-            or from_router in self._maintained
-            or type(lookup) is not LearningClueLookup
-        ):
-            return None
-        table = lookup.table
-        cached = self._compiled.get(from_router)
-        if cached is not None and cached[1] is table and cached[2] == len(table):
-            return cached[0]
-        if self._compiled_trie is None:
-            self._compiled_trie = compile_layout(self.receiver.trie, self.layout)
-        try:
-            compiled = compile_clue_table(table, self._compiled_trie)
-        except FastpathUnsupported:
-            compiled = None
-        self._compiled[from_router] = (compiled, table, len(table))
-        return compiled
-
-    def process_batch(
-        self, packets: List[Packet], from_router: Optional[str] = None
-    ) -> List[object]:
-        """Resolve a whole batch arriving from one upstream at once.
-
-        Semantically :meth:`process` per packet, executed through the
-        compiled batch kernels, with two documented differences: the
-        clue table is frozen for the duration of the batch (every
-        packet of the batch carrying the same *new* clue pays the miss;
-        the clue is learned once, between batches) and per-packet trace
-        spans are not recorded.  Falls back to the scalar loop whenever
-        the upstream's table does not compile (see :meth:`_compiled_for`).
-        """
-        lookup = self._lookup_for(from_router)
-        compiled = self._compiled_for(from_router, lookup)
-        if compiled is None:
-            return [self.process(packet, from_router) for packet in packets]
-        width = self.receiver.width
-        values = []
-        lens = []
-        for packet in packets:
-            values.append(packet.destination.value)
-            length = packet.clue.length
-            lens.append(length if length is not None and 0 <= length <= width else -1)
-        dsts = as_destination_array(values, width)
-        clue_lens = as_length_array(lens)
-        methods, codes, new_clues, memrefs = lookup_batch(
-            compiled, dsts, clue_lens
-        )
-        pool = compiled.trie.pool
-        hops: List[object] = []
-        accesses_list = []
-        resumed_accesses = []
-        counts = [0, 0, 0, 0]
-        missed_clues = []
-        missed_seen = set()
-        for lane, packet in enumerate(packets):
-            code = int(codes[lane])
-            action = int(methods[lane])
-            refs = int(memrefs[lane])
-            counts[action] += 1
-            accesses_list.append(refs)
-            if action == CODE_RESUMED:
-                resumed_accesses.append(refs)
-            prefix = pool.prefixes[code] if code >= 0 else None
-            next_hop = pool.next_hops[code] if code >= 0 else None
-            packet.trace.append(
-                HopRecord(
-                    self.name,
-                    refs,
-                    prefix,
-                    packet.clue.length,
-                    CODE_TO_METHOD[action],
-                )
-            )
-            if self.emit_clues and prefix is not None:
-                packet.clue.length = prefix.length
-                packet.clue.index = None
-                if self.truncate_clues_to is not None:
-                    packet.clue.truncate(self.truncate_clues_to)
-            elif self.emit_clues:
-                packet.clue.clear()
-            if action == CODE_CLUE_MISS:
-                clue = packet.destination.prefix(lens[lane])
-                if clue not in missed_seen:
-                    missed_seen.add(clue)
-                    missed_clues.append(clue)
-            hops.append(next_hop)
-        lookup.hits += counts[CODE_FD_IMMEDIATE] + counts[CODE_RESUMED]
-        lookup.misses += counts[CODE_CLUE_MISS]
-        if missed_clues:
-            # §3.3.1's "new-clue" procedure, batched: learn each missed
-            # clue once, off the fast path, then drop the stale compile.
-            for clue in missed_clues:
-                lookup.table.insert(lookup.builder.build_entry(clue))
-            self._compiled.pop(from_router, None)
-        self.metrics.record_lookup_batch(
-            counts[0],
-            counts[CODE_CLUE_MISS],
-            counts[CODE_FD_IMMEDIATE],
-            counts[CODE_RESUMED],
-            accesses_list,
-            resumed_accesses,
-        )
-        return hops
 
     @hot_path
     def process(self, packet: Packet, from_router: Optional[str] = None):
@@ -569,62 +404,15 @@ class LegacyRouter(Router):
         width: int = 32,
         relay_clues: bool = True,
         instruments: Optional[LookupInstruments] = None,
-        layout: str = "dense",
     ):
         super().__init__(name, instruments)
-        if layout not in LAYOUTS:
-            raise ValueError(
-                "layout must be one of %s, got %r" % (", ".join(LAYOUTS), layout)
-            )
         self.receiver = ReceiverState(entries, width)
         self.technique = technique
-        self.layout = layout
         self.base = BASELINES[technique](self.receiver.entries, width)
         #: §5.3: a legacy router that leaves the options field alone still
         #: lets downstream clue routers benefit; one that rewrites the
         #: header strips the clue.
         self.relay_clues = relay_clues
-        #: Receiver trie compiled lazily for :meth:`process_batch`.
-        self._compiled_trie = None
-
-    def process_batch(
-        self, packets: List[Packet], from_router: Optional[str] = None
-    ) -> List[object]:
-        """Batched plain full lookups; clues relayed or stripped unread.
-
-        Scalar-equivalent except that trace spans are not recorded; only
-        the "regular" technique compiles, anything else loops.
-        """
-        if self.technique != "regular":
-            return [self.process(packet, from_router) for packet in packets]
-        if self._compiled_trie is None:
-            self._compiled_trie = compile_layout(self.receiver.trie, self.layout)
-        ctrie = self._compiled_trie
-        width = self.receiver.width
-        dsts = as_destination_array(
-            [packet.destination.value for packet in packets], width
-        )
-        codes, memrefs = full_lookup_batch(ctrie, dsts)
-        pool = ctrie.pool
-        hops: List[object] = []
-        accesses_list = []
-        for lane, packet in enumerate(packets):
-            code = int(codes[lane])
-            refs = int(memrefs[lane])
-            accesses_list.append(refs)
-            prefix = pool.prefixes[code] if code >= 0 else None
-            packet.trace.append(
-                HopRecord(
-                    self.name, refs, prefix, packet.clue.length, METHOD_FULL
-                )
-            )
-            if not self.relay_clues:
-                packet.clue.clear()
-            hops.append(pool.next_hops[code] if code >= 0 else None)
-        self.metrics.record_lookup_batch(
-            len(packets), 0, 0, 0, accesses_list, ()
-        )
-        return hops
 
     @hot_path
     def process(self, packet: Packet, from_router: Optional[str] = None):

@@ -262,39 +262,6 @@ class RouterInstruments(_BoundView):
         else:
             self.full_lookups.inc()
 
-    def record_lookup_batch(
-        self,
-        full: int,
-        misses: int,
-        fd: int,
-        resumed: int,
-        accesses,
-        resumed_accesses,
-    ) -> None:
-        """Attribute a whole batch of lookups with one update per series.
-
-        ``full``/``misses``/``fd``/``resumed`` are the per-method lane
-        counts, ``accesses`` the per-lane memory-reference counts, and
-        ``resumed_accesses`` the access counts of the resumed lanes only
-        (depth = work beyond the single clue-table probe).  The series
-        end up exactly as if :meth:`record_lookup` ran per lane.
-        """
-        self.memory_accesses.observe_many(accesses)
-        hits = fd + resumed
-        if hits:
-            self.clue_hits.inc(hits)
-        if fd:
-            self.fd_immediate.inc(fd)
-        if resumed:
-            self.resumed_search.inc(resumed)
-            self.resumed_search_depth.observe_many(
-                [value - 1 for value in resumed_accesses]
-            )
-        if misses:
-            self.clue_misses.inc(misses)
-        if full or misses:
-            self.full_lookups.inc(full + misses)
-
     def record_entry_built(self, method_name: str, problematic: bool) -> None:
         """Account one clue-table record construction (off the fast path)."""
         bound = self.clue_entries_built.get(method_name)

@@ -199,25 +199,6 @@ class _BoundHistogram:
         state[1] += value
         state[2] += 1
 
-    def observe_many(self, values) -> None:
-        """Fold a whole batch into the series with one state update.
-
-        The batched data path (repro.fastpath) records one histogram
-        update per *batch* instead of per packet; the resulting series
-        is identical to calling :meth:`observe` per element.
-        """
-        state = self._state
-        counts = state[0]
-        buckets = self._buckets
-        total = 0
-        n = 0
-        for value in values:
-            counts[bisect_left(buckets, value)] += 1
-            total += value
-            n += 1
-        state[1] += total
-        state[2] += n
-
 
 class HistogramSnapshot:
     """One histogram series frozen for reading/export."""

@@ -254,13 +254,14 @@ def test_render_json_report_is_machine_readable():
 # ----------------------------------------------------------------------
 def test_default_rules_cover_the_documented_codes():
     # One code per invariant: the retired call-graph twins (RC113,
-    # RC114, RC116), ruff's hygiene codes (RC107-RC109) and the
+    # RC114, RC116), ruff's hygiene codes (RC107-RC109), the
     # telemetry-catalogue reconciliation (RC104; the catalogue is one
-    # table now) are gone.
+    # table now) and the frozen-array rule (RC115; numpy's read-only
+    # flag rejects the stores at run time) are gone.
     codes = [rule.code for rule in engine.default_rules()]
     assert codes == [
         "RC101", "RC102", "RC103", "RC105",
-        "RC106", "RC110", "RC111", "RC112", "RC115",
+        "RC106", "RC110", "RC111", "RC112",
     ]
 
 

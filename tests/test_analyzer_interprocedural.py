@@ -1,4 +1,4 @@
-"""The call-graph rules RC101, RC102 and RC115 against the fixture
+"""The call-graph rules RC101 and RC102 against the fixture
 mini-packages.
 
 Each package exercises one rule end to end across function and file
@@ -11,7 +11,6 @@ import pathlib
 from repro.analyzer import SourceFile, analyze, default_rules
 from repro.analyzer.rules import (
     BoundedRetryRule,
-    FrozenArrayRule,
     HotPathPurityRule,
     SeededRngRule,
     UnboundedLoopRule,
@@ -156,113 +155,6 @@ def test_rng_rule_needs_a_looping_call_site_for_a_seed_fork():
     )
     result = run(SeededRngRule(), engine, load("rng_pkg/helpers.py"))
     assert all(f.line != 15 for f in result.findings)
-
-
-# ----------------------------------------------------------------------
-# RC115 frozen-array mutation
-# ----------------------------------------------------------------------
-def frozen_sources():
-    return (
-        load("frozen_pkg/compile_stub.py", path="src/repro/fastpath/compile.py"),
-        load("frozen_pkg/mutate.py"),
-    )
-
-
-def test_frozen_rule_flags_stores_through_annotated_parameters():
-    result = run(FrozenArrayRule(), *frozen_sources())
-    messages = [f.message for f in result.findings]
-    assert all(f.code == "RC115" for f in result.findings)
-    assert any(
-        "corrupt_child" in m and "subscript store" in m
-        and "CompiledTrie.child" in m
-        for m in messages
-    )
-    assert any(
-        "bump_fd" in m and "in-place store" in m
-        and "CompiledClueTable.rec_fd" in m
-        for m in messages
-    )
-
-
-def test_frozen_rule_resolves_self_attribute_types():
-    result = run(FrozenArrayRule(), *frozen_sources())
-    attr = [
-        f for f in result.findings if "corrupt_through_attr" in f.message
-    ]
-    assert len(attr) == 1
-    assert "CompiledClueTable.rec_fd" in attr[0].message
-
-
-def test_frozen_rule_permits_rebind_scalar_compiler_and_waived_stores():
-    result = run(FrozenArrayRule(), *frozen_sources())
-    assert len(result.findings) == 3
-    for finding in result.findings:
-        assert finding.path == "frozen_pkg/mutate.py"
-        for legal in ("legal_rebind", "legal_scalar", "relayout",
-                      "waived_patch"):
-            assert legal not in finding.message
-    assert result.unused_suppressions == []
-
-
-def probe_sources():
-    return (
-        load("frozen_pkg/compile_stub.py", path="src/repro/fastpath/compile.py"),
-        load("frozen_pkg/mutate_probe.py"),
-    )
-
-
-def test_frozen_rule_guards_the_merged_clue_probe():
-    result = run(FrozenArrayRule(), *probe_sources())
-    messages = [f.message for f in result.findings]
-    assert len(result.findings) == 2
-    assert any(
-        "splice_probe_key" in m and "subscript store" in m
-        and "CompiledClueTable.probe_keys" in m
-        for m in messages
-    )
-    assert any(
-        "retarget_probe" in m and "in-place store" in m
-        and "CompiledClueTable.probe_recs" in m
-        for m in messages
-    )
-    for finding in result.findings:
-        assert finding.path == "frozen_pkg/mutate_probe.py"
-        assert "legal_probe_rebind" not in finding.message
-
-
-def layout_sources():
-    return (
-        load("frozen_pkg/layouts_stub.py", path="src/repro/fastpath/layouts.py"),
-        load("frozen_pkg/mutate_layout.py"),
-    )
-
-
-def test_frozen_rule_flags_multibit_layout_stores():
-    result = run(FrozenArrayRule(), *layout_sources())
-    messages = [f.message for f in result.findings]
-    assert all(f.code == "RC115" for f in result.findings)
-    assert any(
-        "corrupt_slot" in m and "subscript store" in m
-        and "CompiledMultibitTrie.slots" in m
-        for m in messages
-    )
-    assert any(
-        "bump_leaf" in m and "in-place store" in m
-        and "CompiledMultibitTrie.leaf_codes" in m
-        for m in messages
-    )
-    attr = [f for f in result.findings if "corrupt_through_attr" in f.message]
-    assert len(attr) == 1
-    assert "CompiledMultibitTrie.slots" in attr[0].message
-
-
-def test_frozen_rule_sanctions_the_layout_compiler_itself():
-    result = run(FrozenArrayRule(), *layout_sources())
-    assert len(result.findings) == 3
-    for finding in result.findings:
-        assert finding.path == "frozen_pkg/mutate_layout.py"
-        for legal in ("legal_rebind_slots", "legal_scalar_field", "repack"):
-            assert legal not in finding.message
 
 
 # ----------------------------------------------------------------------

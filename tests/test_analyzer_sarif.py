@@ -210,9 +210,9 @@ def test_sarif_results_carry_locations_and_fingerprints(
     assert ids == sorted(ids)
     # The call-graph rules ship in the catalogue; their retired twins
     # do not.
-    for code in ("RC101", "RC102", "RC115"):
+    for code in ("RC101", "RC102"):
         assert code in ids
-    for code in ("RC113", "RC114", "RC116"):
+    for code in ("RC113", "RC114", "RC115", "RC116"):
         assert code not in ids
     for entry in results:
         assert descriptors[entry["ruleIndex"]]["id"] == entry["ruleId"]

@@ -44,11 +44,10 @@ def test_live_tree_has_no_gating_findings_above_baseline(live_tree):
 def test_live_tree_is_clean_under_the_interprocedural_rules(live_tree):
     # The call-graph rules get no baseline help at all: every hot
     # entry's reachable set is pure or explicitly @cold_path-bounded,
-    # no engine reaches a seed fork through a loop, and nothing stores
-    # into compiled arrays.
+    # and no engine reaches a seed fork through a loop.
     _, result = live_tree
     graph_findings = [
-        f for f in result.findings if f.code in ("RC101", "RC102", "RC115")
+        f for f in result.findings if f.code in ("RC101", "RC102")
     ]
     assert graph_findings == [], describe(graph_findings)
 

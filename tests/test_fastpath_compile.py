@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from repro.addressing import Prefix
+from repro.core.advance import AdvanceMethod
 from repro.core.entry import ClueEntry
 from repro.core.lookup import ClueAssistedLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
 from repro.core.table import ClueTable
 from repro.fastpath import (
+    LAYOUTS,
+    STRIDES,
     CompiledTrie,
     FastpathUnsupported,
     ResultPool,
     certify_clue,
     compile_clue_table,
+    compile_layout,
     compile_trie,
 )
 from repro.lookup.regular import RegularTrieLookup
 from repro.lookup.restricted import SetContinuation
+from repro.tablegen import DEFAULT_IPV6_HISTOGRAM, generate_table
 from repro.trie.binary_trie import BinaryTrie
 
 
@@ -191,3 +196,69 @@ def test_empty_table_compiles_to_zero_records():
     assert ctable.records == 0
     assert len(ctable.probe_keys) == 0
     assert len(ctable.probe_recs) == 0
+
+
+# ----------------------------------------------------------------------
+# publication: every compiled array is read-only
+# ----------------------------------------------------------------------
+CLUE_TABLE_ARRAYS = (
+    "probe_keys",
+    "probe_recs",
+    "rec_fd",
+    "rec_cont_node",
+    "rec_cont_depth",
+    "rec_stop_row",
+    "stop_masks",
+)
+
+
+def published_arrays(width, layout):
+    """``(name, array)`` for every array a Simple and an Advance table
+    publish over one compiled ``layout`` at ``width``, the pool's
+    lengths before and after the tables intern into it included."""
+    histogram = DEFAULT_IPV6_HISTOGRAM if width == 128 else None
+    sender = generate_table(120, seed=7, histogram=histogram, width=width)
+    receiver = ReceiverState(sender[::2] + sender[1::4], width)
+    sender_trie = BinaryTrie.from_prefixes(sender, width)
+    lay = compile_layout(receiver.trie, layout)
+    base = getattr(lay, "base", lay)
+    arrays = [("trie.child", base.child), ("trie.node_result", base.node_result)]
+    if layout in STRIDES:
+        arrays += [("layout.slots", lay.slots), ("layout.leaf_codes", lay.leaf_codes)]
+    arrays.append(("pool.lengths (trie)", base.pool.lengths_array()))
+    clues = list(sender_trie.prefixes())
+    for name, builder in (
+        ("simple", SimpleMethod(receiver, "regular")),
+        ("advance", AdvanceMethod(sender_trie, receiver, "regular")),
+    ):
+        ctable = compile_clue_table(builder.build_table(clues), lay)
+        assert ctable.records > 0
+        arrays += [
+            ("%s.%s" % (name, field), getattr(ctable, field))
+            for field in CLUE_TABLE_ARRAYS
+        ]
+    # The tables interned their FDs, so this is a rebuilt array.
+    arrays.append(("pool.lengths (tables)", base.pool.lengths_array()))
+    return base, arrays
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("width", [32, 128])
+def test_compiled_arrays_are_published_read_only(width, layout):
+    base, arrays = published_arrays(width, layout)
+    writeable = [name for name, array in arrays if array.flags.writeable]
+    assert writeable == []
+    for name, array in arrays:
+        assert len(array) > 0, name
+        view = array[:1]
+        stores = (
+            lambda: array.__setitem__(0, array[0]),
+            lambda: view.__setitem__(0, view[0]),
+            lambda: np.add(array, 0, out=array),
+            lambda: np.copyto(array, array.copy()),
+        )
+        for store in stores:
+            with pytest.raises(ValueError, match="read-only"):
+                store()
+    with pytest.raises(TypeError):
+        base.node_index[Prefix(0, 0, width)] = 1

@@ -347,14 +347,15 @@ def test_a_stride_layout_and_its_base_certify_together():
     from repro.fastpath import CertificationError, certify_full
 
     lay, base, destinations = full_certification_fixture("multibit8")
-    leaf_codes = lay.leaf_codes.copy()
-    lay.leaf_codes[:] = -1
+    # Compiled arrays are read-only: rebind corrupted copies instead.
+    leaf_codes = lay.leaf_codes
+    lay.leaf_codes = np.full_like(leaf_codes, -1)
     with pytest.raises(CertificationError) as error:
         certify_full(lay, base, destinations)
     assert failing_lane(error) < len(destinations)  # a stride lane
-    lay.leaf_codes[:] = leaf_codes
+    lay.leaf_codes = leaf_codes
     assert certify_full(lay, base, destinations) == 2 * len(destinations)
-    lay.base.node_result[:] = -1
+    lay.base.node_result = np.full_like(lay.base.node_result, -1)
     with pytest.raises(CertificationError) as error:
         certify_full(lay, base, destinations)
     assert failing_lane(error) >= len(destinations)  # a base lane

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.addressing import Address, Prefix, clue_field_width
+from repro.addressing import Prefix, clue_field_width
 from repro.core import (
     AdvanceMethod,
     ClueAssistedLookup,
@@ -19,12 +19,22 @@ from repro.core import (
     SimpleMethod,
     encode_clue,
 )
-from repro.fastpath import LAYOUTS, STRIDES, compile_clue_table, compile_trie
+from repro.fastpath import (
+    CODE_RESUMED,
+    LAYOUTS,
+    STRIDES,
+    as_destination_array,
+    as_length_array,
+    certify_clue,
+    certify_full,
+    compile_clue_table,
+    compile_layout,
+    compile_trie,
+    full_lookup_batch,
+    lookup_batch,
+)
 from repro.fastpath.kernels import SCALAR_RESUME_LANES
 from repro.lookup import BASELINES, MemoryCounter, reference_lookup
-from repro.lookup.counters import METHOD_RESUMED
-from repro.netsim import Packet
-from repro.netsim.router import ClueRouter, LegacyRouter
 from repro.tablegen import DEFAULT_IPV6_HISTOGRAM, generate_table
 from repro.trie import BinaryTrie, TrieOverlay
 
@@ -128,101 +138,67 @@ class TestIPv6Lookups:
         assert clue_total / measured < 2
 
 
-def stamped_packets(sender, count=600, seed=63):
-    """Packets under the sender's prefixes, each carrying the clue a
-    well-formed upstream stamps: its sender-BMP length."""
+def stamped_destinations(sender, count=600, seed=63):
+    """Destinations under the sender's prefixes, each with the clue
+    length a well-formed upstream stamps: its sender-BMP length."""
     sender_trie = BinaryTrie.from_prefixes(sender, 128)
     rng = random.Random(seed)
-    packets = []
+    values, lens = [], []
     for _ in range(count):
         prefix, _hop = sender[rng.randrange(len(sender))]
-        packet = Packet(prefix.random_address(rng))
-        packet.clue.length = sender_trie.best_prefix(packet.destination).length
-        packets.append(packet)
-    return packets
-
-
-def hop_records(packet):
-    return [
-        (hop.router, hop.accesses, hop.bmp, hop.incoming_clue_length, hop.method)
-        for hop in packet.trace
-    ] + [packet.clue.length]
+        address = prefix.random_address(rng)
+        values.append(address.value)
+        lens.append(sender_trie.best_prefix(address).length)
+    return values, lens
 
 
 class TestIPv6Batches:
-    """Routers batch width-128 packets through the numpy kernels on
-    object lanes and answer exactly as their per-packet path does."""
+    """Width-128 tables compile on every layout, and the numpy kernels,
+    run on object lanes, certify against the scalar lookups."""
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("method", ["simple", "advance"])
-    def test_clue_router_batches_match_scalar(self, v6_pair, method, layout):
+    def test_clue_tables_certify_on_every_layout(self, v6_pair, method, layout):
         sender, receiver = v6_pair
-        routers = []
-        for _ in range(2):
-            router = ClueRouter(
-                "r",
-                receiver,
-                technique="regular",
-                method=method,
-                width=128,
-                preprocess=True,
-                layout=layout,
-            )
-            router.register_neighbor("up", sender)
-            routers.append(router)
-        batched, scalar = stamped_packets(sender), stamped_packets(sender)
-        hops = routers[0].process_batch(batched, "up")
-        assert hops == [routers[1].process(packet, "up") for packet in scalar]
-        assert [hop_records(p) for p in batched] == [
-            hop_records(p) for p in scalar
-        ]
+        sender_trie = BinaryTrie.from_prefixes(sender, 128)
+        state = ReceiverState(receiver, 128)
+        clues = list(sender_trie.prefixes())
+        if method == "simple":
+            table = SimpleMethod(state, "regular").build_table(clues)
+        else:
+            table = AdvanceMethod(sender_trie, state, "regular").build_table(clues)
+        ctable = compile_clue_table(table, compile_layout(state.trie, layout))
+        scalar = ClueAssistedLookup(BASELINES["regular"](receiver, width=128), table)
+        values, lens = stamped_destinations(sender)
+        # The full-lookup layout (and a stride layout's dense base), then
+        # the clue kernel.
+        kernels = 3 if layout in STRIDES else 2
+        assert certify_clue(ctable, scalar, values, lens) == kernels * len(values)
+        methods = lookup_batch(
+            ctable, as_destination_array(values, 128), as_length_array(lens)
+        )[0]
+        resumed = int((methods == CODE_RESUMED).sum())
         # Simple resumes enough lanes that the walk below the clue
         # vectorizes; Advance resumes a few, walked one by one.
-        resumed = sum(p.trace[0].method == METHOD_RESUMED for p in batched)
         if method == "simple":
             assert resumed > SCALAR_RESUME_LANES
         else:
             assert 0 < resumed <= SCALAR_RESUME_LANES
 
-    def test_learning_batches_forward_like_scalar(self, v6_pair):
-        # The table is frozen per batch, so methods may differ inside a
-        # batch (same-clue packets share the miss); answers may not.
-        sender, receiver = v6_pair
-        routers = []
-        for _ in range(2):
-            router = ClueRouter("r", receiver, technique="regular", width=128)
-            router.register_neighbor("up", sender)
-            routers.append(router)
-        batched, scalar = stamped_packets(sender), stamped_packets(sender)
-        hops = []
-        for start in range(0, len(batched), 200):
-            hops += routers[0].process_batch(batched[start:start + 200], "up")
-        assert hops == [routers[1].process(packet, "up") for packet in scalar]
-        assert [p.trace[0].bmp for p in batched] == [
-            p.trace[0].bmp for p in scalar
-        ]
-
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_legacy_router_batches_match_scalar(self, v6_pair, layout):
+    def test_full_lookups_certify_on_every_layout(self, v6_pair, layout):
         sender, receiver = v6_pair
         rng = random.Random(64)
-        values = [p.destination.value for p in stamped_packets(sender, 300)]
+        values = stamped_destinations(sender, 300)[0]
         values += [rng.getrandbits(128) for _ in range(100)]  # mostly no match
-        batched_router = LegacyRouter(
-            "l", receiver, technique="regular", width=128, layout=layout
-        )
-        scalar_router = LegacyRouter("l", receiver, technique="regular", width=128)
-        batched = [Packet(Address(value, 128)) for value in values]
-        scalar = [Packet(Address(value, 128)) for value in values]
-        hops = batched_router.process_batch(batched, None)
-        assert hops == [scalar_router.process(packet, None) for packet in scalar]
-        bound = math.ceil(128 / STRIDES[layout]) if layout in STRIDES else None
-        for fast, slow in zip(batched, scalar):
-            assert fast.trace[0].bmp == slow.trace[0].bmp
-            if bound is None:
-                assert hop_records(fast) == hop_records(slow)
-            else:  # stride descent changes the count; that is the point
-                assert 1 <= fast.trace[0].accesses <= bound
+        lay = compile_layout(ReceiverState(receiver, 128).trie, layout)
+        base = BASELINES["regular"](receiver, width=128)
+        layouts = 2 if layout in STRIDES else 1
+        assert certify_full(lay, base, values) == layouts * len(values)
+        if layout in STRIDES:  # stride descent changes the count; that is the point
+            memrefs = full_lookup_batch(lay, as_destination_array(values, 128))[1]
+            bound = math.ceil(128 / STRIDES[layout])
+            assert 1 <= int(memrefs.min()) and int(memrefs.max()) <= bound
 
 
 class TestIPv6Footprint:
