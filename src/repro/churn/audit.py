@@ -7,11 +7,13 @@ each pair's backlog, rebuilds the pair's clue table from scratch with a
 fresh Advance builder (:meth:`MaintainedClueTable.reference_method`), and
 diffs the two record by record — FD field, Ptr emptiness, and record
 presence for every clue in the sender's table, plus a sweep for active
-records the incremental table should no longer have.  For the trie
-techniques it also diffs the live §4 stop booleans on every vertex of
-the fresh overlay: a stop wrongly set ends a resumed walk early.  Any
-divergence is a hard error by default: a wrong clue entry is a latent
-wrong forwarding decision, not a performance bug.
+records the incremental table should no longer have.  It also diffs
+the live overlay's two Claim 1 sets against the fresh overlay's: a
+vertex wrongly in or out of ``problematic`` flips its §4 stop and ends
+a resumed walk early (or late), and a wrong ``unclaimed`` member
+misleads the next route change's path refresh.  Any divergence is a
+hard error by default: a wrong clue entry is a latent wrong forwarding
+decision, not a performance bug.
 """
 
 from __future__ import annotations
@@ -150,13 +152,17 @@ def _diff_pair(audit: PairAudit, maintained: MaintainedClueTable) -> None:
                 "%s: active record for a clue no longer in the sender table"
                 % record.clue
             )
-    if method.stops is not None:
-        live = maintained.overlay.stops
-        for prefix, expected in method.stops.items():
-            if live.get(prefix) != expected:
-                audit.divergences.append(
-                    "%s: stop %r != reference %r" % (prefix, live.get(prefix), expected)
-                )
+    live, fresh = maintained.overlay, method.overlay
+    for prefix in sorted(live.problematic ^ fresh.problematic):
+        audit.divergences.append(
+            "%s: stop %r != reference %r"
+            % (prefix, prefix not in live.problematic, prefix not in fresh.problematic)
+        )
+    for prefix in sorted(live.unclaimed ^ fresh.unclaimed):
+        audit.divergences.append(
+            "%s: unclaimed %r != reference %r"
+            % (prefix, prefix in live.unclaimed, prefix in fresh.unclaimed)
+        )
 
 
 class ConsistencyAuditor:

@@ -6,7 +6,8 @@ exist at the receiver, so the entry's Ptr is empty and the lookup costs
 exactly the one clue-table reference.  Only clues violating Claim 1
 ("problematic" clues) carry a continuation — and even that continuation is
 restricted to the potential set ``P(s, R1)`` of Condition C1 (or, for the
-trie walks, pruned by per-vertex Claim 1 stop booleans).
+trie walks, stopped at the first vertex where Claim 1 holds, i.e. one
+outside the overlay's ``problematic`` set).
 
 Case analysis implemented here, mirroring §3.1.2:
 
@@ -19,7 +20,7 @@ Case analysis implemented here, mirroring §3.1.2:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.addressing import Prefix
 from repro.core.entry import ClueEntry
@@ -68,12 +69,6 @@ class AdvanceMethod:
             if overlay is not None
             else TrieOverlay(sender_trie, receiver.trie)
         )
-        #: Per-vertex Claim 1 Booleans for the trie/Patricia walks (§4):
-        #: the overlay's live map, so continuations see every update.
-        #: Only materialised for the techniques that need them.
-        self.stops: Optional[Dict[Prefix, bool]] = (
-            self.overlay.stops if technique in ("regular", "patricia") else None
-        )
         #: Optional per-router telemetry view
         #: (:class:`repro.telemetry.RouterInstruments`).
         self.telemetry = telemetry
@@ -116,19 +111,30 @@ class AdvanceMethod:
         return table
 
     def _continuation(self, clue: Prefix) -> Optional[Continuation]:
-        """Case 3: a Claim 1-restricted resumed search below ``clue``."""
+        """Case 3: a Claim 1-restricted resumed search below ``clue``.
+
+        The trie and Patricia walks hold the overlay's live
+        ``problematic`` set (§4), which a route change mutates in place,
+        never rebinds, so they see every update.
+        """
         if self.technique == "regular":
             node = self.receiver.trie.find_node(clue)
             if node is None:
                 return None
-            return TrieContinuation(node, self.receiver.width, self.stops)
+            return TrieContinuation(
+                node, self.receiver.width, self.overlay.problematic
+            )
         if self.technique == "patricia":
             located = locate_patricia_entry(self.receiver.patricia, clue)
             if located is None:
                 return None
             entry, is_clue_vertex = located
             return PatriciaContinuation(
-                entry, is_clue_vertex, clue, self.receiver.width, self.stops
+                entry,
+                is_clue_vertex,
+                clue,
+                self.receiver.width,
+                self.overlay.problematic,
             )
         if self.technique == "multibit":
             from repro.lookup.multibit import MultibitContinuation

@@ -10,11 +10,12 @@ The dependency structure is local: the entry of a clue ``s`` depends only
 on receiver prefixes on the root→s path (the FD) and on both routers'
 prefixes below ``s`` (Claim 1 / the continuation).  So a change at prefix
 ``p`` can only dirty the clues that are *comparable* with ``p`` — the
-sender clues on p's root path plus those in p's subtree.  The overlay
-patches its marks and live §4 stop booleans in place along the root→p
-path (see :meth:`TrieOverlay.set_receiver_mark`), exactly the dirty
-entries are rebuilt, and both routers' tables may be shared rather than
-copied — so each route update writes each structure once.
+sender clues on p's root path plus those in p's subtree.  Once the
+tries are patched, the overlay recomputes its two Claim 1 sets
+(``unclaimed`` and ``problematic``, the latter also the §4 stop set)
+along the root→p path only (see :meth:`TrieOverlay.refresh`), exactly
+the dirty entries are rebuilt, and both routers' tables may be shared
+rather than copied — so each route update writes each structure once.
 
 Two application modes serve the churn engine (``repro.churn``):
 
@@ -213,23 +214,19 @@ class MaintainedClueTable:
 
         if self._own_receiver and (r_added or r_removed):
             self.receiver.apply_update(r_added, r_removed)
-        for prefix in r_removed:
-            self.overlay.set_receiver_mark(prefix, False)
-        for prefix, _hop in r_added:
-            self.overlay.set_receiver_mark(prefix, True)
-        for prefix in s_removed:
-            if self._own_sender:
+        if self._own_sender:
+            for prefix in s_removed:
                 self.sender_trie.remove(prefix)
-            self.overlay.set_sender_mark(prefix, False)
-        for prefix, next_hop in s_added:
-            if self._own_sender:
+            for prefix, next_hop in s_added:
                 self.sender_trie.insert(prefix, next_hop)
-            self.overlay.set_sender_mark(prefix, True)
 
         sender_changed = [prefix for prefix, _ in s_added] + list(s_removed)
         changed = (
             [prefix for prefix, _ in r_added] + list(r_removed) + sender_changed
         )
+        # Both tries are patched: each refresh reads their current marks.
+        for prefix in changed:
+            self.overlay.refresh(prefix)
         dirty = self._dirty_clues(changed)
         # Changed sender prefixes are themselves (new or dead) clues.
         dirty.update(sender_changed)

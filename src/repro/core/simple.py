@@ -78,14 +78,14 @@ class SimpleMethod:
         if node is None or not node.children:
             return None
         if self.technique == "regular":
-            return TrieContinuation(node, self.receiver.width, stops=None)
+            return TrieContinuation(node, self.receiver.width)
         if self.technique == "patricia":
             located = locate_patricia_entry(self.receiver.patricia, clue)
             if located is None:
                 return None
             entry, is_clue_vertex = located
             return PatriciaContinuation(
-                entry, is_clue_vertex, clue, self.receiver.width, stops=None
+                entry, is_clue_vertex, clue, self.receiver.width
             )
         if self.technique == "multibit":
             from repro.lookup.multibit import MultibitContinuation

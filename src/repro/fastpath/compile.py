@@ -17,8 +17,9 @@ never collide, and its parallel record-id array: a whole batch resolves
 its clue probes with one binary search (numpy ``searchsorted``),
 whatever mix of clue lengths it carries.  Parallel record arrays hold
 the FD code, the Ptr continuation vertex and its depth, and per-record
-rows into a packed Claim-1 stop bitmask (Advance's "can any longer
-match exist below?" Booleans, one bit per trie vertex).
+rows into a packed Claim-1 stop bitmask (one bit per trie vertex, set
+where no longer match can exist below: every vertex outside the Advance
+overlay's ``problematic`` set).
 
 Every array is numpy.  Trie ids, record columns and result codes are
 int64 at every width; the probe keys take the lane dtype of the width
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import sys
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -203,7 +204,10 @@ class CompiledClueTable:
     address the dense binary arrays — Claim-1 stop bits are a
     per-binary-vertex notion — while :attr:`layout` records which
     layout the *full-lookup* side of the kernels should descend.
-    Every probe, record and stop array is read-only.
+    Each distinct ``problematic`` set the continuations hold becomes
+    one :attr:`stop_masks` row, whose bit is set on every compiled
+    vertex outside that set.  Every probe, record and stop array is
+    read-only.
     """
 
     __slots__ = (
@@ -233,7 +237,7 @@ class CompiledClueTable:
         rec_cont_node: List[int] = []
         rec_cont_depth: List[int] = []
         rec_stop_row: List[int] = []
-        stop_dicts: List[Optional[Dict[Prefix, bool]]] = [None]
+        stop_sets: List[Optional[Set[Prefix]]] = [None]
         row_of: Dict[int, int] = {}
         for entry in table.entries():
             if not entry.active:
@@ -269,30 +273,29 @@ class CompiledClueTable:
                 )
             rec_cont_node.append(start_id)
             rec_cont_depth.append(continuation.start.prefix.length)
-            stops = continuation.stops
-            if stops is None:
+            problematic = continuation.problematic
+            if problematic is None:
                 rec_stop_row.append(0)
             else:
-                row = row_of.get(id(stops))
+                row = row_of.get(id(problematic))
                 if row is None:
-                    row = len(stop_dicts)
-                    stop_dicts.append(stops)
-                    row_of[id(stops)] = row
+                    row = len(stop_sets)
+                    stop_sets.append(problematic)
+                    row_of[id(problematic)] = row
                 rec_stop_row.append(row)
         self.records = len(rec_fd)
-        self.has_stops = len(stop_dicts) > 1
-        mask_bytes = (trie.size + 7) // 8
-        mask_rows = []
-        for stops in stop_dicts:
-            row_bits = bytearray(mask_bytes)
-            if stops:
-                for prefix, flag in stops.items():
-                    if not flag:
-                        continue
-                    node_id = trie.node_index.get(prefix)
-                    if node_id is not None:
-                        row_bits[node_id >> 3] |= 1 << (node_id & 7)
-            mask_rows.append(row_bits)
+        self.has_stops = len(stop_sets) > 1
+        # A row's stop bits: every compiled vertex where Claim 1 holds,
+        # i.e. all of them minus the problematic ones.  packbits pads
+        # past ``trie.size`` with 0, and row 0 (no stops) stays all-zero.
+        stop_masks = np.zeros(
+            (len(stop_sets), (trie.size + 7) // 8), dtype=np.uint8
+        )
+        node_index = trie.node_index
+        for row, problematic in enumerate(stop_sets[1:], 1):
+            stops = np.ones(trie.size, dtype=bool)
+            stops[[node_index[p] for p in problematic if p in node_index]] = False
+            stop_masks[row] = np.packbits(stops, bitorder="little")
         # Record ids are allocation order, so the sort permutation of the
         # keys *is* the parallel record array.
         unsorted = np.asarray(keys, dtype=lane_dtype(trie.width))
@@ -303,10 +306,7 @@ class CompiledClueTable:
         self.rec_cont_node = read_only(np.asarray(rec_cont_node, dtype=np.int64))
         self.rec_cont_depth = read_only(np.asarray(rec_cont_depth, dtype=np.int64))
         self.rec_stop_row = read_only(np.asarray(rec_stop_row, dtype=np.int64))
-        # Read-only already: a view of an immutable ``bytes``.
-        self.stop_masks = np.frombuffer(
-            bytes(b"".join(mask_rows)), dtype=np.uint8
-        ).reshape(len(mask_rows), mask_bytes)
+        self.stop_masks = read_only(stop_masks)
 
     def nbytes(self) -> int:
         """Data-plane footprint of the probe and record arrays, in bytes.

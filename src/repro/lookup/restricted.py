@@ -5,9 +5,9 @@ for a match longer than the clue ``s``.  The paper shows how to adapt each
 baseline to this *restricted* search:
 
 * **trie / Patricia** — walk down from the clue vertex; with the Advance
-  method every vertex carries a Boolean ("stop here") obtained by applying
-  Claim 1 to that vertex, so the walk halts as soon as nothing better can
-  exist.
+  method the walk holds the set of vertices where Claim 1 fails, and halts
+  at the first vertex outside it ("stop here"): nothing better can exist
+  below it.
 * **binary / 6-way** — the candidate prefixes form the potential set
   ``P(s, R1)`` (Condition C1); when small it rides in the clue entry's
   cache line and costs *zero* extra references, otherwise a (B-way) binary
@@ -22,7 +22,7 @@ the caller then falls back to the entry's FD field.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.lookup.binary_range import RangeTable
@@ -48,21 +48,22 @@ class Continuation(abc.ABC):
 class TrieContinuation(Continuation):
     """Bit-by-bit walk below the clue vertex (Regular adaptation).
 
-    ``stops`` is the Advance method's per-vertex Claim 1 Boolean map; the
-    Simple method passes None and walks until the path runs out.
+    ``problematic`` is the Advance method's set of vertices where Claim 1
+    fails: the walk stops at the first vertex outside it.  The Simple
+    method passes None and walks until the path runs out.
     """
 
-    __slots__ = ("start", "width", "stops")
+    __slots__ = ("start", "width", "problematic")
 
     def __init__(
         self,
         start: TrieNode,
         width: int,
-        stops: Optional[Dict[Prefix, bool]] = None,
+        problematic: Optional[Set[Prefix]] = None,
     ):
         self.start = start
         self.width = width
-        self.stops = stops
+        self.problematic = problematic
 
     def search(self, address: Address, counter: MemoryCounter) -> Match:
         node = self.start
@@ -74,7 +75,7 @@ class TrieContinuation(Continuation):
             counter.touch()
             if node.marked:
                 best = (node.prefix, node.next_hop)
-            if self.stops is not None and self.stops.get(node.prefix, False):
+            if self.problematic is not None and node.prefix not in self.problematic:
                 break
         return best
 
@@ -86,9 +87,10 @@ class PatriciaContinuation(Continuation):
     the vertex hanging below that edge and is charged as the first visited
     vertex.  When the clue is an exact vertex, ``entry`` is that vertex and
     is *not* charged (the clue entry's Ptr already holds its record).
+    ``problematic`` stops the walk as in :class:`TrieContinuation`.
     """
 
-    __slots__ = ("entry", "entry_is_clue_vertex", "clue", "width", "stops")
+    __slots__ = ("entry", "entry_is_clue_vertex", "clue", "width", "problematic")
 
     def __init__(
         self,
@@ -96,13 +98,13 @@ class PatriciaContinuation(Continuation):
         entry_is_clue_vertex: bool,
         clue: Prefix,
         width: int,
-        stops: Optional[Dict[Prefix, bool]] = None,
+        problematic: Optional[Set[Prefix]] = None,
     ):
         self.entry = entry
         self.entry_is_clue_vertex = entry_is_clue_vertex
         self.clue = clue
         self.width = width
-        self.stops = stops
+        self.problematic = problematic
 
     def search(self, address: Address, counter: MemoryCounter) -> Match:
         best: Match = None
@@ -113,7 +115,7 @@ class PatriciaContinuation(Continuation):
                 return None
             if node.marked:
                 best = (node.prefix, node.next_hop)
-            if self.stops is not None and self.stops.get(node.prefix, False):
+            if self.problematic is not None and node.prefix not in self.problematic:
                 return best
         while node.prefix.length < self.width:
             child = node.children.get(address.bit(node.prefix.length))
@@ -124,7 +126,7 @@ class PatriciaContinuation(Continuation):
                 break
             if child.marked:
                 best = (child.prefix, child.next_hop)
-            if self.stops is not None and self.stops.get(child.prefix, False):
+            if self.problematic is not None and child.prefix not in self.problematic:
                 break
             node = child
         return best

@@ -2,12 +2,11 @@
 
 from repro.trie.binary_trie import BinaryTrie
 from repro.trie.node import TrieNode
-from repro.trie.overlay import OverlayNode, TrieOverlay
+from repro.trie.overlay import TrieOverlay
 from repro.trie.patricia import PatriciaTrie
 
 __all__ = [
     "BinaryTrie",
-    "OverlayNode",
     "PatriciaTrie",
     "TrieNode",
     "TrieOverlay",

@@ -17,16 +17,13 @@ from repro.addressing import Prefix
 class TrieNode:
     """A vertex of a (possibly path-compressed) binary trie."""
 
-    __slots__ = ("prefix", "marked", "next_hop", "children", "payload")
+    __slots__ = ("prefix", "marked", "next_hop", "children")
 
     def __init__(self, prefix: Prefix):
         self.prefix = prefix
         self.marked = False
         self.next_hop: Optional[object] = None
         self.children: Dict[int, "TrieNode"] = {}
-        #: Scratch slot for per-vertex annotations (e.g. the Advance method's
-        #: per-neighbour "stop here" booleans, stored as a dict).
-        self.payload: Optional[dict] = None
 
     def child(self, bit: int) -> Optional["TrieNode"]:
         """The child reached over edge ``bit``, or None."""

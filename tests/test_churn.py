@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.addressing import Prefix
 from repro.churn import (
     ANNOUNCE,
     WITHDRAW,
@@ -15,6 +16,19 @@ from repro.churn import (
     UpdateStream,
     build_churn_scenario,
 )
+from repro.churn.feed import TableDeltaFeed, build_adjacency_pairs
+
+
+def receiver_only_entry(trie):
+    """A /+4 below the trie's deepest prefix of length 28 at most, with
+    that prefix's next hop.  Every router of a churn scenario holds the
+    prefix, and none holds the extension."""
+    deepest = max(
+        (q for q in trie.prefixes() if q.length <= 28),
+        key=lambda q: (q.length, q.bits),
+    )
+    extra = Prefix((deepest.bits << 4) | 0b1010, deepest.length + 4, 32)
+    return extra, trie.next_hop_of(deepest)
 
 
 def tiny_scenario(seed=7, **engine_kwargs):
@@ -160,6 +174,43 @@ class TestSetUp:
             assert upstream is routers[s_name].receiver.trie
 
 
+class TestClaim1Sets:
+    """Claim 1 fails only where a receiver prefix has no sender prefix
+    above it, so the overlay's sets stay as sparse as the difference."""
+
+    def test_pairs_of_equal_tables_keep_both_sets_empty(self):
+        network, _stream = build_churn_scenario(routers=5, per_node=20, seed=0)
+        pairs = build_adjacency_pairs(network, "patricia")
+        assert len(pairs) == 20
+        for maintained in pairs.values():
+            assert maintained.overlay.unclaimed == set()
+            assert maintained.overlay.problematic == set()
+
+    def test_one_receiver_only_prefix_adds_its_unclaimed_path(self):
+        network, _stream = build_churn_scenario(routers=5, per_node=20, seed=0)
+        feed = TableDeltaFeed(network)
+        r_name = sorted(network.routers)[0]
+        extra, next_hop = receiver_only_entry(network.routers[r_name].receiver.trie)
+        # extra and the three new vertices above it, below the prefix it
+        # extends, which every sender has.
+        path = [
+            Prefix(extra.bits >> cut, extra.length - cut, 32) for cut in range(4)
+        ]
+        parents = [Prefix(q.bits >> 1, q.length - 1, 32) for q in path]
+        feed.apply({r_name: [(extra, next_hop)]}, {})
+        for (_s_name, receiver), maintained in feed.pairs.items():
+            overlay = maintained.overlay
+            if receiver == r_name:
+                assert overlay.unclaimed == set(path)
+                assert overlay.problematic == set(parents)
+            else:
+                assert overlay.unclaimed == overlay.problematic == set()
+        feed.apply({}, {r_name: [extra]})
+        for maintained in feed.pairs.values():
+            assert maintained.overlay.unclaimed == set()
+            assert maintained.overlay.problematic == set()
+
+
 class TestAuditor:
     def test_scheduled_audits_find_no_divergence(self):
         _network, _stream, engine = tiny_scenario(
@@ -196,15 +247,38 @@ class TestAuditor:
         assert audit.divergence_count() >= 1
 
     def test_hard_auditor_raises_on_a_corrupted_stop(self):
-        # A wrong stop boolean ends a resumed walk early (or late): the
-        # audit must see it although every clue record still matches.
+        # A vertex wrongly in or out of the live problematic set flips
+        # its stop and ends a resumed walk late (or early): the audit
+        # must see it although every clue record still matches.
+        _network, _stream, engine = tiny_scenario(audit_every=50)
+        engine.run(2)
+        s_name, r_name = sorted(engine.pairs)[0]
+        maintained = engine.pairs[(s_name, r_name)]
+        # A receiver-only prefix puts its path into both sets.
+        extra, next_hop = receiver_only_entry(maintained.receiver.trie)
+        engine.feed.apply({r_name: [(extra, next_hop)]}, {})
+        auditor = ConsistencyAuditor(every=1, hard=True)
+        assert auditor.audit(engine.pairs, epoch=98).ok
+        problematic = maintained.overlay.problematic
+        victim = sorted(problematic)[0]
+        for corrupt, repair, vertex in (
+            (problematic.add, problematic.discard, extra),
+            (problematic.discard, problematic.add, victim),
+        ):
+            corrupt(vertex)
+            with pytest.raises(ChurnAuditError, match="stop"):
+                auditor.audit(engine.pairs, epoch=99)
+            repair(vertex)
+        assert auditor.audit(engine.pairs, epoch=100).ok
+
+    def test_hard_auditor_raises_on_a_corrupted_unclaimed_memo(self):
+        # A wrong unclaimed member flips no stop yet, but the next path
+        # refresh would read it: the audit reports it too.
         _network, _stream, engine = tiny_scenario(audit_every=50)
         engine.run(2)
         maintained = engine.pairs[sorted(engine.pairs)[0]]
-        stops = maintained.method.stops
-        vertex = sorted(stops)[-1]
-        stops[vertex] = not stops[vertex]
-        with pytest.raises(ChurnAuditError, match="stop"):
+        maintained.overlay.unclaimed.add(maintained.receiver.trie.root.prefix)
+        with pytest.raises(ChurnAuditError, match="unclaimed"):
             ConsistencyAuditor(every=1, hard=True).audit(engine.pairs, epoch=99)
 
     def test_auditor_validates_period(self):

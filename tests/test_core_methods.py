@@ -102,12 +102,13 @@ class TestAdvanceMethod:
         method = AdvanceMethod(tiny_sender_trie, tiny_receiver)
         assert method.problematic_fraction() == pytest.approx(1 / 5)
 
-    def test_stops_only_built_for_walk_techniques(
+    def test_walk_continuations_hold_the_live_problematic_set(
         self, tiny_sender_trie, tiny_receiver
     ):
-        assert AdvanceMethod(tiny_sender_trie, tiny_receiver, "patricia").stops
-        assert AdvanceMethod(tiny_sender_trie, tiny_receiver, "regular").stops
-        assert AdvanceMethod(tiny_sender_trie, tiny_receiver, "binary").stops is None
+        for technique in ("patricia", "regular"):
+            method = AdvanceMethod(tiny_sender_trie, tiny_receiver, technique)
+            continuation = method.build_entry(p("00")).continuation
+            assert continuation.problematic is method.overlay.problematic
 
     def test_generated_pair_pointer_fraction_small(self, pair_structures):
         sender_trie, receiver = pair_structures

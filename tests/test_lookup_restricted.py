@@ -51,14 +51,19 @@ class TestTrieContinuation:
         assert cont.search(addr("01101"), MemoryCounter()) is None
 
     def test_stop_booleans_halt_the_walk(self, receiver_trie):
-        stops = {p("01"): True}
+        # Claim 1 fails at 0 only: the walk halts at 01, the first vertex
+        # outside the set, with the match found so far.
         start = receiver_trie.find_node(p("0"))
-        cont = TrieContinuation(start, 32, stops=stops)
+        cont = TrieContinuation(start, 32, problematic={p("0")})
         counter = MemoryCounter()
         match = cont.search(addr("01101"), counter)
-        # Halted at 01 with the match found so far.
         assert match == (p("01"), "b")
         assert counter.accesses == 1
+        # Where it fails at 01 and 011 too, the walk goes on to 0110.
+        cont = TrieContinuation(start, 32, problematic={p("0"), p("01"), p("011")})
+        counter = MemoryCounter()
+        assert cont.search(addr("01101"), counter) == (p("0110"), "c")
+        assert counter.accesses == 3
 
     def test_diverging_address_stops_early(self, receiver_trie):
         start = receiver_trie.find_node(p("0"))

@@ -1,5 +1,5 @@
 """Property-based tests for the overlay: Claim 1 semantics and the
-incremental update path."""
+incremental update path (:meth:`TrieOverlay.refresh`)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,11 @@ def build_overlay(sender_prefixes, receiver_prefixes):
     sender = BinaryTrie.from_prefixes((p, "s") for p in sender_prefixes)
     receiver = BinaryTrie.from_prefixes((p, "r") for p in receiver_prefixes)
     return sender, receiver, TrieOverlay(sender, receiver)
+
+
+def assert_same_sets(overlay, fresh):
+    assert overlay.unclaimed == fresh.unclaimed
+    assert overlay.problematic == fresh.problematic
 
 
 def brute_force_problematic(sender, receiver, clue):
@@ -75,19 +80,20 @@ def test_potential_set_members_satisfy_condition_c1(
 def test_incremental_receiver_updates_match_fresh_overlay(
     sender_prefixes, receiver_prefixes, updates
 ):
-    """set_receiver_mark must agree with rebuilding the overlay."""
+    """Refreshing after each receiver change must agree with rebuilding
+    the overlay."""
     sender, receiver, overlay = build_overlay(sender_prefixes, receiver_prefixes)
     live = set(receiver_prefixes)
     for prefix in updates:
         if prefix in live:
             live.discard(prefix)
             receiver.remove(prefix)
-            overlay.set_receiver_mark(prefix, False)
         else:
             live.add(prefix)
             receiver.insert(prefix, "r")
-            overlay.set_receiver_mark(prefix, True)
+        overlay.refresh(prefix)
     fresh = TrieOverlay(sender, receiver)
+    assert_same_sets(overlay, fresh)
     for clue in sender_prefixes:
         assert overlay.is_problematic(clue) == fresh.is_problematic(clue), str(clue)
         assert overlay.potential_set(clue) == fresh.potential_set(clue), str(clue)
@@ -104,12 +110,12 @@ def test_incremental_sender_updates_match_fresh_overlay(
         if prefix in live:
             live.discard(prefix)
             sender.remove(prefix)
-            overlay.set_sender_mark(prefix, False)
         else:
             live.add(prefix)
             sender.insert(prefix, "s")
-            overlay.set_sender_mark(prefix, True)
+        overlay.refresh(prefix)
     fresh = TrieOverlay(sender, receiver)
+    assert_same_sets(overlay, fresh)
     for clue in sorted(live):
         assert overlay.is_problematic(clue) == fresh.is_problematic(clue), str(clue)
         assert overlay.potential_set(clue) == fresh.potential_set(clue), str(clue)
@@ -118,10 +124,18 @@ def test_incremental_sender_updates_match_fresh_overlay(
 @given(prefix_lists(), prefix_lists())
 @settings(max_examples=60, deadline=None)
 def test_stop_booleans_consistent_with_claim1(sender_prefixes, receiver_prefixes):
-    _sender, _receiver, overlay = build_overlay(sender_prefixes, receiver_prefixes)
-    stops = overlay.stop_booleans()
-    for prefix, stop in stops.items():
-        assert stop == overlay.claim1_holds(prefix)
+    """``problematic`` (a walk's "go on" set, §4) is exactly the set of
+    vertices, of either trie, where Claim 1 fails."""
+    sender, receiver, overlay = build_overlay(sender_prefixes, receiver_prefixes)
+    vertices = {node.prefix for trie in (sender, receiver) for node in trie.nodes()}
+    fails = {
+        vertex
+        for vertex in vertices
+        if brute_force_problematic(sender, receiver, vertex)
+    }
+    assert overlay.problematic == fails
+    for vertex in vertices:
+        assert overlay.claim1_holds(vertex) == (vertex not in fails), str(vertex)
 
 
 @given(
@@ -137,10 +151,10 @@ def test_a_shard_clue_slice_decides_like_the_whole_sender_trie(
 ):
     """A shard's Advance entries built over a trie of its clue slice equal
     those built over the whole sender trie: FD, problematic flag and
-    continuation start, and the stop booleans on every vertex of the
-    shard's receiver trie.  Claim 1 only looks below a clue, and every
-    sender prefix met there on a way to one of the shard's receiver
-    prefixes overlaps the shard's range."""
+    continuation start, and both Claim 1 sets (which hold only vertices
+    of the shard's receiver trie), so every stop boolean.  Claim 1 only
+    looks below a clue, and every sender prefix met there on a way to
+    one of the shard's receiver prefixes overlaps the shard's range."""
     from repro.core import AdvanceMethod, ReceiverState
     from repro.serve import ShardPlan
     from repro.serve.shard import partition_slices
@@ -176,40 +190,30 @@ def test_a_shard_clue_slice_decides_like_the_whole_sender_trie(
                 for entry in (expected, got)
             ]
             assert starts[0] == starts[1], str(clue)
-        for node in state.trie.nodes():
-            assert sliced.stops[node.prefix] == whole.stops[node.prefix], str(
-                node.prefix
-            )
+        assert_same_sets(sliced.overlay, whole.overlay)
 
 
-def wide_prefixes(data, width, max_size=12):
-    """Prefixes of any length up to ``width``, the root included."""
-    found = []
-    for _ in range(data.draw(st.integers(min_value=0, max_value=max_size))):
-        length = data.draw(st.integers(min_value=0, max_value=width))
-        bits = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
-        found.append(Prefix(bits, length, width))
-    return found
+def wide_prefix(data, width):
+    """A prefix of any length up to ``width``, the root included."""
+    length = data.draw(st.integers(min_value=0, max_value=width))
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+    return Prefix(bits, length, width)
 
 
-def churned_trie(data, width, tag):
-    """A trie over a random table after a burst of inserts and removes,
-    with the set of prefixes it should hold."""
-    trie = BinaryTrie(width)
-    live = set()
-    for prefix in wide_prefixes(data, width):
-        trie.insert(prefix, tag)
-        live.add(prefix)
-    for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
-        if live and data.draw(st.booleans()):
-            prefix = data.draw(st.sampled_from(sorted(live)))
-            assert trie.remove(prefix)
-            live.discard(prefix)
-        else:
-            for prefix in wide_prefixes(data, width, max_size=1):
-                trie.insert(prefix, tag)
-                live.add(prefix)
-    return trie, live
+def nearby_prefix(data, width, known):
+    """A fresh prefix, or one of ``known`` cut short or extended by a
+    few bits, so that bursts nest, share paths and hit live prefixes."""
+    if not known or data.draw(st.booleans()):
+        return wide_prefix(data, width)
+    base = data.draw(st.sampled_from(known))
+    length = data.draw(
+        st.integers(min_value=0, max_value=min(width, base.length + 3))
+    )
+    if length <= base.length:
+        return Prefix(base.bits >> (base.length - length), length, width)
+    extra = length - base.length
+    low = data.draw(st.integers(min_value=0, max_value=(1 << extra) - 1))
+    return Prefix((base.bits << extra) | low, length, width)
 
 
 def assert_vertices_spell_their_paths(root, width):
@@ -249,31 +253,71 @@ def brute_force_unclaimed(sender_live, receiver_live):
     return unclaimed
 
 
+def brute_force_sets(sender_live, receiver_live):
+    """``unclaimed`` and ``problematic`` from their definitions: a vertex
+    is problematic when one of its children is unclaimed."""
+    unclaimed = brute_force_unclaimed(sender_live, receiver_live)
+    problematic = {
+        Prefix(vertex.bits >> 1, vertex.length - 1, vertex.width)
+        for vertex in unclaimed
+        if vertex.length
+    }
+    return unclaimed, problematic
+
+
+def assert_matches_definitions(overlay, tries, live, width):
+    """Both tries hold exactly their live prefixes, and both sets equal
+    their definitions over those prefixes, inside the receiver trie."""
+    for side in ("s", "r"):
+        assert_vertices_spell_their_paths(tries[side].root, width)
+        assert {node.prefix for node in tries[side].nodes()} == closure(
+            live[side], width
+        )
+        assert {
+            node.prefix for node in tries[side].nodes() if node.marked
+        } == live[side]
+    unclaimed, problematic = brute_force_sets(live["s"], live["r"])
+    assert overlay.unclaimed == unclaimed
+    assert overlay.problematic == problematic
+    assert unclaimed | problematic <= closure(live["r"], width)
+
+
 @pytest.mark.parametrize("width", [32, 128])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_fresh_overlay_vertices_spell_their_paths(width, data):
-    """Trie and overlay vertices carry the prefix their own path spells.
+def test_sets_match_their_definitions_through_bursts(width, data):
+    """Both sets equal their brute-force definitions and hold receiver
+    vertices only, fresh and after every burst of inserts and removes
+    on both sides refreshed as :meth:`MaintainedClueTable.apply_batch`
+    does: every trie patched first, then one refresh per change.
 
-    The incremental-vs-fresh tests compare two overlays built by the
-    same walk; this one checks a fresh overlay against the tries it
-    merges and against the definitions, so a wrong shift shows."""
-    sender, sender_live = churned_trie(data, width, "s")
-    receiver, receiver_live = churned_trie(data, width, "r")
-    for trie, live in ((sender, sender_live), (receiver, receiver_live)):
-        assert_vertices_spell_their_paths(trie.root, width)
-        assert {node.prefix for node in trie.nodes()} == closure(live, width)
-        assert {node.prefix for node in trie.nodes() if node.marked} == live
-
-    overlay = TrieOverlay(sender, receiver)
-    assert_vertices_spell_their_paths(overlay.root, width)
-    vertices = list(overlay.root.subtree())
-    assert {v.prefix for v in vertices} == closure(sender_live, width) | closure(
-        receiver_live, width
-    )
-    unclaimed = brute_force_unclaimed(sender_live, receiver_live)
-    for vertex in vertices:
-        assert vertex.marked1 == (vertex.prefix in sender_live), str(vertex.prefix)
-        assert vertex.marked2 == (vertex.prefix in receiver_live), str(vertex.prefix)
-        assert vertex.unclaimed == (vertex.prefix in unclaimed), str(vertex.prefix)
-    assert list(overlay.stop_booleans()) == [v.prefix for v in vertices]
+    The definitions are computed from the live prefix sets alone, so a
+    wrong shift in a trie walk or in the refresh shows; the tries are
+    checked against the same sets."""
+    tries = {side: BinaryTrie(width) for side in ("s", "r")}
+    live = {side: set() for side in ("s", "r")}
+    for side in ("s", "r"):
+        for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+            prefix = wide_prefix(data, width)
+            tries[side].insert(prefix, side)
+            live[side].add(prefix)
+    overlay = TrieOverlay(tries["s"], tries["r"])
+    problematic = overlay.problematic
+    assert_matches_definitions(overlay, tries, live, width)
+    for _burst in range(data.draw(st.integers(min_value=0, max_value=5))):
+        changed = []
+        for _update in range(data.draw(st.integers(min_value=1, max_value=6))):
+            side = data.draw(st.sampled_from(("s", "r")))
+            prefix = nearby_prefix(data, width, sorted(live["s"] | live["r"]))
+            if prefix in live[side]:
+                assert tries[side].remove(prefix)
+                live[side].discard(prefix)
+            else:
+                tries[side].insert(prefix, side)
+                live[side].add(prefix)
+            changed.append(prefix)
+        for prefix in changed:
+            overlay.refresh(prefix)
+        assert_matches_definitions(overlay, tries, live, width)
+    assert overlay.problematic is problematic
+    assert_same_sets(overlay, TrieOverlay(tries["s"], tries["r"]))

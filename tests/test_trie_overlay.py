@@ -25,15 +25,18 @@ class TestConstruction:
             TrieOverlay(tiny_sender_trie, BinaryTrie(width=128))
 
     def test_marks_both_sides(self, overlay):
-        node = overlay.find(p("00"))
-        assert node.marked1 and node.marked2
-        node = overlay.find(p("0101"))
-        assert node.marked1 and not node.marked2
-        node = overlay.find(p("0010"))
-        assert not node.marked1 and node.marked2
+        # 0010 only the receiver has: it and 001 above it are unclaimed.
+        # 00 both have, so it claims everything below it, yet Claim 1
+        # fails there and at 001, whose children are unclaimed.
+        assert overlay.unclaimed == {p("001"), p("0010")}
+        assert overlay.problematic == {p("00"), p("001")}
 
     def test_find_absent(self, overlay):
-        assert overlay.find(p("111111")) is None
+        # Only receiver vertices enter the sets: 0101 only the sender
+        # has, 111111 neither.
+        for prefix in (p("0101"), p("111111")):
+            assert prefix not in overlay.unclaimed
+            assert prefix not in overlay.problematic
 
 
 class TestClaim1:
@@ -93,15 +96,15 @@ class TestPotentialSet:
 
 
 class TestStopBooleans:
+    """A walk stops at every vertex outside ``problematic`` (§4)."""
+
     def test_stop_true_where_claim_holds(self, overlay):
-        stops = overlay.stop_booleans()
-        assert stops[p("1")] is True
-        assert stops[p("00")] is False
+        assert p("1") not in overlay.problematic
+        assert p("00") in overlay.problematic
 
     def test_stop_at_every_leaf(self, overlay):
-        stops = overlay.stop_booleans()
-        assert stops[p("1100")] is True
-        assert stops[p("0010")] is True
+        assert p("1100") not in overlay.problematic
+        assert p("0010") not in overlay.problematic
 
 
 class TestStatistics:

@@ -3,8 +3,8 @@
 A route update writes each structure once: the router patches its own
 receiver state and base lookup, and a maintained pair that shares both
 routers' tables (as :func:`repro.churn.feed.build_adjacency_pairs` wires
-it) patches only its overlay, its live stop booleans and its clue
-records.  Random bursts — announces, withdrawals, next-hop changes and
+it) patches only its overlay's two Claim 1 sets and its clue records.
+Random bursts — announces, withdrawals, next-hop changes and
 withdrawals of absent prefixes, on both sides — must leave every patched
 structure equal to a fresh build over the same tables.  The receiver's
 Patricia trie is built only when first read: read before a burst or
@@ -19,7 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Address, Prefix
 from repro.core import AdvanceMethod, MaintainedClueTable, ReceiverState, SimpleMethod
-from repro.lookup import BASELINES, MemoryCounter
+from repro.lookup import (
+    BASELINES,
+    MemoryCounter,
+    PatriciaContinuation,
+    TrieContinuation,
+)
 from repro.netsim.router import ClueRouter
 from repro.trie import PatriciaTrie, TrieOverlay
 
@@ -99,9 +104,8 @@ def test_shared_pair_matches_fresh_builds(technique, sender_table, receiver_tabl
     maintained = MaintainedClueTable(
         sender.receiver.trie, receiver.receiver, technique=technique
     )
-    # Materialise the live stop map up front for every technique, so
-    # each burst exercises its incremental upkeep.
-    live = maintained.overlay.stops
+    live = maintained.overlay
+    problematic = live.problematic
     for burst in bursts:
         # Phase 1: each router patches its own tables; phase 2 folds
         # what was applied into the pair, as TableDeltaFeed.apply does.
@@ -117,8 +121,8 @@ def test_shared_pair_matches_fresh_builds(technique, sender_table, receiver_tabl
         maintained.flush()
 
         fresh = TrieOverlay(sender.receiver.trie, receiver.receiver.trie)
-        for prefix, stop in fresh.stop_booleans().items():
-            assert live[prefix] == stop, str(prefix)
+        assert live.unclaimed == fresh.unclaimed
+        assert live.problematic == fresh.problematic
 
         reference = maintained.reference_table()
         for clue in sender.receiver.trie.prefixes():
@@ -130,8 +134,11 @@ def test_shared_pair_matches_fresh_builds(technique, sender_table, receiver_tabl
         addresses = probes((sender, receiver), burst, rng)
         assert_base_like_fresh(sender, addresses)
         assert_base_like_fresh(receiver, addresses)
-    if technique in ("regular", "patricia"):
-        assert maintained.method.stops is live
+    # Mutated in place, never rebound: every walk continuation holds it.
+    assert live.problematic is problematic
+    for entry in maintained.table.entries():
+        if isinstance(entry.continuation, (TrieContinuation, PatriciaContinuation)):
+            assert entry.continuation.problematic is problematic
 
 
 @pytest.mark.parametrize("technique", sorted(BASELINES))
