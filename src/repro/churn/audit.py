@@ -115,7 +115,8 @@ def _diff_pair(audit: PairAudit, maintained: MaintainedClueTable) -> None:
     method = maintained.reference_method()
     reference = method.build_table()
     incremental = maintained.table
-    for clue in sorted(maintained.sender_trie.prefixes()):
+    clues = sorted(maintained.sender_trie.prefixes())
+    for clue in clues:
         audit.entries_checked += 1
         expected = reference.record(clue)
         actual = incremental.record(clue)
@@ -145,9 +146,11 @@ def _diff_pair(audit: PairAudit, maintained: MaintainedClueTable) -> None:
                 )
             )
     # Withdrawn clues must never survive as *active* records (§3.4 keeps
-    # them around, but only marked invalid).
+    # them around, but only marked invalid).  The live trie's own
+    # prefixes decide, not the reference build under audit.
+    live_clues = set(clues)
     for record in incremental.entries():
-        if record.active and not maintained.sender_trie.contains(record.clue):
+        if record.active and record.clue not in live_clues:
             audit.divergences.append(
                 "%s: active record for a clue no longer in the sender table"
                 % record.clue

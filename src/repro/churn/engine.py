@@ -293,11 +293,11 @@ class ChurnEngine:
                         continue
                     per_add[name].append((update.prefix, hop))
             else:
+                # Each router drops the prefixes it does not hold and
+                # returns what it applied, which the pairs then fold.
                 report.withdraws += 1
                 for name in self._router_names:
-                    router = self.network.routers[name]
-                    if router.receiver.trie.contains(update.prefix):
-                        per_remove[name].append(update.prefix)
+                    per_remove[name].append(update.prefix)
             instruments.record_update(update.kind)
         report.dirty_marked += self.feed.apply(per_add, per_remove)
 
@@ -308,7 +308,7 @@ class ChurnEngine:
         report = EpochReport(self.epoch)
         self._apply_batch(self.stream.next_batch(), report)
         forward_audited(
-            self.network, report, traffic, self.rng, sorted(self.stream.live), self._router_names
+            self.network, report, traffic, self.rng, self.stream.sorted_live, self._router_names
         )
         report.rebuilt = self.feed.flush(self.rebuild_budget)
         backlogs = self.feed.backlogs()

@@ -28,6 +28,7 @@ fully deterministic and replayable.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -136,6 +137,9 @@ class UpdateStream:
         self.rng = rng if rng is not None else random.Random(seed)
         #: prefix -> origin router, the authoritative routed set.
         self.live: Dict[Prefix, str] = dict(origins)
+        #: ``live``'s prefixes in (length, bits) order, patched by
+        #: bisection as batches pop and add them, so no draw sorts.
+        self.sorted_live: List[Prefix] = sorted(self.live)
         self.routers: List[str] = (
             sorted(routers)
             if routers is not None
@@ -148,6 +152,8 @@ class UpdateStream:
         #: Recently withdrawn routes, candidates for a flap re-announce.
         self._recent_withdrawn: Deque[Tuple[Prefix, str]] = deque(maxlen=256)
         self._hot = self._sample_hot_subtrees()
+        #: The hot roots' bits: they share one length and one width.
+        self._hot_bits = frozenset(root.bits for root in self._hot)
         lengths = sorted(self.profile.histogram)
         self._lengths = [
             length for length in lengths if length >= self.profile.hot_length
@@ -219,15 +225,21 @@ class UpdateStream:
 
     def _pick_withdrawal(self, excluded: set) -> Optional[Prefix]:
         """A routed prefix to withdraw, preferring the hot subtrees."""
-        candidates = sorted(p for p in self.live if p not in excluded)
+        candidates = self.sorted_live
+        blocked = [prefix for prefix in excluded if prefix in self.live]
+        if blocked:
+            candidates = list(candidates)
+            for prefix in blocked:
+                del candidates[bisect_left(candidates, prefix)]
         if not candidates:
             return None
         if self.rng.random() < self.profile.locality:
+            hot_length, hot_bits = self.profile.hot_length, self._hot_bits
             local = [
                 prefix
                 for prefix in candidates
-                if prefix.length >= self.profile.hot_length
-                and prefix.truncate(self.profile.hot_length) in self._hot_set
+                if prefix.length >= hot_length
+                and prefix.bits >> (prefix.length - hot_length) in hot_bits
             ]
             if local:
                 return local[self.rng.randrange(len(local))]
@@ -255,6 +267,7 @@ class UpdateStream:
                 if prefix is None:
                     continue
                 origin = self.live.pop(prefix)
+                del self.sorted_live[bisect_left(self.sorted_live, prefix)]
                 withdrawn_now.append((prefix, origin))
                 self.withdrawn += 1
                 update = RouteUpdate(self.serial, WITHDRAW, prefix, origin)
@@ -272,6 +285,7 @@ class UpdateStream:
                         self.rng.randrange(len(self.routers))
                     ]
                 self.live[prefix] = flap_origin
+                insort(self.sorted_live, prefix)
                 self.announced += 1
                 update = RouteUpdate(self.serial, ANNOUNCE, prefix, flap_origin)
             touched.add(prefix)
@@ -286,10 +300,6 @@ class UpdateStream:
         """``count`` consecutive batches."""
         for _ in range(count):
             yield self.next_batch()
-
-    @property
-    def _hot_set(self) -> set:
-        return set(self._hot)
 
     def __repr__(self) -> str:
         return "UpdateStream(%d live, serial=%d, %r)" % (

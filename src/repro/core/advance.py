@@ -36,6 +36,7 @@ from repro.lookup.restricted import (
     locate_patricia_entry,
 )
 from repro.trie.binary_trie import BinaryTrie
+from repro.trie.node import TrieNode
 from repro.trie.overlay import TrieOverlay
 
 
@@ -81,44 +82,115 @@ class AdvanceMethod:
         clue table — a clue miss pays for it exactly once (§3.1.2's
         pre-processing, merely deferred to first use).
         """
-        fd_prefix, fd_next_hop = self.receiver.fd_for_clue(clue)
+        return self.entry(clue, *self.walk(clue))
+
+    def walk(
+        self, clue: Prefix
+    ) -> Tuple[Optional[TrieNode], Optional[TrieNode], Optional[TrieNode]]:
+        """One root→clue walk down both tries, in lockstep.
+
+        Returns the sender vertex at ``clue`` (marked or not; None where
+        the sender trie has no vertex there), the receiver vertex at
+        ``clue`` (None likewise) and the receiver's deepest marked vertex
+        on the path, the clue and the root included: the FD (case 1 when
+        the receiver has no vertex at the clue, case 2 or 3 otherwise).
+        """
+        node: Optional[TrieNode] = self.overlay.sender.root
+        twin: Optional[TrieNode] = self.receiver.trie.root
+        fd = twin if twin.marked else None
+        bits = clue.bits
+        for shift in range(clue.length - 1, -1, -1):
+            bit = (bits >> shift) & 1
+            if twin is not None:
+                twin = twin.children.get(bit)
+                if twin is not None and twin.marked:
+                    fd = twin
+            if node is not None:
+                node = node.children.get(bit)
+            elif twin is None:
+                break
+        return node, twin, fd
+
+    def entry(
+        self,
+        clue: Prefix,
+        sender_node: Optional[TrieNode],
+        node: Optional[TrieNode],
+        fd: Optional[TrieNode],
+    ) -> ClueEntry:
+        """The record of ``clue`` from the vertices :meth:`walk` returns.
+
+        Claim 1 is one membership test in the overlay's ``problematic``
+        set; only a clue that fails it pays for a continuation.
+        """
         continuation = None
-        problematic = self.overlay.is_problematic(clue)
+        failing = self.overlay.problematic
+        # An empty set (two routers holding the same prefixes) answers
+        # without hashing the clue.
+        problematic = bool(failing) and clue in failing
         if problematic:
-            continuation = self._continuation(clue)
+            continuation = self._continuation(clue, node)
         if self.telemetry is not None:
             self.telemetry.record_entry_built(self.method_name, problematic)
+        if fd is None:
+            fd_prefix = fd_next_hop = None
+        else:
+            fd_prefix, fd_next_hop = fd.prefix, fd.next_hop
         return ClueEntry(
             clue,
             fd_prefix,
             fd_next_hop,
             continuation,
             style=self.method_name,
-            sender_node=self.overlay.sender.find_node(clue),
+            sender_node=sender_node,
         )
 
     def build_table(self, clues: Optional[Iterable[Prefix]] = None) -> ClueTable:
         """Pre-processing construction over a clue universe.
 
         ``clues`` defaults to every prefix of the sender's table — every
-        clue the sender could possibly emit.
+        clue the sender could possibly emit.  That default is one
+        pre-order pass over the sender trie in lockstep with the
+        receiver trie, carrying down the receiver twin and the deepest
+        marked receiver vertex at or above it, so no clue walks from the
+        root; records land in the order :meth:`BinaryTrie.prefixes`
+        yields.  Given clues are built in the order given, one
+        :meth:`walk` each.
         """
-        if clues is None:
-            clues = self.overlay.sender.prefixes()
         table = ClueTable()
-        for clue in clues:
-            table.insert(self.build_entry(clue))
+        if clues is not None:
+            for clue in clues:
+                table.insert(self.build_entry(clue))
+            return table
+        entry = self.entry
+        root = self.receiver.trie.root
+        stack: List[Tuple[TrieNode, Optional[TrieNode], Optional[TrieNode]]] = [
+            (self.overlay.sender.root, root, root if root.marked else None)
+        ]
+        while stack:
+            node, twin, fd = stack.pop()
+            if node.marked:
+                table.insert(entry(node.prefix, node, twin, fd))
+            twins = twin.children if twin is not None else {}
+            for bit, child in node.children.items():
+                other = twins.get(bit)
+                if other is not None and other.marked:
+                    stack.append((child, other, other))
+                else:
+                    stack.append((child, other, fd))
         return table
 
-    def _continuation(self, clue: Prefix) -> Optional[Continuation]:
+    def _continuation(
+        self, clue: Prefix, node: Optional[TrieNode]
+    ) -> Optional[Continuation]:
         """Case 3: a Claim 1-restricted resumed search below ``clue``.
 
-        The trie and Patricia walks hold the overlay's live
+        ``node`` is the receiver vertex at ``clue``, as :meth:`walk`
+        found it.  The trie and Patricia walks hold the overlay's live
         ``problematic`` set (§4), which a route change mutates in place,
         never rebinds, so they see every update.
         """
         if self.technique == "regular":
-            node = self.receiver.trie.find_node(clue)
             if node is None:
                 return None
             return TrieContinuation(

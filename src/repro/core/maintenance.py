@@ -140,11 +140,16 @@ class MaintainedClueTable:
 
     # ------------------------------------------------------------------
     def _dirty_clues(self, changed: Iterable[Prefix]) -> Set[Prefix]:
-        """Sender clues whose entries a change at these prefixes can affect."""
+        """Sender clues whose entries a change at these prefixes can affect.
+
+        One root→p walk per changed prefix ``p``: the clues on the path
+        (their subtree holds p) and, once it reaches p's vertex, the
+        clues below it (p sits on their root path).
+        """
         dirty: Set[Prefix] = set()
+        root = self.sender_trie.root
         for prefix in changed:
-            # Clues on the root path of the change (their subtree holds p).
-            node = self.sender_trie.root
+            node = root
             if node.marked:
                 dirty.add(node.prefix)
             bits = prefix.bits
@@ -154,15 +159,22 @@ class MaintainedClueTable:
                     break
                 if node.marked:
                     dirty.add(node.prefix)
-            # Clues inside the change's subtree (p sits on their root path).
-            for vertex in self.sender_trie.marked_in_subtree(prefix):
-                dirty.add(vertex.prefix)
+            else:
+                for vertex in node.descendants():
+                    if vertex.marked:
+                        dirty.add(vertex.prefix)
         return dirty
 
     def _rebuild_one(self, clue: Prefix) -> bool:
-        """Recompute one clue's record; True if a fresh entry was built."""
-        if self.sender_trie.contains(clue):
-            self.table.insert(self.method.build_entry(clue))
+        """Recompute one clue's record; True if a fresh entry was built.
+
+        One :meth:`AdvanceMethod.walk` serves both the "still a clue"
+        test (a marked sender vertex) and the entry itself.
+        """
+        method = self.method
+        sender_node, node, fd = method.walk(clue)
+        if sender_node is not None and sender_node.marked:
+            self.table.insert(method.entry(clue, sender_node, node, fd))
             self.rebuilt_entries += 1
             self.stats.entries_rebuilt += 1
             return True
@@ -220,9 +232,13 @@ class MaintainedClueTable:
             for prefix, next_hop in s_added:
                 self.sender_trie.insert(prefix, next_hop)
 
-        sender_changed = [prefix for prefix, _ in s_added] + list(s_removed)
-        changed = (
-            [prefix for prefix, _ in r_added] + list(r_removed) + sender_changed
+        sender_changed = [prefix for prefix, _ in s_added] + s_removed
+        # Both routers of a pair apply the same churn update, so one
+        # prefix often changes on both sides: refresh and walk it once.
+        changed = list(
+            dict.fromkeys(
+                [prefix for prefix, _ in r_added] + r_removed + sender_changed
+            )
         )
         # Both tries are patched: each refresh reads their current marks.
         for prefix in changed:

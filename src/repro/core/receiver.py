@@ -12,15 +12,43 @@ current entries on first read, since most states never read them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address, Prefix
-from repro.lookup.base import merge_entries, sorted_entries
+from repro.lookup.base import TableEntries, sorted_entries
 from repro.trie.binary_trie import BinaryTrie
 from repro.trie.patricia import PatriciaTrie
 
 #: Continuation techniques a clue entry may be built for (§4).
 TECHNIQUES = ("regular", "patricia", "binary", "6way", "logw", "multibit")
+
+
+def merge_entries(
+    entries: Sequence[Tuple[Prefix, object]],
+    added: TableEntries,
+    removed: Iterable[Prefix],
+) -> List[Tuple[Prefix, object]]:
+    """``entries`` after a route change: removes first, then adds.
+
+    ``entries`` is a :func:`sorted_entries` list; the merge is a new
+    list, patched by bisection, so whoever else holds ``entries`` keeps
+    it unchanged.  An added prefix already present takes its new next
+    hop, so a next-hop change travels as a plain add.  A 1-tuple
+    ``(prefix,)`` sorts just before every entry of ``prefix``.
+    """
+    merged = list(entries)
+    for prefix in removed:
+        at = bisect_left(merged, (prefix,))
+        if at < len(merged) and merged[at][0] == prefix:
+            del merged[at]
+    for prefix, next_hop in added:
+        at = bisect_left(merged, (prefix,))
+        if at < len(merged) and merged[at][0] == prefix:
+            merged[at] = (prefix, next_hop)
+        else:
+            merged.insert(at, (prefix, next_hop))
+    return merged
 
 
 class ReceiverState:

@@ -21,23 +21,11 @@ TableEntries = Iterable[Tuple[Prefix, object]]
 
 
 def sorted_entries(entries: TableEntries) -> List[Tuple[Prefix, object]]:
-    """Entries in the canonical (length, bits) build order."""
-    return sorted(entries, key=lambda item: (item[0].length, item[0].bits))
+    """Entries in the canonical (length, bits) build order, one per prefix.
 
-
-def merge_entries(
-    entries: TableEntries, added: TableEntries, removed: Iterable[Prefix]
-) -> List[Tuple[Prefix, object]]:
-    """``entries`` after a route change: removes first, then adds.
-
-    An added prefix already present takes its new next hop, so a
-    next-hop change travels as a plain add.
+    A repeated prefix keeps its last next hop, as a trie insert does.
     """
-    table = dict(entries)
-    for prefix in removed:
-        table.pop(prefix, None)
-    table.update(added)
-    return sorted_entries(table.items())
+    return sorted(dict(entries).items(), key=lambda item: (item[0].length, item[0].bits))
 
 
 class LookupAlgorithm(abc.ABC):
@@ -68,17 +56,23 @@ class LookupAlgorithm(abc.ABC):
         """Construct the search structure from ``self._entries``."""
 
     def apply_update(
-        self, added: Sequence[Tuple[Prefix, object]] = (), removed: Sequence[Prefix] = ()
+        self,
+        added: Sequence[Tuple[Prefix, object]],
+        removed: Sequence[Prefix],
+        entries: List[Tuple[Prefix, object]],
     ) -> None:
         """Apply a route change: drop ``removed``, then insert ``added``.
 
-        The structure ends up answering exactly like a fresh build over
-        the merged table.  By default it *is* rebuilt from that table,
-        because binary, 6-way, Log W and multibit have no cheap delete;
-        the trie walks override :meth:`_patch` to edit in place.
+        ``entries`` is the table after the change, in
+        :func:`sorted_entries` order (a router's receiver state merges
+        it, so one route update merges once); the structure adopts it
+        and ends up answering exactly like a fresh build over it.  By
+        default it *is* rebuilt from that table, because binary, 6-way,
+        Log W and multibit have no cheap delete; the trie walks override
+        :meth:`_patch` to edit in place.
         """
         self._check_width([prefix for prefix, _ in added] + list(removed))
-        self._entries = merge_entries(self._entries, added, removed)
+        self._entries = entries
         self._patch(added, removed)
 
     def _patch(self, added, removed) -> None:

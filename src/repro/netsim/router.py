@@ -87,7 +87,7 @@ class Router:
         ]
         if added or removed:
             self.receiver.apply_update(added, removed)
-            self.base.apply_update(added, removed)
+            self.base.apply_update(added, removed, self.receiver.entries)
         return added, removed
 
     def __repr__(self) -> str:

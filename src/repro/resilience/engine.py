@@ -69,6 +69,7 @@ from repro.faults.inject import (
     ShardFaultPlan,
     shard_chaos_plan,
 )
+from repro.heap import settled_heap
 from repro.resilience.health import ShardHealth, ShardHealthPolicy
 from repro.resilience.replica import (
     MAX_REPLICATION,
@@ -82,7 +83,7 @@ from repro.lookup.regular import RegularTrieLookup
 from repro.resilience.report import ResilienceReport
 from repro.serve.batcher import BatchPolicy, RequestBatcher
 from repro.serve.dispatch import ShardPlan, route_batch
-from repro.serve.engine import build_fixture, check_choices, settled_heap
+from repro.serve.engine import build_fixture, check_choices
 from repro.serve.loadgen import LoadProfile
 from repro.serve.report import latency_summary
 

@@ -21,18 +21,17 @@ After the drain, the loop's audit decodes *every* served answer from
 the shard that served it and checks it against the receiver's own
 longest-prefix match, looked up in a trie-free range table — the
 paper's never-wrong forwarding property, re-proved end to end on the
-serving plane.  The helpers both engines share (fixture, config check,
-collector pause) live here too.
+serving plane.  The helpers both engines share (fixture, config check)
+live here too; both build under :func:`repro.heap.settled_heap`.
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.addressing import IPV4_WIDTH
 from repro.fastpath.layouts import LAYOUTS
+from repro.heap import settled_heap
 from repro.serve.batcher import BACKPRESSURE_POLICIES, BatchPolicy
 from repro.serve.dispatch import PARTITION_MODES, ShardPlan
 from repro.serve.loadgen import LoadProfile, ZipfLoadGenerator
@@ -58,24 +57,6 @@ def check_choices(
             raise ValueError(
                 "%s must be one of %s, got %r" % (name, ", ".join(allowed), value)
             )
-
-
-@contextmanager
-def settled_heap() -> Iterator[None]:
-    """Run a build with the cyclic collector paused, then collect once.
-
-    Left alone, the collector makes several full passes over a growing
-    table graph, and where the last lands (in the build or in a later
-    serving window) moves with the seed; this way it is the build's.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-            gc.collect()
 
 
 def build_fixture(config):

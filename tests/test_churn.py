@@ -85,6 +85,14 @@ class TestUpdateStream:
                 assert update.prefix.length >= length
                 assert update.prefix.truncate(length) in hot
 
+    def test_the_kept_order_follows_every_batch(self):
+        # Withdrawals, fresh announces and flaps all patch the kept list.
+        stream = self.make(seed=6, burst_mean=8.0, withdraw_fraction=0.5, min_live=5)
+        assert stream.sorted_live == sorted(stream.live)
+        for _batch in stream.batches(300):
+            assert stream.sorted_live == sorted(stream.live)
+        assert stream.withdrawn and stream.announced and stream.flapped
+
     def test_live_floor_is_respected(self):
         stream = self.make(seed=4, withdraw_fraction=1.0, min_live=10)
         for _ in range(60):

@@ -15,7 +15,7 @@ entries.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.addressing import Address, Prefix
 from repro.core import AdvanceMethod, MaintainedClueTable, ReceiverState, SimpleMethod
@@ -86,6 +86,9 @@ def shape(trie):
 
 
 def assert_base_like_fresh(router, addresses):
+    # The base adopts the receiver's merged list; the receiver's trie is
+    # patched on its own, so it is the independent check of that merge.
+    assert router.receiver.entries == sorted(router.receiver.trie.entries())
     fresh = BASELINES[router.technique](router.receiver.entries)
     assert router.base.table() == fresh.table()
     for address in addresses:
@@ -94,9 +97,32 @@ def assert_base_like_fresh(router, addresses):
         assert shape(router.base.trie) == shape(fresh.trie)
 
 
+DEFAULT = Prefix(0, 0, 32)
+
+
 @pytest.mark.parametrize("technique", sorted(BASELINES))
 @given(sender_table=tables, receiver_table=tables, bursts=bursts, seed=st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
+# A table that repeats a prefix keeps one entry for it, as its trie
+# does, so a patched merge can neither leave a withdrawn copy behind
+# nor keep a stale duplicate beside an announce.
+@example(
+    sender_table=[(DEFAULT, "a"), (DEFAULT, "b")],
+    receiver_table=[],
+    bursts=[[("sender", True, DEFAULT, "a")]],
+    seed=0,
+)
+@example(
+    sender_table=[
+        (DEFAULT, "a"),
+        (DEFAULT, "a"),
+        (Prefix(0, 1, 32), "a"),
+        (Prefix(1, 1, 32), "a"),
+    ],
+    receiver_table=[],
+    bursts=[[("sender", False, DEFAULT, "b")]],
+    seed=0,
+)
 def test_shared_pair_matches_fresh_builds(technique, sender_table, receiver_table, bursts, seed):
     rng = random.Random(seed)
     sender = ClueRouter("s", sender_table, technique=technique)
@@ -144,10 +170,11 @@ def test_shared_pair_matches_fresh_builds(technique, sender_table, receiver_tabl
 @pytest.mark.parametrize("technique", sorted(BASELINES))
 def test_apply_update_rejects_another_width(technique):
     base = BASELINES[technique]([(Prefix(0b1, 1, 32), "a")])
+    foreign = [(Prefix(0, 8, 128), "x")]
     with pytest.raises(ValueError):
-        base.apply_update([(Prefix(0, 8, 128), "x")], [])
+        base.apply_update(foreign, [], foreign)
     with pytest.raises(ValueError):
-        base.apply_update([], [Prefix(0, 8, 128)])
+        base.apply_update([], [Prefix(0, 8, 128)], base.table())
     assert base.table() == [(Prefix(0b1, 1, 32), "a")]
 
 
