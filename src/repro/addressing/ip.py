@@ -281,14 +281,18 @@ class Prefix:
         return address.leading_bits(self.length) == self.bits
 
     def common_with(self, other: "Prefix") -> "Prefix":
-        """Longest common prefix of two prefixes."""
+        """Longest common prefix of two prefixes.
+
+        Both are cut to the shorter length; the highest set bit of their
+        XOR is the first bit where they differ.
+        """
         if self.width != other.width:
             raise WidthMismatchError("mixed address families")
         limit = min(self.length, other.length)
-        common = 0
-        while common < limit and self.bit(common) == other.bit(common):
-            common += 1
-        return self.truncate(common)
+        differ = (self.bits >> (self.length - limit)) ^ (
+            other.bits >> (other.length - limit)
+        )
+        return self.truncate(limit - differ.bit_length())
 
     def network_address(self) -> Address:
         """The lowest address covered by the prefix."""

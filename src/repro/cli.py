@@ -579,12 +579,18 @@ def _cmd_bench_fastpath(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import json
+def _run_serving(args, config_class, engine_class, bench, failure, **knobs) -> int:
+    """One ``serve`` or ``chaos`` run, start to exit status.
+
+    The shared knobs (clamped by ``--quick``) and the command's own
+    ``knobs`` make a ``config_class``; a value it rejects exits 2 like
+    an argparse error, and so does a shard that fails certification.
+    ``bench(engine, clock)`` runs the engine into its report, which is
+    written out; a failed report prints ``failure`` and exits 1.
+    """
     import time
 
     from repro.fastpath import CertificationError
-    from repro.serve import ServeConfig, ServeEngine
 
     if args.quick:
         args.table_size = min(args.table_size, 2000)
@@ -592,7 +598,7 @@ def _cmd_serve(args) -> int:
         args.universe = min(args.universe, 2048)
     config = _config(
         args,
-        ServeConfig,
+        config_class,
         shards=args.shards,
         partition=args.partition,
         method=args.method,
@@ -606,18 +612,18 @@ def _cmd_serve(args) -> int:
         universe=args.universe,
         rate=args.rate,
         seed=args.seed,
-        layout=args.layout,
+        **knobs,
     )
     try:
-        engine = ServeEngine(config)
+        engine = engine_class(config)
     except CertificationError as error:
         print("SHARD CERTIFICATION FAILED: %s" % error, file=sys.stderr)
         return 2
-    # The serving engine is wall-clock-free by design (RC103); the CLI
+    # The serving engines are wall-clock-free by design (RC103); the CLI
     # is the one place the real clock is injected, and passing the
     # callable is not a timing call on a library path.
-    report = engine.run(clock=time.perf_counter)
-    text = json.dumps(report.as_dict(), indent=2, sort_keys=True)
+    report = bench(engine, time.perf_counter)
+    text = report.to_json()
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -625,69 +631,46 @@ def _cmd_serve(args) -> int:
         print(text)
     print(report.summary(), file=sys.stderr)
     if not report.passed():
-        print("AUDIT FAILED: sharded path disagreed with the oracle",
-              file=sys.stderr)
+        print(failure, file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    import json
-    import time
+def _cmd_serve(args) -> int:
+    from repro.serve import ServeConfig, ServeEngine
 
-    from repro.fastpath import CertificationError
+    return _run_serving(
+        args,
+        ServeConfig,
+        ServeEngine,
+        lambda engine, clock: engine.run(clock=clock),
+        "AUDIT FAILED: sharded path disagreed with the oracle",
+        layout=args.layout,
+    )
+
+
+def _cmd_chaos(args) -> int:
     from repro.resilience import ChaosEngine, ResilienceConfig
 
-    if args.quick:
-        args.table_size = min(args.table_size, 2000)
-        args.requests = min(args.requests, 120000)
-        args.universe = min(args.universe, 2048)
-    config = _config(
+    def bench(engine, clock):
+        plan = engine.default_plan(
+            crashes=args.crashes, slowdowns=args.slowdowns, drops=args.drops
+        )
+        return engine.bench(plan, clock=clock)
+
+    return _run_serving(
         args,
         ResilienceConfig,
-        shards=args.shards,
+        ChaosEngine,
+        bench,
+        "AUDIT FAILED: a served answer disagreed with the oracle "
+        "or requests went unaccounted",
         replication=args.replication,
-        partition=args.partition,
-        method=args.method,
-        policy=args.policy,
-        table_size=args.table_size,
-        requests=args.requests,
-        max_batch=args.batch_max,
-        max_wait=args.max_wait,
-        queue_capacity=args.queue_capacity,
-        zipf_alpha=args.alpha,
-        universe=args.universe,
-        rate=args.rate,
-        seed=args.seed,
         deadline_ticks=args.deadline,
         hedge_ticks=args.hedge_after,
         max_retries=args.max_retries,
         rebuild_ticks=args.rebuild_ticks,
     )
-    try:
-        engine = ChaosEngine(config)
-    except CertificationError as error:
-        print("SHARD CERTIFICATION FAILED: %s" % error, file=sys.stderr)
-        return 2
-    plan = engine.default_plan(
-        crashes=args.crashes, slowdowns=args.slowdowns, drops=args.drops
-    )
-    # The chaos engine is wall-clock-free by design (RC103); the CLI is
-    # the one place the real clock is injected, and passing the callable
-    # is not a timing call on a library path.
-    report = engine.bench(plan, clock=time.perf_counter)
-    text = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-    print(report.summary(), file=sys.stderr)
-    if not report.passed():
-        print("AUDIT FAILED: a served answer disagreed with the oracle "
-              "or requests went unaccounted", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_space(args) -> int:
@@ -695,6 +678,43 @@ def _cmd_space(args) -> int:
     rows = [[key, value] for key, value in sorted(report.items())]
     print(format_table(["quantity", "value"], rows, title="§3.5 space model"))
     return 0
+
+
+def _add_serving_options(command, shards: int, requests: int, payload: str) -> None:
+    """The flags ``serve`` and ``chaos`` share, with the command's own
+    ``shards`` and ``requests`` defaults and its ``payload`` file."""
+    command.add_argument("--shards", type=int, default=shards,
+                         help="table slices (default %d)" % shards)
+    command.add_argument("--partition", choices=("range", "hash"),
+                         default="range",
+                         help="destination partitioning (default range)")
+    command.add_argument("--method", choices=("advance", "simple"),
+                         default="advance",
+                         help="clue-table construction (default advance)")
+    command.add_argument("--policy", choices=("shed", "block"), default="shed",
+                         help="backpressure when every queue a request may "
+                              "take is full (default shed)")
+    command.add_argument("--table-size", type=int, default=20000,
+                         help="synthetic sender-table size (default 20000)")
+    command.add_argument("--requests", type=int, default=requests,
+                         help="lookups to replay (default %d)" % requests)
+    command.add_argument("--batch-max", type=int, default=256,
+                         help="max coalesced batch size (default 256)")
+    command.add_argument("--max-wait", type=int, default=4,
+                         help="ticks a partial batch may wait (default 4)")
+    command.add_argument("--queue-capacity", type=int, default=4096,
+                         help="per-worker queue bound (default 4096)")
+    command.add_argument("--alpha", type=float, default=1.1,
+                         help="Zipf popularity skew; 0 = uniform (default 1.1)")
+    command.add_argument("--rate", type=float, default=512.0,
+                         help="mean arrivals per tick (default 512)")
+    command.add_argument("--universe", type=int, default=4096,
+                         help="distinct destinations in the workload")
+    command.add_argument("--seed", type=int, default=42)
+    command.add_argument("--quick", action="store_true",
+                         help="CI mode: clamp to 2000 prefixes / 120k requests")
+    command.add_argument("--output", default=None,
+                         help="write %s here (default stdout)" % payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -951,37 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded serving plane: batching, backpressure, Zipf load "
              "(BENCH_serve.json)",
     )
-    serve.add_argument("--shards", type=int, default=4,
-                       help="worker shards (default 4)")
-    serve.add_argument("--partition", choices=("range", "hash"),
-                       default="range",
-                       help="destination partitioning (default range)")
-    serve.add_argument("--method", choices=("advance", "simple"),
-                       default="advance",
-                       help="clue-table construction (default advance)")
-    serve.add_argument("--policy", choices=("shed", "block"), default="shed",
-                       help="backpressure when a queue fills (default shed)")
-    serve.add_argument("--table-size", type=int, default=20000,
-                       help="synthetic sender-table size (default 20000)")
-    serve.add_argument("--requests", type=int, default=1000000,
-                       help="lookups to replay (default 1000000)")
-    serve.add_argument("--batch-max", type=int, default=256,
-                       help="max coalesced batch size (default 256)")
-    serve.add_argument("--max-wait", type=int, default=4,
-                       help="ticks a partial batch may wait (default 4)")
-    serve.add_argument("--queue-capacity", type=int, default=4096,
-                       help="per-shard queue bound (default 4096)")
-    serve.add_argument("--alpha", type=float, default=1.1,
-                       help="Zipf popularity skew; 0 = uniform (default 1.1)")
-    serve.add_argument("--rate", type=float, default=512.0,
-                       help="mean arrivals per tick (default 512)")
-    serve.add_argument("--universe", type=int, default=4096,
-                       help="distinct destinations in the workload")
-    serve.add_argument("--seed", type=int, default=42)
-    serve.add_argument("--quick", action="store_true",
-                       help="CI mode: clamp to 2000 prefixes / 120k requests")
-    serve.add_argument("--output", default=None,
-                       help="write BENCH_serve.json here (default stdout)")
+    _add_serving_options(serve, shards=4, requests=1000000,
+                         payload="BENCH_serve.json")
     serve.add_argument("--layout", choices=("dense", "multibit4", "multibit8"),
                        default="dense",
                        help="compiled trie layout the shards serve through "
@@ -993,35 +984,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-tolerant serving: replica failover, deadlines, "
              "hedging, shard chaos (BENCH_resilience.json)",
     )
-    chaos.add_argument("--shards", type=int, default=2,
-                       help="table slices (default 2)")
+    _add_serving_options(chaos, shards=2, requests=250000,
+                         payload="BENCH_resilience.json")
     chaos.add_argument("--replication", type=int, default=2,
                        help="replicas per slice (default 2)")
-    chaos.add_argument("--partition", choices=("range", "hash"),
-                       default="range",
-                       help="destination partitioning (default range)")
-    chaos.add_argument("--method", choices=("advance", "simple"),
-                       default="advance",
-                       help="clue-table construction (default advance)")
-    chaos.add_argument("--policy", choices=("shed", "block"), default="shed",
-                       help="backpressure when every replica is full "
-                            "(default shed)")
-    chaos.add_argument("--table-size", type=int, default=20000,
-                       help="synthetic sender-table size (default 20000)")
-    chaos.add_argument("--requests", type=int, default=250000,
-                       help="lookups to replay (default 250000)")
-    chaos.add_argument("--batch-max", type=int, default=256,
-                       help="max coalesced batch size (default 256)")
-    chaos.add_argument("--max-wait", type=int, default=4,
-                       help="ticks a partial batch may wait (default 4)")
-    chaos.add_argument("--queue-capacity", type=int, default=4096,
-                       help="per-replica queue bound (default 4096)")
-    chaos.add_argument("--alpha", type=float, default=1.1,
-                       help="Zipf popularity skew; 0 = uniform (default 1.1)")
-    chaos.add_argument("--rate", type=float, default=512.0,
-                       help="mean arrivals per tick (default 512)")
-    chaos.add_argument("--universe", type=int, default=4096,
-                       help="distinct destinations in the workload")
     chaos.add_argument("--deadline", type=int, default=32,
                        help="per-request deadline budget in ticks")
     chaos.add_argument("--hedge-after", type=int, default=6,
@@ -1036,12 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="slow-replica windows to schedule")
     chaos.add_argument("--drops", type=int, default=1,
                        help="batch-drop windows to schedule")
-    chaos.add_argument("--seed", type=int, default=42)
-    chaos.add_argument("--quick", action="store_true",
-                       help="CI mode: clamp to 2000 prefixes / 120k requests")
-    chaos.add_argument("--output", default=None,
-                       help="write BENCH_resilience.json here "
-                            "(default stdout)")
     chaos.set_defaults(func=_cmd_chaos, parser=chaos)
 
     space = sub.add_parser("space", help="§3.5 clue-table space model")

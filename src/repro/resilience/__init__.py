@@ -6,15 +6,17 @@ forwarding invariant anyway.  Four modules, one story:
 
 * :mod:`repro.resilience.replica` — every table slice built, compiled,
   and certified once and shared by its R replica workers, with a
-  deterministic per-destination replica preference order.
+  deterministic per-destination replica preference order; plain
+  serving builds its plane here too, at R = 1.
 * :mod:`repro.resilience.health` — a per-worker health FSM (healthy →
   suspect → quarantined → probation, doubling cooldowns) that steers
   dispatch away from sick replicas.
-* :mod:`repro.resilience.engine` — the serving plane's one tick loop
-  (plain serving runs it too) and the chaos engine on it: deadlines,
-  bounded retries with backoff, hedging, failover, a full-table
-  degraded path, crash rebuild + re-certification — and a
-  full-population audit proving every served answer right.
+* :mod:`repro.resilience.engine` — what both serving front ends share
+  (the config core, the set-up and the one tick loop) and the chaos
+  engine on it: deadlines, bounded retries with backoff, hedging,
+  failover, a full-table degraded path, crash rebuild +
+  re-certification — and a full-population audit proving every served
+  answer right.
 * :mod:`repro.resilience.report` — the ``BENCH_resilience.json``
   payload comparing the same seeded workload with and without faults.
 
@@ -22,6 +24,11 @@ Fault schedules come from :func:`repro.faults.shard_chaos_plan`; time
 is an integer tick throughout (RC103), so every chaos run replays
 bit-identically from its seed.
 """
+
+# repro.serve's engine extends this package's serving loop, so
+# repro.serve is imported first: the loop's module then loads whole,
+# whichever of the two packages a program imports first.
+import repro.serve as _serve  # noqa: F401
 
 from repro.resilience.engine import (
     ChaosEngine,

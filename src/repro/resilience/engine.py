@@ -1,11 +1,16 @@
-"""The serving tick loop, and the chaos engine built on it.
+"""The serving plane's core, and the chaos engine built on it.
 
-:class:`ServingLoop` is the one tick loop of the serving plane.  As
-constructed it is plain serving — one replica per slice, no fault
-plan, no deadline, zero service ticks — and that is how
-:class:`repro.serve.engine.ServeEngine` runs it.  :class:`ChaosEngine`
-runs the same loop with every table slice served by R replica workers
-(:mod:`repro.resilience.replica`) and survives the shard-level fault
+Both front ends, :class:`repro.serve.engine.ServeEngine` and
+:class:`ChaosEngine`, share everything here: one config core
+(:class:`ServingConfig`, which each front end's config extends), one
+set-up (:meth:`ServingLoop.__init__` builds the §6 fixture and the
+certified plane through
+:func:`~repro.resilience.replica.build_replica_shards`, under a
+settled heap) and one tick loop (:class:`ServingLoop`).  As
+constructed the loop is plain serving — no fault plan, no deadline,
+zero service ticks — and ``ServeEngine`` runs it with one replica per
+slice.  :class:`ChaosEngine` runs the same loop with every table slice
+served by R replica workers and survives the shard-level fault
 vocabulary of :class:`repro.faults.inject.ShardFaultPlan` — replica
 crashes with off-hot-path rebuild + re-certification, slow-replica
 windows, and whole-batch drops.
@@ -61,6 +66,7 @@ from repro.core.advance import AdvanceMethod
 from repro.core.lookup import ClueAssistedLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
+from repro.fastpath.layouts import LAYOUTS
 from repro.faults.inject import (
     KIND_BATCH_DROP,
     KIND_SHARD_CRASH,
@@ -81,11 +87,13 @@ from repro.resilience.replica import (
 from repro.lookup.binary_range import RangeTable
 from repro.lookup.regular import RegularTrieLookup
 from repro.resilience.report import ResilienceReport
-from repro.serve.batcher import BatchPolicy, RequestBatcher
-from repro.serve.dispatch import ShardPlan, route_batch
-from repro.serve.engine import build_fixture, check_choices
-from repro.serve.loadgen import LoadProfile
+from repro.serve.batcher import BACKPRESSURE_POLICIES, BatchPolicy, RequestBatcher
+from repro.serve.dispatch import PARTITION_MODES, ShardPlan, route_batch
+from repro.serve.loadgen import LoadProfile, ZipfLoadGenerator
 from repro.serve.report import latency_summary
+from repro.serve.shard import METHODS
+from repro.tablegen import NeighborProfile, derive_neighbor, generate_table
+from repro.trie.binary_trie import BinaryTrie
 
 Clock = Optional[Callable[[], float]]
 
@@ -124,12 +132,60 @@ def build_reference(receiver_entries, sender_trie, method: str):
     )
 
 
-class ResilienceConfig:
-    """Everything a chaos run depends on — echoed into the payload."""
+#: The knobs that name one of a fixed set of values, and those values.
+CHOICES = {
+    "policy": BACKPRESSURE_POLICIES,
+    "partition": PARTITION_MODES,
+    "method": METHODS,
+    "layout": LAYOUTS,
+}
+
+
+def check_choices(**values: str) -> None:
+    """Reject an unknown backpressure policy, partition, method or layout."""
+    for name, value in values.items():
+        allowed = CHOICES[name]
+        if value not in allowed:
+            raise ValueError(
+                "%s must be one of %s, got %r" % (name, ", ".join(allowed), value)
+            )
+
+
+def build_fixture(config):
+    """``(receiver_entries, sender_trie, loadgen)`` of the §6 fixture
+    for a :class:`ServingConfig`."""
+    sender_entries = generate_table(config.table_size, seed=config.seed)
+    receiver_entries = derive_neighbor(
+        sender_entries, NeighborProfile(), seed=config.seed + 1
+    )
+    sender_trie = BinaryTrie(IPV4_WIDTH)
+    for prefix, next_hop in sender_entries:
+        sender_trie.insert(prefix, next_hop)
+    loadgen = ZipfLoadGenerator(
+        sender_entries,
+        LoadProfile(
+            zipf_alpha=config.zipf_alpha,
+            universe=config.universe,
+            rate=config.rate,
+        ),
+        seed=config.seed + 2,
+    )
+    return receiver_entries, sender_trie, loadgen
+
+
+class ServingConfig:
+    """The knobs every serving run depends on, checked once and echoed
+    into the payload.
+
+    Each front end's config extends it — ``ServeConfig`` with the
+    compiled layout, :class:`ResilienceConfig` with the replication and
+    the fault-handling ticks — checks its own knobs, and picks its own
+    ``shards`` and ``requests`` defaults.  So a bad knob fails before
+    any shard is built and certified.
+    """
 
     __slots__ = (
         "shards",
-        "replication",
         "partition",
         "method",
         "policy",
@@ -142,23 +198,16 @@ class ResilienceConfig:
         "universe",
         "rate",
         "seed",
-        "deadline_ticks",
-        "hedge_ticks",
-        "max_retries",
-        "retry_backoff",
-        "service_ticks",
-        "rebuild_ticks",
     )
 
     def __init__(
         self,
-        shards: int = 2,
-        replication: int = 2,
+        shards: int,
+        requests: int,
         partition: str = "range",
         method: str = "advance",
         policy: str = "shed",
         table_size: int = 20000,
-        requests: int = 250000,
         max_batch: int = 256,
         max_wait: int = 4,
         queue_capacity: int = 4096,
@@ -166,43 +215,18 @@ class ResilienceConfig:
         universe: int = 4096,
         rate: float = 512.0,
         seed: int = 42,
-        deadline_ticks: int = 32,
-        hedge_ticks: int = 6,
-        max_retries: int = 3,
-        retry_backoff: int = 1,
-        service_ticks: int = 1,
-        rebuild_ticks: int = 8,
     ):
         if shards < 1:
             raise ValueError("need at least one shard, got %d" % shards)
-        if not 1 <= replication <= MAX_REPLICATION:
-            raise ValueError(
-                "replication must be in [1, %d], got %d"
-                % (MAX_REPLICATION, replication)
-            )
         if requests < 1:
             raise ValueError("requests must be >= 1, got %d" % requests)
         if table_size < 1:
             raise ValueError("table_size must be >= 1, got %d" % table_size)
-        if deadline_ticks < 1:
-            raise ValueError("deadline_ticks must be >= 1")
-        if hedge_ticks < 1:
-            raise ValueError("hedge_ticks must be >= 1")
-        if not 0 <= max_retries <= 64:
-            raise ValueError("max_retries must be in [0, 64]")
-        if retry_backoff < 1:
-            raise ValueError("retry_backoff must be >= 1")
-        if service_ticks < 1:
-            raise ValueError("service_ticks must be >= 1")
-        if rebuild_ticks < 1:
-            raise ValueError("rebuild_ticks must be >= 1")
-        check_choices(policy, partition, method)
-        # The batcher's and the load generator's own checks, run here so
-        # a bad knob fails before any replica is built and certified.
+        check_choices(policy=policy, partition=partition, method=method)
+        # The batcher's and the load generator's own checks.
         BatchPolicy(max_batch, max_wait, queue_capacity)
         LoadProfile(zipf_alpha, universe, rate)
         self.shards = shards
-        self.replication = replication
         self.partition = partition
         self.method = method
         self.policy = policy
@@ -215,15 +239,68 @@ class ResilienceConfig:
         self.universe = universe
         self.rate = rate
         self.seed = seed
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            name: getattr(self, name)
+            for cls in reversed(type(self).__mro__)
+            for name in vars(cls).get("__slots__", ())
+        }
+
+
+class ResilienceConfig(ServingConfig):
+    """Everything a chaos run depends on: the shared knobs, the
+    replication, and the deadline, hedge, retry, service and rebuild
+    ticks."""
+
+    __slots__ = (
+        "replication",
+        "deadline_ticks",
+        "hedge_ticks",
+        "max_retries",
+        "retry_backoff",
+        "service_ticks",
+        "rebuild_ticks",
+    )
+
+    def __init__(
+        self,
+        shards: int = 2,
+        requests: int = 250000,
+        replication: int = 2,
+        deadline_ticks: int = 32,
+        hedge_ticks: int = 6,
+        max_retries: int = 3,
+        retry_backoff: int = 1,
+        service_ticks: int = 1,
+        rebuild_ticks: int = 8,
+        **shared,
+    ):
+        super().__init__(shards, requests, **shared)
+        if not 1 <= replication <= MAX_REPLICATION:
+            raise ValueError(
+                "replication must be in [1, %d], got %d"
+                % (MAX_REPLICATION, replication)
+            )
+        if deadline_ticks < 1:
+            raise ValueError("deadline_ticks must be >= 1")
+        if hedge_ticks < 1:
+            raise ValueError("hedge_ticks must be >= 1")
+        if not 0 <= max_retries <= 64:
+            raise ValueError("max_retries must be in [0, 64]")
+        if retry_backoff < 1:
+            raise ValueError("retry_backoff must be >= 1")
+        if service_ticks < 1:
+            raise ValueError("service_ticks must be >= 1")
+        if rebuild_ticks < 1:
+            raise ValueError("rebuild_ticks must be >= 1")
+        self.replication = replication
         self.deadline_ticks = deadline_ticks
         self.hedge_ticks = hedge_ticks
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.service_ticks = service_ticks
         self.rebuild_ticks = rebuild_ticks
-
-    def as_dict(self) -> Dict[str, object]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _Flight:
@@ -354,11 +431,16 @@ class _RunState:
 
 
 class ServingLoop:
-    """The one serving tick loop over a grid of certified workers.
+    """The serving plane, built once, and its one tick loop.
 
-    ``grid[s][r]`` is replica ``r`` of slice ``s``, and
-    ``receiver_entries`` is the full receiver table the audit checks
-    answers against.  As constructed the loop is plain serving: no
+    Construction is the set-up both front ends share: the §6 fixture of
+    ``config`` (a :class:`ServingConfig`), then every table slice
+    compiled in ``layout`` and certified once and shared by its
+    ``replication`` workers, ``grid[s][r]`` being replica ``r`` of
+    slice ``s`` — all under a settled heap.  An uncertified slice
+    raises :class:`repro.fastpath.certify.CertificationError` and the
+    plane never comes up; the retained slices let a crash rebuild off
+    the hot path.  As constructed the loop is plain serving: no
     deadline, zero service ticks (a batch commits on its release tick),
     blocked requests keep their arrival stamp, no resilience series.
     :class:`ChaosEngine` changes all four.
@@ -368,25 +450,71 @@ class ServingLoop:
     _service_ticks = 0
     _blocked_keep_arrival = True
     _bind_resilience = False
-    #: The degraded path's scalar clue lookup: plain serving never
-    #: degrades, and :class:`ChaosEngine` builds it on first read.
-    reference = None
 
-    def __init__(self, config, rplan: ReplicaPlan, grid, loadgen,
-                 receiver_entries, instruments=None, health_policy=None):
+    def __init__(self, config, replication: int = 1, instruments=None,
+                 health_policy=None, layout: str = "dense"):
         self.config = config
-        self.rplan = rplan
-        self.shards = grid
-        self.loadgen = loadgen
-        self.receiver_entries = receiver_entries
         self.instruments = instruments
+        self.layout = layout
+        with settled_heap():
+            self.receiver_entries, self.sender_trie, self.loadgen = (
+                build_fixture(config)
+            )
+            self.rplan = ReplicaPlan(
+                ShardPlan(config.shards, config.partition), replication
+            )
+            self.grid, self.entry_slices, self.clue_slices = build_replica_shards(
+                self.rplan,
+                self.receiver_entries,
+                self.sender_trie,
+                method=config.method,
+                seed=config.seed,
+                instruments=instruments,
+                layout=layout,
+            )
+        #: One certified build per slice: its replicas certify nothing.
+        self.certified_lanes = sum(row[0].certified_lanes for row in self.grid)
         self.health_policy = (
             health_policy if health_policy is not None else ShardHealthPolicy()
         )
+        self._reference = None
         self._workload = None
         self._offsets: List[int] = []
         self._oracle = None
         self._entry_ids: Dict[tuple, int] = {}
+
+    @property
+    def reference(self):
+        """The degraded path's full-table scalar clue lookup, built on
+        first read under a settled heap, as a crash rebuild is.
+
+        Plain serving never degrades.  Latency counts ticks, so building
+        it inside a serving window moves wall time only, and only in a
+        run that degrades.
+        """
+        if self._reference is None:
+            with settled_heap():
+                self._reference = build_reference(
+                    self.receiver_entries, self.sender_trie, self.config.method
+                )
+        return self._reference
+
+    def _rebuild_shard(self, s, r):
+        """Rebuild replica ``r`` of slice ``s`` under a settled heap."""
+        cfg = self.config
+        with settled_heap():
+            return build_replica_shard(
+                self.rplan,
+                s,
+                r,
+                self.entry_slices[s],
+                self.clue_slices[s],
+                self.sender_trie,
+                method=cfg.method,
+                seed=cfg.seed,
+                instruments=self.instruments,
+                layout=self.layout,
+            )
 
     # ------------------------------------------------------------------
     def workload(self):
@@ -407,7 +535,7 @@ class ServingLoop:
         self._arrival = np.repeat(
             np.arange(wl.ticks, dtype=np.int32), np.diff(wl.offsets)
         )
-        groups = len(self.shards) * replication
+        groups = self.rplan.workers
         keys = self._arrival.astype(np.int64) * groups
         keys += route_batch(self.rplan.plan, values) * replication
         if replication > 1:
@@ -451,14 +579,14 @@ class ServingLoop:
             )
         plain = self._deadline is None and plan is None
         state = _RunState(
-            n, len(self.shards), plain and self.rplan.replication == 1
+            n, self.rplan.slices, plain and self.rplan.replication == 1
         )
         bind = self._bind_resilience and self.instruments is not None
-        for s, row in enumerate(self.shards):
+        for s, row in enumerate(self.grid):
             state.workers.append([
                 _Worker(s, r, shard, len(state.tables) + r, RequestBatcher(policy),
                         ShardHealth(self.health_policy),
-                        self.instruments.bind_resilience("%d.%d" % (s, r))
+                        self.instruments.bind_resilience(self.rplan.label(s, r))
                         if bind else None)
                 for r, shard in enumerate(row)
             ])
@@ -740,7 +868,7 @@ class ServingLoop:
             )
         for (s, r) in state.rebuild_due.pop(now, ()):
             worker = state.workers[s][r]
-            # The rebuild runs the full PR 6 pipeline again — compile
+            # The rebuild runs the full shard pipeline again — compile
             # plus certification — and the fresh table becomes a new
             # epoch so the audit decodes every answer against the exact
             # table that produced it.
@@ -976,7 +1104,8 @@ class ServingLoop:
 
 
 class ChaosEngine(ServingLoop):
-    """Builds the replicated plane once, then replays seeded chaos runs."""
+    """The loop with R replicas per slice, its config's deadline and
+    service ticks, and fault plans: replays seeded chaos runs."""
 
     _blocked_keep_arrival = False
     _bind_resilience = True
@@ -988,51 +1117,11 @@ class ChaosEngine(ServingLoop):
         health_policy: Optional[ShardHealthPolicy] = None,
     ):
         cfg = config if config is not None else ResilienceConfig()
-        with settled_heap():
-            self.sender_entries, self.receiver_entries, self.sender_trie, loadgen = (
-                build_fixture(cfg)
-            )
-            rplan = ReplicaPlan(
-                ShardPlan(cfg.shards, cfg.partition),
-                cfg.replication,
-            )
-            # Every slice is compiled and certified here once, and its
-            # replicas share that build — an uncertified slice never
-            # serves, and the retained slices let crashes rebuild off the
-            # hot path.
-            grid, self.entry_slices, self.clue_slices = build_replica_shards(
-                rplan,
-                self.receiver_entries,
-                self.sender_trie,
-                method=cfg.method,
-                seed=cfg.seed,
-                instruments=instruments,
-            )
-        self._reference = None
-        super().__init__(
-            cfg, rplan, grid, loadgen, self.receiver_entries, instruments,
-            health_policy,
-        )
-        self.certified_lanes = sum(
-            shard.certified_lanes for row in self.shards for shard in row
-        )
+        super().__init__(cfg, cfg.replication, instruments, health_policy)
+        #: ``shards[s][r]``: replica ``r`` of slice ``s``.
+        self.shards = self.grid
         self._deadline = cfg.deadline_ticks
         self._service_ticks = cfg.service_ticks
-
-    @property
-    def reference(self):
-        """The degraded path's full-table scalar clue lookup, built on
-        first read under a settled heap, as a crash rebuild is.
-
-        Latency counts ticks, so building it inside a serving window
-        moves wall time only, and only in a run that degrades.
-        """
-        if self._reference is None:
-            with settled_heap():
-                self._reference = build_reference(
-                    self.receiver_entries, self.sender_trie, self.config.method
-                )
-        return self._reference
 
     def default_plan(
         self,
@@ -1126,21 +1215,6 @@ class ChaosEngine(ServingLoop):
             },
         }
         return ResilienceReport(payload)
-
-    def _rebuild_shard(self, s, r):
-        """Rebuild replica ``r`` of slice ``s`` under a settled heap."""
-        cfg = self.config
-        with settled_heap():
-            return build_replica_shard(
-                s,
-                r,
-                self.entry_slices[s],
-                self.clue_slices[s],
-                self.sender_trie,
-                method=cfg.method,
-                seed=cfg.seed,
-                instruments=self.instruments,
-            )
 
     # -- reporting ------------------------------------------------------
     def _payload(self, state, plan, elapsed):

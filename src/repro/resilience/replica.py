@@ -1,4 +1,4 @@
-"""R-way replicated shard placement over the PR 6 ``ShardPlan``.
+"""R-way replicated shard placement over the serving plane's ``ShardPlan``.
 
 The serving plane's :class:`~repro.serve.dispatch.ShardPlan` maps every
 destination to exactly one *slice* of the table.  A single crash then
@@ -8,7 +8,9 @@ and served by **R** independent workers that share its compiled
 arrays (nothing writes them after they are built), and every
 destination resolves to an *ordered* candidate list of the R replica
 workers of its slice.  A crashed worker is rebuilt from scratch, and
-re-certified.
+re-certified.  Plain serving builds its plane here too, at R = 1:
+:func:`build_replica_shards` is the one shard builder of both front
+ends, and :meth:`ReplicaPlan.label` the one worker-label rule.
 
 The order rotates deterministically per destination — replica
 ``(rotation + k) % R`` is the k-th choice, with the rotation drawn from
@@ -71,6 +73,13 @@ class ReplicaPlan:
         """The preferred replica of destination ``value`` (scalar path)."""
         return (_mix64(value) >> 32) % self.replication
 
+    def label(self, slice_id: int, replica: int) -> str:
+        """Worker ``replica`` of slice ``slice_id``'s telemetry label:
+        ``"s"`` when a slice has one replica, ``"s.r"`` otherwise."""
+        if self.replication == 1:
+            return str(slice_id)
+        return "%d.%d" % (slice_id, replica)
+
     def candidates(self, value: int) -> List[int]:
         """Replica ids of ``value``'s slice, in preference order."""
         rotation = self.rotation_of(value)
@@ -99,14 +108,15 @@ def replica_rotation(rplan: ReplicaPlan, dsts):
     )
 
 
-def _shard_view(instruments, slice_id: int, replica: int):
+def _shard_view(instruments, rplan: ReplicaPlan, slice_id: int, replica: int):
     """Replica ``replica`` of slice ``slice_id``'s own shard metrics view."""
     if instruments is None:
         return None
-    return instruments.bind_shard("%d.%d" % (slice_id, replica))
+    return instruments.bind_shard(rplan.label(slice_id, replica))
 
 
 def build_replica_shard(
+    rplan: ReplicaPlan,
     slice_id: int,
     replica: int,
     entry_slice,
@@ -115,14 +125,15 @@ def build_replica_shard(
     method: str = "advance",
     seed: int = 0,
     instruments=None,
+    layout: str = "dense",
 ) -> Shard:
     """Build (and certify) one replica worker's table slice.
 
     It goes through the full shard pipeline — ReceiverState,
-    Simple/Advance builder, fastpath compile, one ``certify_clue``
-    call — exactly like a singleton shard.  Set-up builds replica 0 of
-    each slice here, once; the chaos engine calls it again, off the hot
-    path, to rebuild a crashed worker.
+    Simple/Advance builder, fastpath compile in ``layout``, one
+    ``certify_clue`` call.  Set-up builds replica 0 of each slice here,
+    once; the serving loop calls it again, off the hot path, to rebuild
+    a crashed worker.
     """
     return Shard(
         slice_id,
@@ -131,7 +142,8 @@ def build_replica_shard(
         sender_trie,
         method=method,
         seed=seed,
-        metrics=_shard_view(instruments, slice_id, replica),
+        metrics=_shard_view(instruments, rplan, slice_id, replica),
+        layout=layout,
     )
 
 
@@ -142,6 +154,7 @@ def build_replica_shards(
     method: str = "advance",
     seed: int = 0,
     instruments=None,
+    layout: str = "dense",
 ) -> Tuple[List[List[Shard]], List[List[Tuple[object, object]]], List[List[object]]]:
     """Partition once, then build one certified slice per R workers.
 
@@ -156,8 +169,9 @@ def build_replica_shards(
         rplan.plan, receiver_entries, sender_trie
     )
     grid: List[List[Shard]] = []
-    for slice_id in range(rplan.plan.shards):
+    for slice_id in range(rplan.slices):
         built = build_replica_shard(
+            rplan,
             slice_id,
             0,
             entry_slices[slice_id],
@@ -166,9 +180,10 @@ def build_replica_shards(
             method=method,
             seed=seed,
             instruments=instruments,
+            layout=layout,
         )
         grid.append([built] + [
-            built.replica(_shard_view(instruments, slice_id, replica))
+            built.replica(_shard_view(instruments, rplan, slice_id, replica))
             for replica in range(1, rplan.replication)
         ])
     return grid, entry_slices, clue_slices

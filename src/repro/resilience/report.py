@@ -17,23 +17,13 @@ availability number — they may never move a ``next_hop``.
 
 from __future__ import annotations
 
-import json
-from typing import Dict
+from repro.serve.report import BenchReport
 
 
-class ResilienceReport:
+class ResilienceReport(BenchReport):
     """The finished chaos benchmark: payload access plus the verdict."""
 
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: Dict[str, object]):
-        self.payload = payload
-
-    def as_dict(self) -> Dict[str, object]:
-        return self.payload
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.payload, indent=indent, sort_keys=True)
+    __slots__ = ()
 
     def passed(self) -> bool:
         """True iff both runs audit clean and conserve every request."""
@@ -102,6 +92,3 @@ class ResilienceReport:
             ),
         ]
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return "ResilienceReport(passed=%r)" % self.passed()

@@ -6,15 +6,21 @@ partitioned across worker shards, fed by bursty heavy-tail traffic,
 with finite queues in front of every worker?  Six modules, one story:
 
 * :mod:`repro.serve.dispatch` — destination → shard (range or hash).
-* :mod:`repro.serve.shard` — a compiled-and-certified table slice.
+* :mod:`repro.serve.shard` — a compiled-and-certified table slice,
+  and the rule that cuts the tables into slices.
 * :mod:`repro.serve.batcher` — kernel-sized coalescing, bounded queues
   that refuse their overflow (the loop sheds or holds it).
 * :mod:`repro.serve.loadgen` — seeded Zipf + bursty arrivals.
-* :mod:`repro.serve.engine` — plain serving on the one tick loop
-  (:mod:`repro.resilience.engine`) plus a never-wrong audit of every
-  served answer.
-* :mod:`repro.serve.report` — exact latency percentiles and the
-  ``BENCH_serve.json`` payload.
+* :mod:`repro.serve.engine` — plain serving: the serving plane's one
+  loop at one replica per slice, plus its payload.
+* :mod:`repro.serve.report` — exact latency percentiles, the report
+  base both front ends share, and the ``BENCH_serve.json`` payload.
+
+The front end ``serve`` shares with ``chaos`` lives in
+:mod:`repro.resilience.engine`: the config core the two configs
+extend, the one set-up (fixture, then every slice built and certified
+through :func:`repro.resilience.replica.build_replica_shards`), the
+tick loop, and the never-wrong audit of every served answer.
 
 Everything replays bit-identically from a seed; wall-clock throughput
 exists only when the CLI injects a clock (RC103).
@@ -33,7 +39,7 @@ from repro.serve.report import (
     latency_summary,
     percentile_from_counts,
 )
-from repro.serve.shard import Shard, build_shards
+from repro.serve.shard import Shard
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
@@ -48,7 +54,6 @@ __all__ = [
     "ShardPlan",
     "Workload",
     "ZipfLoadGenerator",
-    "build_shards",
     "latency_summary",
     "percentile_from_counts",
     "route_batch",

@@ -67,8 +67,10 @@ def latency_summary(counts: Dict[int, int]) -> Dict[str, object]:
     }
 
 
-class ServeReport:
-    """The finished run: payload access plus the pass/fail verdict."""
+class BenchReport:
+    """A finished run's payload, its verdict and its CLI footer; each
+    front end's report says what passing means and what the footer
+    shows."""
 
     __slots__ = ("payload",)
 
@@ -80,6 +82,21 @@ class ServeReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.payload, indent=indent, sort_keys=True)
+
+    def passed(self) -> bool:
+        raise NotImplementedError
+
+    def summary(self) -> str:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return "%s(passed=%r)" % (type(self).__name__, self.passed())
+
+
+class ServeReport(BenchReport):
+    """The finished serving run: payload access plus the pass/fail verdict."""
+
+    __slots__ = ()
 
     def passed(self) -> bool:
         """True iff the differential audit found zero disagreements."""
@@ -119,6 +136,3 @@ class ServeReport:
             ),
         ]
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return "ServeReport(passed=%r)" % self.passed()

@@ -26,6 +26,10 @@ the compiled arrays outlive it.  ``ClueEntry.sender_node`` points into
 the slice trie, which nothing on a shard reads.  An uncertified shard
 raises; the serving plane never starts.  :meth:`Shard.replica` hands
 the certified arrays to another worker without building them again.
+
+:func:`partition_slices` cuts the tables into slices, and
+:func:`repro.resilience.replica.build_replica_shards`, the one shard
+builder of both serving front ends, builds one shard per slice.
 """
 
 from __future__ import annotations
@@ -195,42 +199,3 @@ def partition_slices(
         for shard in plan.prefix_shards(clue):
             clue_slices[shard].append(clue)
     return entry_slices, clue_slices
-
-
-def build_shards(
-    plan: ShardPlan,
-    receiver_entries,
-    sender_trie,
-    method: str = "advance",
-    seed: int = 0,
-    instruments=None,
-    layout: str = "dense",
-) -> List[Shard]:
-    """Partition the tables along ``plan`` and build every shard.
-
-    Slices come from :func:`partition_slices`; each shard then compiles
-    and certifies independently.  Returns the shards in id order.
-    """
-    entry_slices, clue_slices = partition_slices(
-        plan, receiver_entries, sender_trie
-    )
-    shards = []
-    for shard_id in range(plan.shards):
-        metrics = (
-            instruments.bind_shard(str(shard_id))
-            if instruments is not None
-            else None
-        )
-        shards.append(
-            Shard(
-                shard_id,
-                entry_slices[shard_id],
-                clue_slices[shard_id],
-                sender_trie,
-                method=method,
-                seed=seed,
-                metrics=metrics,
-                layout=layout,
-            )
-        )
-    return shards

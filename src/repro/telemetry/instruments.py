@@ -327,8 +327,9 @@ class ShardInstruments(_BoundView):
 class ResilienceInstruments(_BoundView):
     """Per-replica-worker bound view of the resilience series.
 
-    One per ``slice.replica`` worker of the chaos engine's replicated
-    plane, pre-bound at binding time so the retry/hedge/failover
+    One per replica worker of the chaos engine's replicated plane,
+    labelled by :meth:`repro.resilience.replica.ReplicaPlan.label`,
+    pre-bound at binding time so the retry/hedge/failover
     accounting in the tick loop never calls ``labels(...)`` — the same
     zero-allocation discipline as :class:`ShardInstruments`.
     """

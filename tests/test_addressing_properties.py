@@ -50,20 +50,36 @@ def test_child_parent_inverse(prefix):
             assert prefix.child(bit).parent() == prefix
 
 
-@given(prefixes(), prefixes())
-def test_common_with_is_symmetric(a, b):
+@st.composite
+def prefix_pairs(draw):
+    """Two prefixes of one width, 32 or 128.  The second extends a cut
+    of the first, at any length, so common prefixes of every length
+    are drawn, the empty one included."""
+    width = draw(st.sampled_from((32, 128)))
+    a = draw(prefixes(width))
+    cut = a.truncate(draw(st.integers(min_value=0, max_value=a.length)))
+    tail = draw(st.integers(min_value=0, max_value=width - cut.length))
+    bits = draw(st.integers(min_value=0, max_value=(1 << tail) - 1))
+    return a, Prefix((cut.bits << tail) | bits, cut.length + tail, width)
+
+
+@given(prefix_pairs())
+def test_common_with_is_symmetric(pair):
+    a, b = pair
     assert a.common_with(b) == b.common_with(a)
 
 
-@given(prefixes(), prefixes())
-def test_common_with_is_common(a, b):
+@given(prefix_pairs())
+def test_common_with_is_common(pair):
+    a, b = pair
     common = a.common_with(b)
     assert common.is_prefix_of(a)
     assert common.is_prefix_of(b)
 
 
-@given(prefixes(), prefixes())
-def test_common_with_is_longest(a, b):
+@given(prefix_pairs())
+def test_common_with_is_longest(pair):
+    a, b = pair
     common = a.common_with(b)
     if common.length < min(a.length, b.length):
         # The next bit must differ, otherwise common would be longer.

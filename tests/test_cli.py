@@ -210,6 +210,14 @@ class TestConfigErrors:
                 "repro-clue chaos: error: max_batch must be >= 1, got 0",
             ),
             (
+                ["chaos", "--replication", "0"],
+                "repro-clue chaos: error: replication must be in [1, 8], got 0",
+            ),
+            (
+                ["chaos", "--deadline", "0"],
+                "repro-clue chaos: error: deadline_ticks must be >= 1",
+            ),
+            (
                 ["churn", "--routers", "1"],
                 "repro-clue churn: error: a mesh fabric needs at least two routers",
             ),
@@ -247,6 +255,8 @@ class TestConfigErrors:
             "serve-batch-max",
             "chaos-shards",
             "chaos-batch-max",
+            "chaos-replication",
+            "chaos-deadline",
             "churn-routers",
             "churn-updates",
             "churn-locality",

@@ -18,7 +18,7 @@ from repro.resilience import (
     ResilienceConfig,
     replica_rotation,
 )
-from repro.serve import ServeConfig, ShardPlan
+from repro.serve import ServeConfig, ServeEngine, ShardPlan
 from repro.telemetry import LookupInstruments, MetricsRegistry
 
 
@@ -209,6 +209,27 @@ class TestSharedBuilds:
         }
         assert all(recorded.values())
 
+    def test_serve_and_chaos_build_one_plane(self):
+        # Over the same shared knobs, plain serving and chaos at one
+        # replica run one set-up: every slice compiles to equal arrays
+        # and certifies the same lanes.
+        shared = dict(shards=3, table_size=300, requests=2000, universe=128, seed=7)
+        serve = ServeEngine(ServeConfig(**shared))
+        chaos = ChaosEngine(ResilienceConfig(replication=1, **shared))
+        assert len(serve.shards) == len(chaos.shards) == 3
+        for plain, row in zip(serve.shards, chaos.shards):
+            (twin,) = row
+            for name in ("child", "node_result"):
+                assert np.array_equal(
+                    getattr(plain.ctrie, name), getattr(twin.ctrie, name)
+                )
+            for name in ("probe_keys", "rec_fd", "stop_masks"):
+                assert np.array_equal(
+                    getattr(plain.ctable, name), getattr(twin.ctable, name)
+                )
+            assert plain.certified_lanes == twin.certified_lanes > 0
+        assert serve.certified_lanes == chaos.certified_lanes
+
     def test_certified_lanes_count_one_build_per_slice(self, engine):
         single = ChaosEngine(small_config(replication=1))
         assert engine.certified_lanes == single.certified_lanes
@@ -289,13 +310,19 @@ class TestTelemetry:
         )
 
     def test_health_gauge_tracks_worker_states(self):
-        instruments = LookupInstruments(MetricsRegistry())
-        engine = ChaosEngine(small_config(requests=6000), instruments)
-        engine.run(engine.default_plan(crashes=1))
-        samples = instruments.shard_health_state.samples()
-        assert len(samples) == 4  # 2 slices x 2 replicas
-        owners = {labels[0] for labels, _value in samples}
-        assert owners == {"0.0", "0.1", "1.0", "1.1"}
+        # One label rule: "s.r" per worker, "s" when a slice has one replica.
+        for replication, owners in (
+            (2, {"0.0", "0.1", "1.0", "1.1"}),
+            (1, {"0", "1"}),
+        ):
+            instruments = LookupInstruments(MetricsRegistry())
+            engine = ChaosEngine(
+                small_config(requests=6000, replication=replication), instruments
+            )
+            engine.run(engine.default_plan(crashes=1))
+            samples = instruments.shard_health_state.samples()
+            assert len(samples) == 2 * replication  # slices x replicas
+            assert {labels[0] for labels, _value in samples} == owners
 
     def test_catalogue_declares_every_resilience_series(self):
         from repro.telemetry.instruments import CATALOGUE

@@ -106,12 +106,11 @@ def test_blocked_backlog_preserves_arrival_order():
         seed=11,
     )
     engine = ServeEngine(config)
-    loop = engine._loop
     seen = {}
-    original = loop._release_one
+    original = engine._release_one
 
     def spy(state, worker, idxs, now, plan):
-        arrivals = [int(loop._arrival[i]) for i in idxs]
+        arrivals = [int(engine._arrival[i]) for i in idxs]
         assert arrivals == sorted(arrivals)
         history = seen.setdefault(worker.slice_id, [])
         if history:
@@ -119,7 +118,7 @@ def test_blocked_backlog_preserves_arrival_order():
         history.extend(arrivals)
         return original(state, worker, idxs, now, plan)
 
-    loop._release_one = spy
+    engine._release_one = spy
     report = engine.run()
     assert seen, "spy never saw a batch"
     totals = report.as_dict()["totals"]

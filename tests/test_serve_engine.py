@@ -227,7 +227,7 @@ class TestLatencyTally:
     def test_grouped_tally_equals_per_request_loop(self):
         # One bincount over completion minus arrival ticks, against a
         # per-request count of the same run.
-        loop = ServeEngine(small_config(**BLOCK_PRESSURE))._loop
+        loop = ServeEngine(small_config(**BLOCK_PRESSURE))
         state, _elapsed = loop.run_ticks()
         looped = {}
         for i, status in enumerate(state.status):
@@ -240,7 +240,7 @@ class TestLatencyTally:
         # A batch spanning several arrival ticks commits in one array
         # write; each request must still wait from its own arrival tick
         # to the tick its batch committed, counted here request by request.
-        loop = ServeEngine(small_config(**BLOCK_PRESSURE))._loop
+        loop = ServeEngine(small_config(**BLOCK_PRESSURE))
         spans = []
         committed = {}
         original = loop._commit

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.addressing import IPV4_WIDTH, Address
+from repro.resilience.engine import build_fixture
 from repro.serve import ServeConfig
-from repro.serve.engine import build_fixture
 
 
 def trie_stamps(sender_trie, values):
@@ -28,7 +28,7 @@ def trie_stamps(sender_trie, values):
 def fixture(seed, universe):
     """``(sender_trie, loadgen)`` of the serving fixture."""
     config = ServeConfig(table_size=2000, seed=seed, universe=universe)
-    _sender, _receiver, sender_trie, loadgen = build_fixture(config)
+    _receiver, sender_trie, loadgen = build_fixture(config)
     return sender_trie, loadgen
 
 

@@ -17,8 +17,8 @@ from repro.addressing import Address, Prefix
 from repro.core import ClueAssistedLookup
 from repro.fastpath.kernels import as_destination_array, as_length_array, lookup_batch
 from repro.lookup import RegularTrieLookup
+from repro.resilience.replica import ReplicaPlan, build_replica_shards
 from repro.serve.dispatch import ShardPlan
-from repro.serve.shard import build_shards
 from repro.tablegen import NeighborProfile, derive_neighbor, generate_table
 from repro.trie import BinaryTrie
 
@@ -30,9 +30,10 @@ def _fixture(shards, mode, method="advance", table_size=220, seed=5):
     )
     sender_trie = BinaryTrie.from_prefixes(sender_entries)
     plan = ShardPlan(shards, mode)
-    worker_shards = build_shards(
-        plan, receiver_entries, sender_trie, method=method, seed=seed
+    grid, _entry_slices, _clue_slices = build_replica_shards(
+        ReplicaPlan(plan, 1), receiver_entries, sender_trie, method=method, seed=seed
     )
+    worker_shards = [row[0] for row in grid]
     scalar = ClueAssistedLookup(
         RegularTrieLookup(receiver_entries, 32),
         _global_table(sender_trie, receiver_entries, method),

@@ -29,7 +29,7 @@ def _serve():
     config = ServeConfig(
         shards=3, table_size=400, requests=6000, universe=256, rate=256.0, seed=7
     )
-    return ServeEngine(config)._loop, lambda: None
+    return ServeEngine(config), lambda: None
 
 
 def _chaos():
