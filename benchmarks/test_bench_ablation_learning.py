@@ -13,7 +13,6 @@ from repro.core import (
     AdvanceMethod,
     ClueAssistedLookup,
     IndexedClueLookup,
-    LearningClueLookup,
     ReceiverState,
     SenderIndexAssigner,
 )
@@ -33,7 +32,7 @@ def test_ablation_table_construction(router_tables, packets, benchmark):
         sender_entries, sender_trie, receiver.trie, min(packets, 3000), seed=23
     )
 
-    learning = LearningClueLookup(base, builder)
+    learning = ClueAssistedLookup(base, builder=builder)
     indexed = IndexedClueLookup(base, builder)
     assigner = SenderIndexAssigner()
     preprocessed = ClueAssistedLookup(base, builder.build_table())

@@ -53,7 +53,6 @@ from repro.core import (
     ClueHeader,
     ClueTable,
     IndexedClueLookup,
-    LearningClueLookup,
     ReceiverState,
     SimpleMethod,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ControlProcess",
     "ControlReport",
     "IndexedClueLookup",
-    "LearningClueLookup",
     "LogWLookup",
     "LookupResult",
     "MemoryCounter",

@@ -11,11 +11,7 @@ from repro.core.clue import (
     encode_clue,
 )
 from repro.core.entry import ClueEntry
-from repro.core.learning import (
-    IndexedClueLookup,
-    LearningClueLookup,
-    SenderIndexAssigner,
-)
+from repro.core.learning import IndexedClueLookup, SenderIndexAssigner
 from repro.core.lookup import ClueAssistedLookup
 from repro.core.maintenance import MaintainedClueTable
 from repro.core.multi_neighbor import (
@@ -46,7 +42,6 @@ __all__ = [
     "INDEX_FIELD_BITS",
     "IndexedClueLookup",
     "IndexedClueTable",
-    "LearningClueLookup",
     "MAX_CLUE_INDEX",
     "MaintainedClueTable",
     "ReceiverState",

@@ -16,6 +16,10 @@ Case analysis implemented here, mirroring §3.1.2:
 * **Case 2** — Claim 1 holds: FD = the clue's BMP locally; Ptr empty.
 * **Case 3** — Claim 1 violated: Ptr = a restricted continuation, FD kept
   as the fallback when the resumed search fails.
+
+The continuation itself comes from :meth:`ReceiverState.continuation`,
+which Simple shares: Advance hands it the potential set and the live
+``problematic`` set where a trie walk may go on.
 """
 
 from __future__ import annotations
@@ -24,17 +28,9 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.addressing import Prefix
 from repro.core.entry import ClueEntry
-from repro.core.receiver import TECHNIQUES, ReceiverState
+from repro.core.receiver import ReceiverState, check_technique
 from repro.core.table import ClueTable
 from repro.lookup.hotpath import cold_path
-from repro.lookup.restricted import (
-    Continuation,
-    LengthContinuation,
-    PatriciaContinuation,
-    SetContinuation,
-    TrieContinuation,
-    locate_patricia_entry,
-)
 from repro.trie.binary_trie import BinaryTrie
 from repro.trie.node import TrieNode
 from repro.trie.overlay import TrieOverlay
@@ -56,13 +52,8 @@ class AdvanceMethod:
         overlay: Optional[TrieOverlay] = None,
         telemetry=None,
     ):
-        if technique not in TECHNIQUES:
-            raise ValueError(
-                "unknown technique %r (expected one of %s)"
-                % (technique, ", ".join(TECHNIQUES))
-            )
         self.receiver = receiver
-        self.technique = technique
+        self.technique = check_technique(technique)
         #: A caller may hand in a live (incrementally maintained) overlay;
         #: by default one is built from the current tries.
         self.overlay = (
@@ -129,7 +120,11 @@ class AdvanceMethod:
         # without hashing the clue.
         problematic = bool(failing) and clue in failing
         if problematic:
-            continuation = self._continuation(clue, node)
+            # The trie and Patricia walks hold the live set, which a
+            # route change mutates in place, never rebinds (§4).
+            continuation = self.receiver.continuation(
+                self.technique, clue, node, self.potential_candidates, failing
+            )
         if self.telemetry is not None:
             self.telemetry.record_entry_built(self.method_name, problematic)
         if fd is None:
@@ -179,50 +174,6 @@ class AdvanceMethod:
                 else:
                     stack.append((child, other, fd))
         return table
-
-    def _continuation(
-        self, clue: Prefix, node: Optional[TrieNode]
-    ) -> Optional[Continuation]:
-        """Case 3: a Claim 1-restricted resumed search below ``clue``.
-
-        ``node`` is the receiver vertex at ``clue``, as :meth:`walk`
-        found it.  The trie and Patricia walks hold the overlay's live
-        ``problematic`` set (§4), which a route change mutates in place,
-        never rebinds, so they see every update.
-        """
-        if self.technique == "regular":
-            if node is None:
-                return None
-            return TrieContinuation(
-                node, self.receiver.width, self.overlay.problematic
-            )
-        if self.technique == "patricia":
-            located = locate_patricia_entry(self.receiver.patricia, clue)
-            if located is None:
-                return None
-            entry, is_clue_vertex = located
-            return PatriciaContinuation(
-                entry,
-                is_clue_vertex,
-                clue,
-                self.receiver.width,
-                self.overlay.problematic,
-            )
-        if self.technique == "multibit":
-            from repro.lookup.multibit import MultibitContinuation
-
-            located = self.receiver.multibit.node_at(clue)
-            if located is None:
-                return None
-            return MultibitContinuation(self.receiver.multibit, clue)
-        candidates = self.potential_candidates(clue)
-        if not candidates:
-            return None
-        if self.technique == "binary":
-            return SetContinuation(candidates, self.receiver.width, branching=2)
-        if self.technique == "6way":
-            return SetContinuation(candidates, self.receiver.width, branching=6)
-        return LengthContinuation(candidates, self.receiver.width)
 
     def potential_candidates(
         self, clue: Prefix

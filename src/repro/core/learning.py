@@ -5,7 +5,8 @@ clues table and learn records as clues arrive.  Two techniques:
 
 * **Learning the hash table** — hash the 5-bit clue (plus destination
   prefix) into the table; a mismatching or missing record triggers a full
-  lookup and the record is (re)built.  Uses only the 5 header bits.
+  lookup and the record is (re)built.  Uses only the 5 header bits.  This
+  is :class:`repro.core.lookup.ClueAssistedLookup` given a ``builder``.
 * **Indexing technique** — the sender enumerates its clues and stamps a
   16-bit index on each packet; the receiver keeps a flat array and
   overwrites any slot whose stored clue disagrees.  No hash function at
@@ -18,99 +19,19 @@ routed correctly (it merely pays a full lookup once per new clue).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.addressing import Address, Prefix
-from repro.core.advance import AdvanceMethod
-from repro.core.simple import SimpleMethod
-from repro.core.table import ClueTable, IndexedClueTable
+from repro.core.lookup import Builder, resolve
+from repro.core.table import IndexedClueTable
 from repro.lookup.base import LookupAlgorithm
-from repro.lookup.hotpath import cold_path, hot_path
+from repro.lookup.hotpath import hot_path
 from repro.lookup.counters import (
     METHOD_CLUE_MISS,
-    METHOD_FD_IMMEDIATE,
     METHOD_FULL,
-    METHOD_RESUMED,
     LookupResult,
     MemoryCounter,
 )
-
-Builder = Union[SimpleMethod, AdvanceMethod]
-
-
-class LearningClueLookup:
-    """Hash-table variant: learn each new clue the first time it arrives."""
-
-    __slots__ = ("base", "builder", "table", "hits", "misses", "_scratch")
-
-    # Built once per upstream; the empty-table start is the whole point
-    # of learning (§3.3.1) and never recurs per packet.
-    @cold_path
-    def __init__(self, base: LookupAlgorithm, builder: Builder):
-        self.base = base
-        self.builder = builder
-        self.table = ClueTable()
-        self.hits = 0
-        self.misses = 0
-        #: Reused result record for the clue-hit paths (see the twin in
-        #: ClueAssistedLookup): valid until the next lookup on this
-        #: instance, which is all the per-packet data path needs.
-        self._scratch = LookupResult(None, None, 0)
-
-    @hot_path
-    def _fill(self, prefix, next_hop, accesses, method) -> LookupResult:
-        scratch = self._scratch
-        scratch.prefix = prefix
-        scratch.next_hop = next_hop
-        scratch.accesses = accesses
-        scratch.method = method
-        return scratch
-
-    @hot_path
-    def lookup(
-        self,
-        address: Address,
-        clue: Optional[Prefix] = None,
-        counter: Optional[MemoryCounter] = None,
-    ) -> LookupResult:
-        """Route one packet, learning the clue on a miss."""
-        counter = counter if counter is not None else MemoryCounter()
-        if clue is None:
-            counter.method = METHOD_FULL
-            result = self.base.lookup(address, counter)
-            result.method = METHOD_FULL
-            return result
-        entry = self.table.probe(clue, counter)
-        if entry is None:
-            # Never saw this clue: route by a full lookup, then build the
-            # record off the fast path ("Call procedure new-clue(c)").
-            self.misses += 1
-            counter.method = METHOD_CLUE_MISS
-            result = self.base.lookup(address, counter)
-            result.method = METHOD_CLUE_MISS
-            self.table.insert(self.builder.build_entry(clue))
-            return result
-        self.hits += 1
-        if entry.pointer_empty():
-            counter.method = METHOD_FD_IMMEDIATE
-            prefix, next_hop = entry.final_decision()
-            return self._fill(
-                prefix, next_hop, counter.accesses, METHOD_FD_IMMEDIATE
-            )
-        counter.method = METHOD_RESUMED
-        match = entry.continuation.search(address, counter)
-        if match is None:
-            prefix, next_hop = entry.final_decision()
-            return self._fill(
-                prefix, next_hop, counter.accesses, METHOD_RESUMED
-            )
-        prefix, next_hop = match
-        return self._fill(prefix, next_hop, counter.accesses, METHOD_RESUMED)
-
-    def hit_rate(self) -> float:
-        """Fraction of clue-carrying packets that hit a learned record."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class SenderIndexAssigner:
@@ -178,21 +99,8 @@ class IndexedClueLookup:
             self.table.store(index, self.builder.build_entry(clue))
             return result
         self.hits += 1
-        if entry.pointer_empty():
-            counter.method = METHOD_FD_IMMEDIATE
-            prefix, next_hop = entry.final_decision()
-            return LookupResult(
-                prefix, next_hop, counter.accesses, METHOD_FD_IMMEDIATE
-            )
-        counter.method = METHOD_RESUMED
-        match = entry.continuation.search(address, counter)
-        if match is None:
-            prefix, next_hop = entry.final_decision()
-            return LookupResult(
-                prefix, next_hop, counter.accesses, METHOD_RESUMED
-            )
-        prefix, next_hop = match
-        return LookupResult(prefix, next_hop, counter.accesses, METHOD_RESUMED)
+        prefix, next_hop = resolve(entry, address, counter)
+        return LookupResult(prefix, next_hop, counter.accesses, counter.method)
 
     def hit_rate(self) -> float:
         """Fraction of indexed packets that hit an agreeing slot."""

@@ -19,11 +19,12 @@ proposes:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.core.advance import AdvanceMethod
 from repro.core.entry import ClueEntry
+from repro.core.lookup import resolve
 from repro.core.receiver import ReceiverState
 from repro.core.table import ClueTable
 from repro.lookup.counters import LookupResult, MemoryCounter
@@ -101,12 +102,8 @@ class UnionClueTable:
         entry = self.table.probe(clue, counter)
         if entry is None:
             prefix, next_hop = self.receiver.best_match(address)
-            return LookupResult(prefix, next_hop, counter.accesses)
-        if entry.continuation is not None:
-            match = entry.continuation.search(address, counter)
-            if match is not None:
-                return LookupResult(match[0], match[1], counter.accesses)
-        prefix, next_hop = entry.final_decision()
+        else:
+            prefix, next_hop = resolve(entry, address, counter)
         return LookupResult(prefix, next_hop, counter.accesses)
 
 
@@ -122,8 +119,9 @@ class BitmapClueTable:
             name: AdvanceMethod(trie, receiver, technique="binary")
             for name, trie in senders.items()
         }
-        #: clue -> (entry, bitmap, per-sender continuation map)
-        self._records: Dict[Prefix, Tuple[ClueEntry, Dict[str, bool], Dict[str, object]]] = {}
+        #: clue -> (entry, bitmap, per-sender records): the shared FD, and
+        #: for each sender whose bit is clear the FD with its own Ptr.
+        self._records: Dict[Prefix, Tuple[ClueEntry, Dict[str, bool], Dict[str, ClueEntry]]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -133,7 +131,7 @@ class BitmapClueTable:
         for clue in universe:
             fd_prefix, fd_next_hop = self.receiver.fd_for_clue(clue)
             bitmap: Dict[str, bool] = {}
-            continuations: Dict[str, object] = {}
+            pointers: Dict[str, ClueEntry] = {}
             for name in self.sender_order:
                 method = self.methods[name]
                 if not method.overlay.sender.contains(clue):
@@ -143,13 +141,18 @@ class BitmapClueTable:
                 if not final:
                     candidates = method.potential_candidates(clue)
                     if candidates:
-                        continuations[name] = SetContinuation(
-                            candidates, self.receiver.width, branching=2
+                        pointers[name] = ClueEntry(
+                            clue,
+                            fd_prefix,
+                            fd_next_hop,
+                            SetContinuation(
+                                candidates, self.receiver.width, branching=2
+                            ),
                         )
                     else:
                         bitmap[name] = True
             entry = ClueEntry(clue, fd_prefix, fd_next_hop, None)
-            self._records[clue] = (entry, bitmap, continuations)
+            self._records[clue] = (entry, bitmap, pointers)
 
     def bitmap_of(self, clue: Prefix) -> Optional[Dict[str, bool]]:
         """The per-neighbour bit map stored with a clue (None on miss)."""
@@ -169,17 +172,11 @@ class BitmapClueTable:
         record = self._records.get(clue)
         if record is None:
             prefix, next_hop = self.receiver.best_match(address)
-            return LookupResult(prefix, next_hop, counter.accesses)
-        entry, bitmap, continuations = record
-        if bitmap.get(sender, True):
-            prefix, next_hop = entry.final_decision()
-            return LookupResult(prefix, next_hop, counter.accesses)
-        continuation = continuations.get(sender)
-        if continuation is not None:
-            match = continuation.search(address, counter)
-            if match is not None:
-                return LookupResult(match[0], match[1], counter.accesses)
-        prefix, next_hop = entry.final_decision()
+        else:
+            entry, bitmap, pointers = record
+            if not bitmap.get(sender, True):
+                entry = pointers[sender]
+            prefix, next_hop = resolve(entry, address, counter)
         return LookupResult(prefix, next_hop, counter.accesses)
 
     def size(self) -> int:
@@ -247,12 +244,8 @@ class SubTablesClueTable:
             entry = self.specific[sender].probe(clue, counter)
         if entry is None:
             prefix, next_hop = self.receiver.best_match(address)
-            return LookupResult(prefix, next_hop, counter.accesses)
-        if entry.continuation is not None:
-            match = entry.continuation.search(address, counter)
-            if match is not None:
-                return LookupResult(match[0], match[1], counter.accesses)
-        prefix, next_hop = entry.final_decision()
+        else:
+            prefix, next_hop = resolve(entry, address, counter)
         return LookupResult(prefix, next_hop, counter.accesses)
 
     def sizes(self) -> Dict[str, int]:

@@ -13,15 +13,36 @@ current entries on first read, since most states never read them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.lookup.base import TableEntries, sorted_entries
+from repro.lookup.multibit import MultibitContinuation, MultibitTrie
+from repro.lookup.restricted import (
+    Continuation,
+    LengthContinuation,
+    PatriciaContinuation,
+    SetContinuation,
+    TrieContinuation,
+    locate_patricia_entry,
+    subtree_candidates,
+)
 from repro.trie.binary_trie import BinaryTrie
+from repro.trie.node import TrieNode
 from repro.trie.patricia import PatriciaTrie
 
 #: Continuation techniques a clue entry may be built for (§4).
 TECHNIQUES = ("regular", "patricia", "binary", "6way", "logw", "multibit")
+
+
+def check_technique(technique: str) -> str:
+    """``technique`` if it is one of :data:`TECHNIQUES`; else raise."""
+    if technique not in TECHNIQUES:
+        raise ValueError(
+            "unknown technique %r (expected one of %s)"
+            % (technique, ", ".join(TECHNIQUES))
+        )
+    return technique
 
 
 def merge_entries(
@@ -63,7 +84,7 @@ class ReceiverState:
         self.entries: List[Tuple[Prefix, object]] = sorted_entries(entries)
         self.trie = BinaryTrie.from_prefixes(self.entries, width)
         self._patricia: Optional[PatriciaTrie] = None
-        self._multibit = None
+        self._multibit: Optional[MultibitTrie] = None
 
     @property
     def patricia(self) -> PatriciaTrie:
@@ -74,11 +95,9 @@ class ReceiverState:
         return self._patricia
 
     @property
-    def multibit(self):
+    def multibit(self) -> MultibitTrie:
         """The stride-k multibit trie, built lazily on first use."""
         if self._multibit is None:
-            from repro.lookup.multibit import MultibitTrie
-
             trie = MultibitTrie(width=self.width)
             for prefix, next_hop in self.entries:
                 trie.insert(prefix, next_hop)
@@ -107,6 +126,52 @@ class ReceiverState:
         if node is None:
             return None, None
         return node.prefix, node.next_hop
+
+    def continuation(
+        self,
+        technique: str,
+        clue: Prefix,
+        node: Optional[TrieNode],
+        candidates: Optional[Callable[[Prefix], List[Tuple[Prefix, object]]]] = None,
+        stops: Optional[Set[Prefix]] = None,
+    ) -> Optional[Continuation]:
+        """The Ptr field of ``clue``: a §4 resumed search below it, or
+        None when ``technique`` has nowhere to resume.
+
+        ``node`` is the trie's vertex at ``clue`` (None when absent),
+        where a ``regular`` walk starts; ``patricia`` and ``multibit``
+        locate their own start.  ``candidates(clue)`` is the prefix set
+        the ``binary``, ``6way`` and ``logw`` searches cover (Advance's
+        potential set); by default, every prefix below the clue
+        (Simple's).  ``stops`` is the live set a trie or Patricia walk
+        continues through (Advance's Claim 1 failures); None walks until
+        the path runs out.
+        """
+        width = self.width
+        if technique == "regular":
+            return None if node is None else TrieContinuation(node, width, stops)
+        if technique == "patricia":
+            located = locate_patricia_entry(self.patricia, clue)
+            if located is None:
+                return None
+            return PatriciaContinuation(located[0], located[1], clue, width, stops)
+        if technique == "multibit":
+            stride_trie = self.multibit
+            start = stride_trie.node_at(clue)
+            if start is None:
+                return None
+            return MultibitContinuation(stride_trie, clue, start)
+        if candidates is None:
+            found = subtree_candidates(self.trie, clue)
+        else:
+            found = candidates(clue)
+        if not found:
+            return None
+        if technique == "logw":
+            return LengthContinuation(found, width)
+        return SetContinuation(
+            found, width, branching=2 if technique == "binary" else 6
+        )
 
     def apply_update(
         self,

@@ -7,7 +7,10 @@ not wrong.  This module hardens the data path against actively bad
 input: clues bit-flipped in flight, Byzantine senders that lie about
 their BMP, and corrupted clue-table records.
 
-Three layers, all per-packet and cheap:
+:class:`GuardedLookup` is the one clue lookup of
+:mod:`repro.core.lookup`, learning through its builder, with screens in
+front of the hit branch.  Three layers, all per-packet, cheap and
+always on:
 
 * **record seals** — every learned record is sealed with a lightweight
   integrity checksum when it is built; a probe whose record no longer
@@ -44,17 +47,10 @@ from typing import Deque, Dict, Optional
 
 from repro.addressing import Address, Prefix
 from repro.core.entry import ClueEntry
-from repro.core.table import ClueTable
+from repro.core.lookup import Builder, ClueAssistedLookup
 from repro.lookup.base import LookupAlgorithm
 from repro.lookup.hotpath import cold_path, hot_path
-from repro.lookup.counters import (
-    METHOD_CLUE_MISS,
-    METHOD_FD_IMMEDIATE,
-    METHOD_FULL,
-    METHOD_RESUMED,
-    LookupResult,
-    MemoryCounter,
-)
+from repro.lookup.counters import LookupResult, MemoryCounter
 
 #: Guard rejection reasons (the ``reason`` label of
 #: ``clue_guard_rejections_total``).
@@ -95,8 +91,6 @@ class GuardPolicy:
         "backoff_factor",
         "backoff_max",
         "probation_probes",
-        "verify_advance",
-        "seal_records",
         "quarantine_enabled",
     )
 
@@ -109,8 +103,6 @@ class GuardPolicy:
         backoff_factor: float = 2.0,
         backoff_max: int = 4096,
         probation_probes: int = 4,
-        verify_advance: bool = True,
-        seal_records: bool = True,
         quarantine_enabled: bool = True,
     ):
         if window < 1:
@@ -132,8 +124,6 @@ class GuardPolicy:
         self.backoff_factor = backoff_factor
         self.backoff_max = backoff_max
         self.probation_probes = probation_probes
-        self.verify_advance = verify_advance
-        self.seal_records = seal_records
         self.quarantine_enabled = quarantine_enabled
 
     def as_dict(self) -> Dict[str, object]:
@@ -278,15 +268,20 @@ def _seal(entry: ClueEntry) -> int:
     )
 
 
-class GuardedLookup:
+class GuardedLookup(ClueAssistedLookup):
     """A validated, self-healing, learning clue lookup for one upstream.
 
-    Drop-in shape-compatible with
-    :class:`repro.core.learning.LearningClueLookup` (``lookup(address,
-    clue, counter)`` plus ``.table``/``.builder``/``.base``), but every
-    answer is screened before it is trusted and every anomaly is
-    accounted against the upstream's :class:`NeighborHealth`.
+    The one clue lookup of :mod:`repro.core.lookup`, given a builder,
+    with screens in front of its hit branch: every answer is screened
+    before it is trusted, and every anomaly is accounted against the
+    upstream's :class:`NeighborHealth`.  The full lookup, the
+    miss-and-learn path and the resolution of a trusted record are the
+    plain lookup's own.
     """
+
+    __slots__ = ("policy", "health", "monitor", "_seals", "rejections", "healed_records")
+
+    health: NeighborHealth
 
     # Built once per upstream when a router first sees it — the
     # construction cost never recurs on the per-packet path.
@@ -294,13 +289,12 @@ class GuardedLookup:
     def __init__(
         self,
         base: LookupAlgorithm,
-        builder,
+        builder: Builder,
         policy: Optional[GuardPolicy] = None,
         health: Optional[NeighborHealth] = None,
         monitor=None,
     ):
-        self.base = base
-        self.builder = builder
+        super().__init__(base, builder=builder)
         self.policy = policy if policy is not None else GuardPolicy()
         self.health = (
             health if health is not None else NeighborHealth(self.policy)
@@ -309,10 +303,7 @@ class GuardedLookup:
         #: :mod:`repro.faults.engine`): ``record_rejection(reason)``,
         #: ``record_quarantine()``, ``record_degraded(accesses)``.
         self.monitor = monitor
-        self.table = ClueTable()
         self._seals: Dict[Prefix, int] = {}
-        self.hits = 0
-        self.misses = 0
         self.rejections: Dict[str, int] = {}
         self.healed_records = 0
 
@@ -325,22 +316,27 @@ class GuardedLookup:
             if self.monitor is not None:
                 self.monitor.record_quarantine()
 
-    def _full(
-        self, address: Address, counter: MemoryCounter, degraded: bool
-    ) -> LookupResult:
-        counter.method = METHOD_FULL
-        result = self.base.lookup(address, counter)
-        result.method = METHOD_FULL
-        if degraded and self.monitor is not None:
+    def _degraded(self, address: Address, counter: MemoryCounter) -> LookupResult:
+        """A screened-out packet: the full lookup, reported as degraded."""
+        result = self._full(address, counter)
+        if self.monitor is not None:
             self.monitor.record_degraded(counter.accesses)
         return result
 
+    def _heal(
+        self, clue: Prefix, address: Address, counter: MemoryCounter
+    ) -> LookupResult:
+        """A corrupted record: answer degraded, then rebuild and reseal it."""
+        result = self._degraded(address, counter)
+        self.learn(clue)
+        self.healed_records += 1
+        return result
+
+    @cold_path
     def learn(self, clue: Prefix) -> ClueEntry:
         """(Re)build and seal the record for ``clue`` off the fast path."""
-        entry = self.builder.build_entry(clue)
-        self.table.insert(entry)
-        if self.policy.seal_records:
-            self._seals[clue] = _seal(entry)
+        entry = super().learn(clue)
+        self._seals[clue] = _seal(entry)
         return entry
 
     def note_malformed(self) -> None:
@@ -396,10 +392,10 @@ class GuardedLookup:
         """Route one packet through the guarded data path."""
         counter = counter if counter is not None else MemoryCounter()
         if clue is None:
-            return self._full(address, counter, degraded=False)
+            return self._full(address, counter)
         if not self.health.consult_allowed():
             self._reject(REJECT_QUARANTINED, neighbor_fault=False)
-            return self._full(address, counter, degraded=True)
+            return self._degraded(address, counter)
         # Cheap validity screen on the clue itself: length bounds and
         # the clue-prefixes-destination requirement the 5-bit encoding
         # is supposed to enforce structurally.
@@ -409,73 +405,35 @@ class GuardedLookup:
             or not clue.matches(address)
         ):
             self._reject(REJECT_MALFORMED, neighbor_fault=True)
-            return self._full(address, counter, degraded=True)
+            return self._degraded(address, counter)
         entry = self.table.probe(clue, counter)
         if entry is None:
             # Never saw this clue (or its record was deactivated): the
             # paper's normal learning path, not an anomaly.
-            self.misses += 1
-            counter.method = METHOD_CLUE_MISS
-            result = self.base.lookup(address, counter)
-            result.method = METHOD_CLUE_MISS
-            self.learn(clue)
-            return result
+            return self._miss(clue, address, counter)
         # Integrity seal: a record that no longer matches the checksum
         # taken at build time was corrupted in memory.  Heal it.
-        if self.policy.seal_records and self._seals.get(clue) != _seal(entry):
+        if self._seals.get(clue) != _seal(entry):
             self._reject(REJECT_RECORD, neighbor_fault=False)
-            result = self._full(address, counter, degraded=True)
-            self.learn(clue)
-            self.healed_records += 1
-            return result
+            return self._heal(clue, address, counter)
         # Style-aware trust: Advance records assume the clue is the
         # sender's true BMP; verify that premise with a bounded walk.
-        if (
-            entry.style == "advance"
-            and self.policy.verify_advance
-            and not self._clue_is_senders_bmp(entry, address, counter)
+        if entry.style == "advance" and not self._clue_is_senders_bmp(
+            entry, address, counter
         ):
             self._reject(REJECT_LYING, neighbor_fault=True)
-            return self._full(address, counter, degraded=True)
+            return self._degraded(address, counter)
         self.hits += 1
-        result = self._resolve(entry, address, counter)
+        result = self._fill(entry, address, counter)
         if result.prefix is not None and not result.prefix.matches(address):
             # A decision that does not even cover the destination can
             # only come from a corrupted record that beat the seal.
             self._reject(REJECT_RESULT, neighbor_fault=False)
-            result = self._full(address, counter, degraded=True)
-            self.learn(clue)
-            self.healed_records += 1
-            return result
+            return self._heal(clue, address, counter)
         self.health.record_clean()
         return result
 
-    @hot_path
-    def _resolve(
-        self, entry: ClueEntry, address: Address, counter: MemoryCounter
-    ) -> LookupResult:
-        if entry.pointer_empty():
-            counter.method = METHOD_FD_IMMEDIATE
-            prefix, next_hop = entry.final_decision()
-            return LookupResult(
-                prefix, next_hop, counter.accesses, METHOD_FD_IMMEDIATE
-            )
-        counter.method = METHOD_RESUMED
-        match = entry.continuation.search(address, counter)
-        if match is None:
-            prefix, next_hop = entry.final_decision()
-            return LookupResult(
-                prefix, next_hop, counter.accesses, METHOD_RESUMED
-            )
-        prefix, next_hop = match
-        return LookupResult(prefix, next_hop, counter.accesses, METHOD_RESUMED)
-
     # ------------------------------------------------------------------
-    def hit_rate(self) -> float:
-        """Fraction of clue-carrying packets that hit a trusted record."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def rejections_total(self) -> int:
         return sum(self.rejections.values())
 

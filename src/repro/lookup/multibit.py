@@ -150,11 +150,17 @@ class MultibitContinuation(Continuation):
     The walk restarts at the deepest stride-aligned node covering the
     clue; matches shorter than the clue are discarded (the FD field
     already covers them), so the continuation only reports strictly
-    longer matches, like its siblings.
+    longer matches, like its siblings.  ``start`` is that node and its
+    depth, ``trie.node_at(clue)``, when the caller has already found it.
     """
 
-    def __init__(self, trie: MultibitTrie, clue: Prefix):
-        located = trie.node_at(clue)
+    def __init__(
+        self,
+        trie: MultibitTrie,
+        clue: Prefix,
+        start: Optional[Tuple[_MultibitNode, int]] = None,
+    ):
+        located = start if start is not None else trie.node_at(clue)
         if located is None:
             raise ValueError("clue %s has no covering multibit node" % clue)
         self.trie = trie

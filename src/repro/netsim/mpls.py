@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.addressing import Address, Prefix
 from repro.core.advance import AdvanceMethod
+from repro.core.entry import ClueEntry
+from repro.core.lookup import resolve
 from repro.core.receiver import ReceiverState
 from repro.lookup import BASELINES
 from repro.lookup.counters import MemoryCounter
@@ -57,7 +59,7 @@ class MplsRouter:
         self.label_table: Dict[int, LabelEntry] = {}
         #: label → Advance clue machinery for the clue integration.
         self._clue_methods: Dict[int, AdvanceMethod] = {}
-        self._clue_entries: Dict[int, object] = {}
+        self._clue_entries: Dict[int, ClueEntry] = {}
 
     # ------------------------------------------------------------------
     # control plane
@@ -127,11 +129,7 @@ class MplsRouter:
         if entry is None:
             return self.ip_lookup(address, counter)
         counter.touch()
-        if entry.continuation is not None:
-            match = entry.continuation.search(address, counter)
-            if match is not None:
-                return match[0], match[1]
-        return entry.fd_prefix, entry.fd_next_hop
+        return resolve(entry, address, counter)
 
 
 class AggregationScenario:

@@ -1,11 +1,13 @@
 """Simulated routers: clue-aware and legacy.
 
 A :class:`ClueRouter` implements the full distributed-IP-lookup data path:
-it keeps one clue structure per upstream neighbour (Advance needs the
-neighbour's table, obtained from the routing exchange via
-:meth:`register_neighbor`; unknown neighbours fall back to the Simple
-method learned on the fly), resolves each packet, stamps its own BMP as
-the outgoing clue, and returns the next hop.
+it keeps one learning :class:`~repro.core.lookup.ClueAssistedLookup` per
+upstream neighbour (Advance needs the neighbour's table, obtained from
+the routing exchange via :meth:`register_neighbor`; unknown neighbours
+fall back to the Simple method learned on the fly), a
+:class:`~repro.faults.guard.GuardedLookup` once the guard is on, resolves
+each packet, stamps its own BMP as the outgoing clue, and returns the
+next hop.
 
 A :class:`LegacyRouter` ignores clues entirely — it performs the ordinary
 full lookup — and models the two §5.3 behaviours: *relaying* the incoming
@@ -19,12 +21,12 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 from repro.addressing import Prefix
 from repro.core.advance import AdvanceMethod
 from repro.core.clue import ClueEncodingError
-from repro.core.learning import LearningClueLookup
+from repro.core.lookup import Builder, ClueAssistedLookup
 from repro.core.receiver import ReceiverState
 from repro.core.simple import SimpleMethod
 from repro.lookup import BASELINES, LookupAlgorithm
 from repro.lookup.counters import METHOD_FULL, MemoryCounter
-from repro.lookup.hotpath import hot_path
+from repro.lookup.hotpath import cold_path, hot_path
 from repro.netsim.packet import HopRecord, Packet
 from repro.telemetry.instruments import LookupInstruments, default_instruments
 from repro.trie.binary_trie import BinaryTrie
@@ -124,7 +126,7 @@ class ClueRouter(Router):
         self.base = BASELINES[technique](self.receiver.entries, width)
         self._simple = SimpleMethod(self.receiver, technique, telemetry=self.metrics)
         #: per-upstream clue lookup state, built lazily.
-        self._lookups: Dict[Optional[str], LearningClueLookup] = {}
+        self._lookups: Dict[Optional[str], ClueAssistedLookup] = {}
         #: upstream tables registered from the routing exchange, kept
         #: as registered until :meth:`_neighbor_trie` first reads one.
         self._neighbor_entries: Dict[str, Tuple[Tuple[Prefix, object], ...]] = {}
@@ -151,7 +153,7 @@ class ClueRouter(Router):
             simple.telemetry = self.metrics
         for lookup in getattr(self, "_lookups", {}).values():
             lookup.builder.telemetry = self.metrics
-            if getattr(lookup, "monitor", None) is not None:
+            if lookup.monitor is not None:
                 lookup.monitor = instruments.bind_guard(self.name)
 
     # ------------------------------------------------------------------
@@ -203,7 +205,7 @@ class ClueRouter(Router):
         """Per-upstream guard statistics (empty unless the guard is on)."""
         reports: Dict[Optional[str], Dict[str, object]] = {}
         for upstream, lookup in self._lookups.items():
-            health = getattr(lookup, "health", None)
+            health = lookup.health
             if health is None:
                 continue
             reports[upstream] = {
@@ -255,7 +257,7 @@ class ClueRouter(Router):
 
     def attach_maintained(
         self, upstream: str, maintained: "MaintainedClueTable"
-    ) -> LearningClueLookup:
+    ) -> ClueAssistedLookup:
         """Serve ``upstream``'s clues from an incrementally maintained table.
 
         The lookup's table *is* the maintained table, so deferred-rebuild
@@ -269,8 +271,7 @@ class ClueRouter(Router):
         self._maintained[upstream] = maintained
         self._neighbor_tries[upstream] = maintained.sender_trie
         maintained.method.telemetry = self.metrics
-        lookup = LearningClueLookup(self.base, maintained.method)
-        lookup.table = maintained.table
+        lookup = ClueAssistedLookup(self.base, maintained.table, maintained.method)
         self._lookups[upstream] = lookup
         return lookup
 
@@ -293,48 +294,47 @@ class ClueRouter(Router):
                     del self._lookups[upstream]
         return added, removed
 
-    def _lookup_for(self, from_router: Optional[str]) -> LearningClueLookup:
-        lookup = self._lookups.get(from_router)
-        if lookup is None:
-            # The Simple method reads a neighbour's table only to preprocess.
-            neighbor_trie = (
-                self._neighbor_trie(from_router)
-                if self.method == "advance" or self.preprocess
-                else None
+    @cold_path
+    def _build_lookup(self, from_router: Optional[str]) -> ClueAssistedLookup:
+        """The clue lookup for packets from ``from_router``, built on the
+        first one: guarded when the guard is on, its whole table learned
+        up front under §3.3.2 pre-processing."""
+        # The Simple method reads a neighbour's table only to preprocess.
+        neighbor_trie = (
+            self._neighbor_trie(from_router)
+            if self.method == "advance" or self.preprocess
+            else None
+        )
+        builder: Builder = self._simple
+        if self.method == "advance" and neighbor_trie is not None:
+            builder = AdvanceMethod(
+                neighbor_trie,
+                self.receiver,
+                self.technique,
+                telemetry=self.metrics,
             )
-            if self.method == "advance" and neighbor_trie is not None:
-                builder = AdvanceMethod(
-                    neighbor_trie,
-                    self.receiver,
-                    self.technique,
-                    telemetry=self.metrics,
-                )
-            else:
-                builder = self._simple
-            if self.guard_policy is not None:
-                from repro.faults.guard import GuardedLookup, NeighborHealth
+        lookup: ClueAssistedLookup
+        if self.guard_policy is None:
+            lookup = ClueAssistedLookup(self.base, builder=builder)
+        else:
+            from repro.faults.guard import GuardedLookup, NeighborHealth
 
-                health = self._health.get(from_router)
-                if health is None:
-                    health = NeighborHealth(self.guard_policy)
-                    self._health[from_router] = health
-                lookup = GuardedLookup(
-                    self.base,
-                    builder,
-                    self.guard_policy,
-                    health=health,
-                    monitor=self.instruments.bind_guard(self.name),
-                )
-                if self.preprocess and neighbor_trie is not None:
-                    # Learn through the guard so each record is sealed.
-                    for clue in neighbor_trie.prefixes():
-                        lookup.learn(clue)
-            else:
-                lookup = LearningClueLookup(self.base, builder)
-                if self.preprocess and neighbor_trie is not None:
-                    for clue in neighbor_trie.prefixes():
-                        lookup.table.insert(builder.build_entry(clue))
-            self._lookups[from_router] = lookup
+            health = self._health.get(from_router)
+            if health is None:
+                health = NeighborHealth(self.guard_policy)
+                self._health[from_router] = health
+            lookup = GuardedLookup(
+                self.base,
+                builder,
+                self.guard_policy,
+                health=health,
+                monitor=self.instruments.bind_guard(self.name),
+            )
+        if self.preprocess and neighbor_trie is not None:
+            # Learn through the lookup, so a guard seals each record.
+            for clue in neighbor_trie.prefixes():
+                lookup.learn(clue)
+        self._lookups[from_router] = lookup
         return lookup
 
     @hot_path
@@ -343,16 +343,16 @@ class ClueRouter(Router):
         counter = self._counter
         counter.reset()
         incoming = packet.clue.length
-        lookup = self._lookup_for(from_router)
+        lookup = self._lookups.get(from_router)
+        if lookup is None:
+            lookup = self._build_lookup(from_router)
         try:
             clue = packet.clue_prefix()
         except ClueEncodingError:
             # An undecodable header field: proceed clueless, and let a
             # guarded path score the anomaly against the upstream.
             clue = None
-            note = getattr(lookup, "note_malformed", None)
-            if note is not None:
-                note()
+            lookup.note_malformed()
         result = lookup.lookup(packet.destination, clue, counter)
         accesses = counter.accesses
         method = counter.method

@@ -62,10 +62,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.addressing import IPV4_WIDTH, Address
-from repro.core.advance import AdvanceMethod
-from repro.core.lookup import ClueAssistedLookup
-from repro.core.receiver import ReceiverState
-from repro.core.simple import SimpleMethod
 from repro.fastpath.layouts import LAYOUTS
 from repro.faults.inject import (
     KIND_BATCH_DROP,
@@ -85,13 +81,12 @@ from repro.resilience.replica import (
     replica_rotation,
 )
 from repro.lookup.binary_range import RangeTable
-from repro.lookup.regular import RegularTrieLookup
 from repro.resilience.report import ResilienceReport
 from repro.serve.batcher import BACKPRESSURE_POLICIES, BatchPolicy, RequestBatcher
 from repro.serve.dispatch import PARTITION_MODES, ShardPlan, route_batch
 from repro.serve.loadgen import LoadProfile, ZipfLoadGenerator
 from repro.serve.report import latency_summary
-from repro.serve.shard import METHODS
+from repro.serve.shard import METHODS, scalar_clue_lookup
 from repro.tablegen import NeighborProfile, derive_neighbor, generate_table
 from repro.trie.binary_trie import BinaryTrie
 
@@ -118,18 +113,10 @@ def build_reference(receiver_entries, sender_trie, method: str):
     No shard is certified against it: each one certifies against its
     own slice's scalar clue lookup.  For a well-formed clue both answer
     the receiver's longest-prefix match, and the audit re-checks every
-    degraded answer like any other.  Its base walks the trie the
-    ``ReceiverState`` built.
+    degraded answer like any other.  Its table covers every prefix of
+    ``sender_trie``.
     """
-    state = ReceiverState(receiver_entries, IPV4_WIDTH)
-    if method == "advance":
-        builder = AdvanceMethod(sender_trie, state, "regular")
-    else:
-        builder = SimpleMethod(state, "regular")
-    table = builder.build_table(list(sender_trie.prefixes()))
-    return ClueAssistedLookup(
-        RegularTrieLookup.over_trie(state.trie, state.entries), table
-    )
+    return scalar_clue_lookup(receiver_entries, sender_trie, method)[1]
 
 
 #: The knobs that name one of a fixed set of values, and those values.

@@ -12,7 +12,9 @@ longest-prefix match — the serving loop's audit re-checks that for every
 served answer, decoded through the compiled pool.
 
 Building reuses the existing machinery, and builds each structure
-once.  The slice becomes a ``ReceiverState``.  The Advance builder
+once.  :func:`scalar_clue_lookup`, which also builds the chaos plane's
+full-table degraded path, turns the slice into a ``ReceiverState``, a
+clue table and the scalar lookup over them.  The Advance builder
 overlays a trie of the shard's clue slice: Claim 1 looks only below a
 clue (§3.1.2), so the slice decides every verdict the whole sender trie
 would.  The Simple builder reads no sender trie.
@@ -53,6 +55,29 @@ from repro.trie.binary_trie import BinaryTrie
 METHODS = ("simple", "advance")
 
 
+def scalar_clue_lookup(
+    entries, sender_trie: BinaryTrie, method: str, clues=None
+) -> Tuple[BinaryTrie, ClueAssistedLookup]:
+    """The scalar clue lookup over ``entries``, and the trie it walks.
+
+    ``entries`` become a ``ReceiverState``; the ``method`` builder (over
+    the regular technique) fills the table, and the base lookup walks
+    the state's own trie.  ``clues`` default to every prefix of
+    ``sender_trie``, which Advance builds in one lockstep pass; given
+    clues are built in the order given, which compiled record and pool
+    order follow.  Simple reads ``sender_trie`` only for that default.
+    """
+    state = ReceiverState(entries, IPV4_WIDTH)
+    if method == "advance":
+        table = AdvanceMethod(sender_trie, state, "regular").build_table(clues)
+    else:
+        table = SimpleMethod(state, "regular").build_table(
+            sender_trie.prefixes() if clues is None else clues
+        )
+    base = RegularTrieLookup.over_trie(state.trie, state.entries)
+    return state.trie, ClueAssistedLookup(base, table)
+
+
 class Shard:
     """One worker: a certified compiled table slice and its metrics view."""
 
@@ -91,23 +116,19 @@ class Shard:
         #: Pre-bound per-shard instrument view (``ShardInstruments``);
         #: ``None`` keeps the shard usable without telemetry.
         self.metrics = metrics
-        state = ReceiverState(self.entries, IPV4_WIDTH)
+        clue_trie = sender_trie
         if method == "advance":
             # A trie of the clue slice decides every Claim-1 verdict and
             # stop bit the whole sender trie would (module docstring).
             clue_trie = BinaryTrie.from_prefixes(
                 ((clue, None) for clue in self.clue_universe), IPV4_WIDTH
             )
-            builder = AdvanceMethod(clue_trie, state, "regular")
-        else:
-            builder = SimpleMethod(state, "regular")
-        table = builder.build_table(self.clue_universe)
-        #: The compiled full-lookup layout this shard serves through.
-        self.ctrie = compile_layout(state.trie, layout)
-        self.ctable = compile_clue_table(table, self.ctrie)
-        scalar = ClueAssistedLookup(
-            RegularTrieLookup.over_trie(state.trie, state.entries), table
+        trie, scalar = scalar_clue_lookup(
+            self.entries, clue_trie, method, self.clue_universe
         )
+        #: The compiled full-lookup layout this shard serves through.
+        self.ctrie = compile_layout(trie, layout)
+        self.ctable = compile_clue_table(scalar.table, self.ctrie)
         self.certified_lanes = self._certify(scalar, sender_trie, seed)
 
     def _certify(self, scalar, sender_trie, seed: int) -> int:

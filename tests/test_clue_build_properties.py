@@ -1,4 +1,4 @@
-"""Differential tests of the Advance build's walks (§3.1.2, §3.4).
+"""Differential tests of the clue builders' walks (§3.1, §3.4).
 
 ``AdvanceMethod.build_table()`` is one pre-order pass over the sender
 trie in lockstep with the receiver trie; ``build_entry`` and the
@@ -7,15 +7,17 @@ must give a clue the record a per-clue oracle builds straight from
 ``find_node`` and ``least_marked_ancestor``: FD prefix and next hop, Ptr
 emptiness, where the continuation starts, the live ``problematic`` set
 a trie walk holds, the style, and the sender vertex the guard reads.
-Tables are random at widths 32 and 128, with default routes on either
-side and subtrees only one side has.
+``SimpleMethod.build_entry`` is held to the same oracle, with a Ptr
+wherever the receiver has something below the clue.  Tables are random
+at widths 32 and 128, with default routes on either side and subtrees
+only one side has.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Prefix
-from repro.core import AdvanceMethod, MaintainedClueTable, ReceiverState
+from repro.core import AdvanceMethod, MaintainedClueTable, ReceiverState, SimpleMethod
 from repro.core.receiver import TECHNIQUES
 from repro.lookup import (
     LengthContinuation,
@@ -97,8 +99,9 @@ def start_of(continuation):
 
 
 def oracle_start(method, clue, stride_trie=None):
-    """Where a problematic clue's continuation must resume, found
-    without the builder's walk."""
+    """Where a clue's continuation must resume, found without the
+    builder's walk: for a set technique, Advance's potential set or, for
+    Simple, every receiver entry below the clue."""
     receiver = method.receiver
     technique = method.technique
     if technique == "regular":
@@ -107,10 +110,17 @@ def oracle_start(method, clue, stride_trie=None):
         return locate_patricia_entry(receiver.patricia, clue)
     if technique == "multibit":
         return (stride_trie or receiver.multibit).node_at(clue)
-    candidates = [
-        (prefix, receiver.trie.next_hop_of(prefix))
-        for prefix in method.overlay.potential_set(clue)
-    ]
+    if isinstance(method, SimpleMethod):
+        candidates = [
+            (prefix, hop)
+            for prefix, hop in receiver.entries
+            if prefix.length > clue.length and clue.is_prefix_of(prefix)
+        ]
+    else:
+        candidates = [
+            (prefix, receiver.trie.next_hop_of(prefix))
+            for prefix in method.overlay.potential_set(clue)
+        ]
     return sorted(candidates, key=lambda item: (item[0].length, item[0].bits)) or None
 
 
@@ -125,28 +135,38 @@ def same_start(got, want):
 def assert_record(entry, method, clue, stride_trie=None):
     """Every field of ``entry`` equals what root walks say it must be.
 
+    An Advance record resumes only below a clue that fails Claim 1, a
+    Simple one below any receiver vertex with children; either way, the
+    Ptr is empty where the technique has nowhere to resume.
     ``stride_trie`` is the multibit trie the continuation resumes in,
     by default the receiver's current one.
     """
-    receiver, overlay = method.receiver, method.overlay
+    receiver = method.receiver
     assert entry.clue == clue
     fd = receiver.trie.least_marked_ancestor(clue)
     assert entry.fd_prefix == (None if fd is None else fd.prefix), str(clue)
     assert entry.fd_next_hop == (None if fd is None else fd.next_hop), str(clue)
-    assert entry.style == "advance"
-    assert entry.sender_node is overlay.sender.find_node(clue), str(clue)
-    want = oracle_start(method, clue, stride_trie) if clue in overlay.problematic else None
+    assert entry.style == method.method_name
+    if isinstance(method, SimpleMethod):
+        node = receiver.trie.find_node(clue)
+        resumes = node is not None and bool(node.children)
+        stops = sender_node = None
+    else:
+        resumes = clue in method.overlay.problematic
+        stops = method.overlay.problematic
+        sender_node = method.overlay.sender.find_node(clue)
+    assert entry.sender_node is sender_node, str(clue)
+    want = oracle_start(method, clue, stride_trie) if resumes else None
     assert entry.pointer_empty() == (want is None), str(clue)
     if want is not None:
         assert same_start(start_of(entry.continuation), want), str(clue)
     if isinstance(entry.continuation, (TrieContinuation, PatriciaContinuation)):
-        assert entry.continuation.problematic is overlay.problematic
+        assert entry.continuation.problematic is stops
 
 
-def clues_the_sender_lacks(method, receiver_table):
+def clues_the_sender_lacks(sender, receiver_table):
     """Unmarked sender vertices, and clues off the sender trie: a child
     below every sender leaf, and every receiver prefix."""
-    sender = method.overlay.sender
     lacking = [node.prefix for node in sender.nodes() if not node.marked]
     for node in sender.nodes():
         if not node.children and node.prefix.length < sender.width:
@@ -171,7 +191,19 @@ def test_lockstep_pass_equals_per_clue_walks_and_the_oracle(width, technique, da
     for clue in clues:
         assert_record(lockstep.record(clue), method, clue)
         assert_record(per_clue.record(clue), method, clue)
-    for clue in clues_the_sender_lacks(method, receiver_table):
+    for clue in clues_the_sender_lacks(method.overlay.sender, receiver_table):
+        assert_record(method.build_entry(clue), method, clue)
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+@pytest.mark.parametrize("width", WIDTHS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_simple_records_equal_the_oracle(width, technique, data):
+    sender_table, receiver_table = data.draw(pair_tables(width))
+    sender = BinaryTrie.from_prefixes(sender_table, width)
+    method = SimpleMethod(ReceiverState(receiver_table, width), technique)
+    for clue in list(sender.prefixes()) + clues_the_sender_lacks(sender, receiver_table):
         assert_record(method.build_entry(clue), method, clue)
 
 

@@ -1,18 +1,26 @@
-"""Property-based tests for clue encoding and learning equivalence."""
+"""Property-based tests for clue encoding and for the clue lookups'
+equivalence: learned, indexed, guarded and pre-processed."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing import Address, Prefix
 from repro.core import (
     AdvanceMethod,
+    ClueAssistedLookup,
     ClueHeader,
-    LearningClueLookup,
+    IndexedClueLookup,
     ReceiverState,
+    SenderIndexAssigner,
+    SimpleMethod,
     decode_clue,
     encode_clue,
 )
-from repro.lookup import BASELINES
+from repro.core.receiver import TECHNIQUES
+from repro.faults.guard import GuardedLookup
+from repro.lookup import BASELINES, MemoryCounter
 from repro.trie import BinaryTrie
+from tests.test_clue_build_properties import WIDTHS, pair_tables
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
 lengths = st.integers(min_value=0, max_value=32)
@@ -68,7 +76,7 @@ def test_learning_converges_to_preprocessed_behavior(pair, values):
     receiver_state = ReceiverState(receiver)
     builder = AdvanceMethod(sender_trie, receiver_state, "binary")
     base = BASELINES["binary"](receiver)
-    learning = LearningClueLookup(base, builder)
+    learning = ClueAssistedLookup(base, builder=builder)
     prebuilt_table = builder.build_table()
 
     for value in values:
@@ -84,3 +92,63 @@ def test_learning_converges_to_preprocessed_behavior(pair, values):
         assert learned_entry.pointer_empty() == prebuilt_entry.pointer_empty()
         expected, _ = receiver_state.best_match(destination)
         assert learned_result.prefix == expected
+
+
+@st.composite
+def destinations(draw, tables, width):
+    """Addresses below a prefix of either table, or anywhere."""
+    anchors = [prefix for table in tables for prefix, _hop in table]
+    anchor = draw(st.sampled_from(anchors or [Prefix.root(width)]))
+    free = width - anchor.length
+    return Address((anchor.bits << free) | draw(st.integers(0, (1 << free) - 1)), width)
+
+
+@pytest.mark.parametrize("style", ("simple", "advance"))
+@pytest.mark.parametrize("technique", TECHNIQUES)
+@pytest.mark.parametrize("width", WIDTHS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_every_clue_lookup_answers_honest_traffic_alike(width, technique, style, data):
+    """Clue = sender BMP through four lookups over one builder: each
+    returns the receiver's best match by the same method, and all but
+    the guard (whose Advance premise walk adds references) charge the
+    same accesses."""
+    tables = data.draw(pair_tables(width))
+    sender = BinaryTrie.from_prefixes(tables[0], width)
+    receiver = ReceiverState(tables[1], width)
+    if style == "advance":
+        builder = AdvanceMethod(sender, receiver, technique)
+        table = builder.build_table()
+    else:
+        builder = SimpleMethod(receiver, technique)
+        table = builder.build_table(sender.prefixes())
+    base = BASELINES[technique](receiver.entries, width)
+    preprocessed = ClueAssistedLookup(base, table)
+    learning = ClueAssistedLookup(base, builder=builder)
+    indexed = IndexedClueLookup(base, builder)
+    guarded = GuardedLookup(base, builder)
+    assigner = SenderIndexAssigner()
+
+    for destination in data.draw(st.lists(destinations(tables, width), min_size=1, max_size=12)):
+        clue = sender.best_prefix(destination)
+        if clue is None:
+            continue
+        index = assigner.index_of(clue)
+        # A clue's first packet may miss and learn; the next one hits.
+        learning.lookup(destination, clue)
+        indexed.lookup(destination, clue, index)
+        guarded.lookup(destination, clue)
+        expected = receiver.best_match(destination)
+        outcomes = []
+        for lookup in (preprocessed, learning, indexed, guarded):
+            counter = MemoryCounter()
+            if lookup is indexed:
+                result = indexed.lookup(destination, clue, index, counter)
+            else:
+                result = lookup.lookup(destination, clue, counter)
+            assert (result.prefix, result.next_hop) == expected, str(destination)
+            assert result.method == counter.method
+            outcomes.append((result.method, counter.accesses))
+        assert len({method for method, _accesses in outcomes}) == 1, outcomes
+        assert len({accesses for _method, accesses in outcomes[:3]}) == 1, outcomes
+    assert not guarded.rejections

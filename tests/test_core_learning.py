@@ -5,8 +5,8 @@ import pytest
 from repro.addressing import Address
 from repro.core import (
     AdvanceMethod,
+    ClueAssistedLookup,
     IndexedClueLookup,
-    LearningClueLookup,
     SenderIndexAssigner,
     SimpleMethod,
 )
@@ -21,10 +21,12 @@ def addr(bits: str) -> Address:
 @pytest.fixture
 def learning(tiny_sender_trie, tiny_receiver):
     builder = AdvanceMethod(tiny_sender_trie, tiny_receiver, "patricia")
-    return LearningClueLookup(PatriciaLookup(tiny_receiver.entries), builder)
+    return ClueAssistedLookup(PatriciaLookup(tiny_receiver.entries), builder=builder)
 
 
 class TestLearningClueLookup:
+    """The clue lookup given a builder: an empty table, learned on misses."""
+
     def test_first_packet_misses_and_learns(self, learning):
         counter = MemoryCounter()
         result = learning.lookup(addr("10"), clue=p("1"), counter=counter)

@@ -10,6 +10,7 @@ from repro.core import (
     SimpleMethod,
 )
 from repro.lookup import MemoryCounter, PatriciaLookup, RegularTrieLookup
+from repro.lookup.counters import METHOD_FD_IMMEDIATE, METHOD_RESUMED
 from tests.conftest import p
 
 
@@ -36,38 +37,46 @@ class TestDataPath:
         result = assisted.lookup(addr("10"), clue=p("1"), counter=counter)
         assert result.prefix == p("1")
         assert counter.accesses == 1
-        assert assisted.fd_used == 1
+        assert counter.method == result.method == METHOD_FD_IMMEDIATE
+        assert (assisted.hits, assisted.misses) == (1, 0)
 
     def test_pointer_followed_for_problematic_clue(self, assisted):
         counter = MemoryCounter()
         result = assisted.lookup(addr("00101"), clue=p("00"), counter=counter)
         assert result.prefix == p("0010")
         assert counter.accesses >= 2
-        assert assisted.pointer_followed == 1
+        assert counter.method == result.method == METHOD_RESUMED
+        assert assisted.hits == 1
 
     def test_failed_continuation_falls_back_to_fd(self, assisted):
         # Clue 00, address 0011...: the continuation finds nothing longer.
-        result = assisted.lookup(addr("0011"), clue=p("00"))
+        counter = MemoryCounter()
+        result = assisted.lookup(addr("0011"), clue=p("00"), counter=counter)
         assert result.prefix == p("00")
-        assert assisted.fd_used == 1
+        # The FD answers, after the resumed search found nothing longer.
+        assert counter.method == result.method == METHOD_RESUMED
 
     def test_unknown_clue_triggers_full_lookup(self, assisted):
         counter = MemoryCounter()
         result = assisted.lookup(addr("110011"), clue=p("110011"), counter=counter)
         assert result.prefix == p("1100")
-        assert assisted.unknown_clues == 1
+        assert (assisted.hits, assisted.misses) == (0, 1)
         assert counter.accesses > 1
+        # Without a builder, the unknown clue stays unknown.
+        assert p("110011") not in assisted.table
 
     def test_unknown_clue_hook_invoked(self, tiny_sender_trie, tiny_receiver):
-        learned = []
+        # A builder learns the unknown clue: §3.3.1's new-clue(c).
         method = AdvanceMethod(tiny_sender_trie, tiny_receiver)
         lookup = ClueAssistedLookup(
             PatriciaLookup(tiny_receiver.entries),
             method.build_table(),
-            on_unknown_clue=learned.append,
+            builder=method,
         )
+        assert p("111111") not in lookup.table
         lookup.lookup(addr("111111"), clue=p("111111"))
-        assert learned == [p("111111")]
+        assert p("111111") in lookup.table
+        assert lookup.misses == 1
 
     def test_counter_accumulates_across_lookups(self, assisted):
         counter = MemoryCounter()

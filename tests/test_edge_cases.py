@@ -139,7 +139,7 @@ class TestDataPathEdges:
         result = lookup.lookup(addr("10"), clue=p("1"))
         expected, _ = tiny_receiver.best_match(addr("10"))
         assert result.prefix == expected
-        assert lookup.unknown_clues == 1
+        assert lookup.misses == 1
 
     def test_clue_table_probe_without_counter(self):
         table = ClueTable()
